@@ -7,10 +7,9 @@ negative.  At a bracket of exactly zero the power degenerates: 0 for
 q < 1 (positive exponent), +inf for q > 1 (negative exponent).
 
 Powers of a positive base are computed as exp(log1p(u) / (1-q)) with
-u = (1-q) z, which keeps accuracy near q = 1 and large |z|.  Floating
-overflow saturates to +inf, the same sentinel as the boundary divergence.
-
-The q -> 1 collapse tolerance Q_COLLAPSE_TOL is shared by every module.
+u = (1-q) z, which keeps accuracy near q = 1 and large |z|, so only
+q == 1.0 itself takes the classical formulas.  Floating overflow saturates
+to +inf, the same sentinel as the boundary divergence.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from enum import Enum
 from .errors import DomainError, MalformedInputError
 
 __all__ = [
-    "Q_COLLAPSE_TOL",
     "DomainKind",
     "QExpDomain",
     "positivity_domain",
@@ -30,9 +28,6 @@ __all__ = [
     "ln_q",
     "dlnq_dz",
 ]
-
-Q_COLLAPSE_TOL = 1e-12
-
 
 class DomainKind(Enum):
     ALL_REALS = "all_reals"
@@ -59,7 +54,7 @@ def positivity_domain(q: float) -> QExpDomain:
     """Positivity region of exp_q: all reals at q = 1, else a half line
     bounded by the cutoff point 1/(q-1)."""
     _require_finite("q", q)
-    if abs(q - 1.0) <= Q_COLLAPSE_TOL:
+    if q == 1.0:
         return QExpDomain(DomainKind.ALL_REALS, None)
     bound = 1.0 / (q - 1.0)
     kind = DomainKind.HALF_LINE_LOWER if q < 1.0 else DomainKind.HALF_LINE_UPPER
@@ -84,7 +79,7 @@ def exp_q(q: float, z: float) -> float:
     """Deformed exponential of order q at z."""
     q = _require_finite("q", q)
     z = _require_finite("z", z)
-    if abs(q - 1.0) <= Q_COLLAPSE_TOL:
+    if q == 1.0:
         return _safe_exp(z)
     u = (1.0 - q) * z
     bracket = 1.0 + u
@@ -106,7 +101,7 @@ def ln_q(q: float, z: float) -> float:
     if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
         raise DomainError(f"ln_q is defined for z > 0 only, got z = {z!r}")
     z = float(z)
-    if abs(q - 1.0) <= Q_COLLAPSE_TOL:
+    if q == 1.0:
         return math.log(z)
     om = 1.0 - q
     try:

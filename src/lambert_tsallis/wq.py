@@ -20,22 +20,32 @@ For q > 2 the formula's w_b = 1/(q-2) lands outside the positivity domain
 the whole real line.  branch_point therefore returns None for every q >= 2
 and the lower branch exists exactly when q < 2.
 
-The solver brackets the root, bisects to a short interval, then runs
-Newton steps that are rejected in favour of bisection whenever they would
-leave the bracket.  Convergence is declared on the scaled residual
-|f(w) - z| <= tol * max(1, |z|).
+The solver runs Newton on the log residual
+
+    h(w) = log(w/z) + ln exp_q(w),      h'(w) = 1/w + 1/(1 + (1-q) w),
+
+which is zero at the root (w and z share a sign on every branch) and is the
+relative residual f(w)/z - 1 to first order.  It starts inside an analytic
+bracket and falls back to bisection over the ordered doubles, arithmetic
+on a narrow bracket and geometric across decades, whenever a step leaves
+the bracket or |h| fails to halve in two evaluations.  It stops when
+|h| <= tol or a step is under 4 ulp of w, and returns the point after that
+step.  A bracket closed on adjacent doubles returns its better end, or
+raises ConvergenceError when one end is the wall or the end of the double
+range: no double approximates the root there.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
-                     DomainError, MalformedInputError, NoBranchPointError)
-from .qexp import Q_COLLAPSE_TOL, exp_q
+                     DomainError, NoBranchPointError)
+from .qexp import _require_finite, exp_q
 
 __all__ = [
     "DEFAULT_TOL",
@@ -106,35 +116,6 @@ class Interval:
         return f"{lb}{self.lo:g}, {self.hi:g}{rb}"
 
 
-def _require_finite(name: str, v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise MalformedInputError(f"{name} must be a finite real, got {v!r}")
-    return v
-
-
-def _f(q: float, w: float) -> float:
-    """Defining function w * exp_q(q, w)."""
-    return w * exp_q(q, w)
-
-
-def _f_prime(q: float, w: float) -> float:
-    """f'(w) = exp_q(w)^q * (1 + (2-q) w) inside the positivity domain."""
-    if abs(q - 1.0) <= Q_COLLAPSE_TOL:
-        try:
-            return math.exp(w) * (1.0 + w)
-        except OverflowError:
-            return math.inf if w > -1.0 else -math.inf
-    u = (1.0 - q) * w
-    if 1.0 + u <= 0.0:
-        return math.nan  # outside the positivity domain; caller falls back to bisection
-    try:
-        epow = math.exp((q / (1.0 - q)) * math.log1p(u))
-    except OverflowError:
-        epow = math.inf
-    return epow * (1.0 + (2.0 - q) * w)
-
-
 def branch_point(q: float) -> BranchPoint | None:
     """Branch point (z_b, w_b) for q < 2; None for q >= 2.
 
@@ -145,7 +126,7 @@ def branch_point(q: float) -> BranchPoint | None:
     if q >= 2.0:
         return None
     w_b = 1.0 / (q - 2.0)
-    return BranchPoint(z_b=_f(q, w_b), w_b=w_b)
+    return BranchPoint(z_b=w_b * exp_q(q, w_b), w_b=w_b)
 
 
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
@@ -166,103 +147,125 @@ def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     return Interval.empty()
 
 
-def _grow_offsets() -> Iterator[float]:
-    """1, 2, 4, ..., 2^30, then repeated squaring; covers ~1e288 in ~40 terms."""
-    d = 1.0
-    while math.isfinite(d):
-        yield d
-        d = d * 2.0 if d < 2.0 ** 30 else d * d
+def _power_tail(q: float, z: float) -> float:
+    """The w of z's sign with |w| (|1-q| |w|)^(1/(1-q)) = |z|: the root of
+    f once 1 + (1-q) w is replaced by its dominant term (1-q) w.  |f| lies
+    above that model for q < 1 and below it for q > 1, so the result bounds
+    W on the side _bracket uses it for.  Saturates at the double range."""
+    p = q - 1.0
+    try:
+        m = math.exp((p * math.log(abs(z)) + math.log(abs(p))) / (p - 1.0))
+    except OverflowError:
+        m = sys.float_info.max
+    return math.copysign(m, z)
 
 
-def _approach_fractions() -> Iterator[float]:
-    """1/2, 1/4, ..., 2^-30, then repeated squaring down to underflow."""
-    t = 0.5
-    while t > 0.0:
-        yield t
-        t = t * 0.5 if t > 2.0 ** -30 else t * t
+def _wall_tail(q: float, z: float) -> float:
+    """The w with |wall| exp_q(w) = |z| next to the wall 1/(q-1), kept at
+    least one double inside it.  Between 0 and the wall |f(w)| < |wall|
+    exp_q(w), so this bounds W on the wall's side: from below on the upper
+    branch for q > 1 and on the lower branch for q < 1."""
+    wall = 1.0 / (q - 1.0)
+    w = wall * (1.0 - (z / wall) ** (1.0 - q))
+    inner = math.nextafter(wall, 0.0)
+    return min(w, inner) if wall > 0.0 else max(w, inner)
 
 
-def _march(q: float, z: float, fixed: float, g_fixed: float, cands: Iterator[float],
-           fixed_is_left: bool):
-    """Walk candidates away from the fixed bracket end until g changes sign.
+def _bracket(q: float, z: float, branch: Branch, bp: BranchPoint | None):
+    """Analytic bracket lo < W < hi of the root and a start in [lo, hi].
 
-    Failed candidates tighten the moving end (the root lies beyond them).
-    Returns (lo, hi, g_lo, g_hi) ordered lo < hi.
+    z is in the branch's domain and is neither 0 nor z_b.  The ends bound f
+    by simpler functions, so f is never evaluated: exp_q(w) >= 1 for w >= 0
+    and <= 1 for w < 0 give W <= z (W ~ z for small |z|); for q >= 1,
+    exp_q(w) >= e^w gives W < log|z| where |W| >= 1, and s e^(-s) <
+    e^(-s/2) gives W > 2 log|z| on the classical lower branch; the tails
+    bound the far ends.  Near z_b the start is the root of h's quadratic
+    model h(w_b) = log(z_b/z), h''(w_b) = -(2-q)^3.
     """
-    want_nonneg = g_fixed < 0.0  # looking for the opposite sign
-    near, g_near = fixed, g_fixed
-    for cand in cands:
-        if fixed_is_left and cand <= near:
-            continue
-        if not fixed_is_left and cand >= near:
-            continue
-        g = _f(q, cand) - z
-        found = (g >= 0.0) if want_nonneg else (g <= 0.0)
-        if found:
-            if fixed_is_left:
-                return near, cand, g_near, g
-            return cand, near, g, g_near
-        near, g_near = cand, g
-    raise ConvergenceError(
-        f"could not bracket a {'root right of' if fixed_is_left else 'root left of'} "
-        f"w = {fixed!r} for q = {q:g}, z = {z!r} (value not reachable in double precision)",
-        best_w=near, residual=abs(g_near), iterations=0)
-
-
-def _bracket(q: float, z: float, branch: Branch):
-    """Initial sign-changing bracket (lo, hi, g_lo, g_hi); assumes z in domain."""
-    bp = branch_point(q)
-    if branch is Branch.LOWER:
-        # f decreases left of w_b; g(w_b) = z_b - z <= 0
-        g_wb = bp.z_b - z
-        if q < 1.0:
-            # finite wall where exp_q cuts off: f(wall) = wall * 0 = 0 exactly,
-            # so g(wall) = -z > 0 for the z < 0 of this branch
-            wall = 1.0 / (q - 1.0)
-            return wall, bp.w_b, -z, g_wb
-        cands = (bp.w_b - d for d in _grow_offsets())
-        return _march(q, z, bp.w_b, g_wb, cands, fixed_is_left=False)
-    if bp is not None:
-        # g(w_b) = z_b - z <= 0; march right, capped by the wall when q > 1
-        g_wb = bp.z_b - z
+    if branch is Branch.UPPER and z > 0.0:
+        # for q >= 1, exp_q(w) >= e^w bounds W by the classical root, which
+        # is below log z once z >= e and below 1 before that
+        log_end = max(1.0, math.log(z))
         if q > 1.0:
             wall = 1.0 / (q - 1.0)
-            span = wall - bp.w_b
-            cands = (wall - span * t for t in _approach_fractions())
-        else:
-            cands = (bp.w_b + d for d in _grow_offsets())
-        return _march(q, z, bp.w_b, g_wb, cands, fixed_is_left=True)
-    # q >= 2: single increasing branch through f(0) = 0; z != 0 here
-    g0 = -z
-    if z > 0.0:
+            if z > wall:
+                lo = _wall_tail(q, z)
+                return lo, min(wall, log_end), lo
+            # z / (1 + (q-1) z) is the root at q = 2 and stays inside the wall
+            hi = min(z, log_end)
+            return 0.0, hi, min(hi, z / (1.0 + (q - 1.0) * z))
+        # the tail is within 25% of W once (1-q) W > 4; nearer q = 1, W ~ log z
+        hi = z if q == 1.0 or z <= 1.0 else min(z, _power_tail(q, z))
+        return 0.0, hi, hi if (1.0 - q) * hi > 4.0 else min(hi, log_end)
+    if branch is Branch.UPPER:
+        if bp is None:
+            # exp_q(-s) <= 1/(1+s) for q <= 2 (Bernoulli), so z/(1+z), the
+            # root at q = 2, bounds W from above there
+            hi = z / (1.0 + z) if q == 2.0 else min(z, _power_tail(q, z))
+            return -sys.float_info.max, hi, hi
+        lo, hi = bp.w_b, z / (1.0 + z)
+    elif q < 1.0:
         wall = 1.0 / (q - 1.0)
-        cands = (wall * (1.0 - t) for t in _approach_fractions())
-        return _march(q, z, 0.0, g0, cands, fixed_is_left=True)
-    cands = (-d for d in _grow_offsets())
-    return _march(q, z, 0.0, g0, cands, fixed_is_left=False)
+        lo, hi = _wall_tail(q, z), bp.w_b
+        if lo - wall < 0.25 * (hi - wall):
+            # the tail puts W in the quarter of the bracket next to the wall,
+            # where it is the better model and the branch-point quadratic fails
+            return lo, hi, lo
+    else:
+        lo = 2.0 * math.log(-z) if q == 1.0 else _power_tail(q, z)
+        hi = min(bp.w_b, math.log(-z))
+        if (q - 1.0) * (2.0 - q) * lo < -4.0:
+            # the tail's relative error is about 1/((q-1)(2-q)|W|): under 25%
+            return lo, hi, lo
+    d = math.sqrt(2.0 * math.log(bp.z_b / z) / (2.0 - q) ** 3)
+    guess = bp.w_b + d if branch is Branch.UPPER else bp.w_b - d
+    return lo, hi, min(hi, max(lo, guess))
 
 
-def _midpoint(lo: float, hi: float) -> float:
-    """Arithmetic midpoint, except geometric when the endpoints share a sign
-    and differ by many orders of magnitude.  Flat branch tails put the root
-    hundreds of decades from the bracket ends; halving the exponent gap gets
-    there in tens of steps where linear bisection needs hundreds.  sqrt is
-    taken per endpoint so the product cannot overflow.
-    """
-    if lo * hi > 0.0 and (abs(hi) > 1e6 * abs(lo) or abs(lo) > 1e6 * abs(hi)):
-        return math.copysign(math.sqrt(abs(lo)) * math.sqrt(abs(hi)), lo)
-    return 0.5 * (lo + hi)
+def _log_residual(q: float, z: float, w: float) -> tuple[float, float]:
+    """h(w) = log(w/z) + ln exp_q(w) and its slope h'(w); w and z share a
+    sign.  h is zero at the root and equals f(w)/z - 1 to first order."""
+    u = (1.0 - q) * w
+    if u <= -1.0:
+        # at or past the cutoff: exp_q is 0 for q < 1 and +inf for q > 1
+        return math.copysign(math.inf, q - 1.0), math.nan
+    ratio = w / z
+    if 0.0 < ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:
+        # w/z over- or underflowed: only far from the root, mid-bisection
+        log_ratio = math.log(abs(w)) - math.log(abs(z))
+    if q == 1.0:
+        ln_exp = w
+    elif u < math.inf:
+        ln_exp = math.log1p(u) / (1.0 - q)
+    else:  # (1-q) w overflowed; the 1 in 1 + (1-q) w is lost anyway
+        ln_exp = (math.log(abs(1.0 - q)) + math.log(abs(w))) / (1.0 - q)
+    return log_ratio + ln_exp, 1.0 / w + 1.0 / (1.0 + u)
+
+
+def _ordinal(x: float) -> int:
+    """Position of x among the doubles, order-preserving (+-0.0 share 0)."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_ordinal(n: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(n)))[0]
+    return x if n >= 0 else -x
 
 
 def wq(q: float, z: float, branch: Branch = Branch.UPPER,
        tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Solve w * exp_q(q, w) = z on the requested branch.
 
-    Bracketed bisection down to width max(1e-3, 1e-9 |w|), then Newton with
-    every step that would exit the bracket replaced by a bisection step.
-    Raises DomainError outside the branch domain, NoBranchPointError for a
-    lower-branch request at q >= 2, ConvergenceError (with the best iterate)
-    if the scaled residual target is not met within max_iter refinements.
+    tol bounds the relative residual |h| = |log(f(w)/z)|; a Newton step
+    under 4 ulp of w also ends the iteration, where conditioning puts tol
+    out of reach.  SolveResult.residual is |h| at the last point evaluated,
+    before the final Newton step.  Raises DomainError outside the branch
+    domain, NoBranchPointError for a lower-branch request at q >= 2, and
+    ConvergenceError (with the best iterate) when no double approximates
+    the root or max_iter evaluations do not suffice.
     """
     q = _require_finite("q", q)
     z = _require_finite("z", z)
@@ -272,7 +275,8 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter!r}")
 
-    if branch is Branch.LOWER and branch_point(q) is None:
+    bp = branch_point(q)
+    if branch is Branch.LOWER and bp is None:
         raise NoBranchPointError(
             f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
     dom = branch_domain(q, branch)
@@ -281,81 +285,53 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
             f"z = {z!r} is outside the {branch.value}-branch domain {dom} for q = {q:g}")
     if branch is Branch.UPPER and z == 0.0:
         return SolveResult(0.0, branch, 0.0, 0)
-    bp = branch_point(q)
     if bp is not None and z == bp.z_b:
-        # both branches meet here; z_b is defined as f(w_b), so the residual
-        # is exactly zero and marching would never see a sign change
+        # both branches meet here, where h has a double root
         return SolveResult(bp.w_b, branch, 0.0, 0)
 
-    lo, hi, g_lo, g_hi = _bracket(q, z, branch)
-    if g_lo == 0.0:
-        return SolveResult(lo, branch, 0.0, 0)
-    if g_hi == 0.0:
-        return SolveResult(hi, branch, 0.0, 0)
-
-    scale = max(1.0, abs(z))
-    neg_at_lo = g_lo < 0.0
-    best_w, best_g = (lo, abs(g_lo)) if abs(g_lo) <= abs(g_hi) else (hi, abs(g_hi))
+    lo, hi, w = _bracket(q, z, branch, bp)
+    rising = branch is Branch.LOWER or z > 0.0  # h increases through the root
+    best_w, best_h = w, math.inf
+    back1 = back2 = math.inf  # |h| one and two evaluations ago
     iters = 0
-
-    # Phase 1: plain bisection to a short interval.  The width target is
-    # relative to the current endpoints, so on a many-decades bracket it can
-    # recede as fast as the width shrinks; the residual check and the
-    # iteration cap below keep that from starving Newton.
-    phase1_cap = max_iter // 2 + 1
-    phase1 = 0
-    while iters < max_iter and phase1 < phase1_cap:
-        if hi - lo <= max(1e-3, 1e-9 * max(1.0, abs(lo), abs(hi))):
-            break
-        mid = _midpoint(lo, hi)
-        if not (lo < mid < hi):
-            break
-        g = _f(q, mid) - z
-        iters += 1
-        phase1 += 1
-        ag = abs(g)
-        if ag < best_g:
-            best_w, best_g = mid, ag
-        if ag <= tol * scale:
-            return SolveResult(mid, branch, ag, iters)
-        if (g < 0.0) == neg_at_lo:
-            lo = mid
-        else:
-            hi = mid
-
-    # Phase 2: Newton, safeguarded by the live bracket
-    w = _midpoint(lo, hi)
     while iters < max_iter:
-        g = _f(q, w) - z
+        h, slope = _log_residual(q, z, w)
         iters += 1
-        ag = abs(g)
-        if ag < best_g:
-            best_w, best_g = w, ag
-        if ag <= tol * scale:
-            return SolveResult(w, branch, ag, iters)
-        if (g < 0.0) == neg_at_lo:
+        ah = abs(h)
+        if ah < best_h:
+            best_w, best_h = w, ah
+        if (h < 0.0) == rising:
             lo = w
         else:
             hi = w
-        cand = None
-        gp = _f_prime(q, w)
-        if math.isfinite(g) and math.isfinite(gp) and gp != 0.0:
-            step = w - g / gp
-            if lo < step < hi:
-                cand = step
-        if cand is None:
-            cand = _midpoint(lo, hi)
-        if cand == w:
-            cand = _midpoint(lo, hi)
-            if cand == w:
-                break  # bracket collapsed to ulp width without reaching tol
-        w = cand
+        newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
+        inside = lo < newton < hi
+        if (ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w)) and (inside or newton == w):
+            return SolveResult(newton, branch, ah, iters)
+        halved = ah <= 0.5 * back2
+        back1, back2 = ah, back1
+        if inside and halved:
+            w = newton
+            continue
+        a, b = _ordinal(lo), _ordinal(hi)
+        if b - a > 1:
+            w = _from_ordinal((a + b) // 2)
+            continue
+        # closed on adjacent doubles; an analytic end, never evaluated, may be the root
+        h_lo, h_hi = (abs(_log_residual(q, z, e)[0]) for e in (lo, hi))
+        if math.isinf(h_lo + h_hi) or max(-lo, hi) == sys.float_info.max:
+            raise ConvergenceError(
+                f"no double approximates the root for q = {q:g}, z = {z!r} "
+                f"({branch.value} branch): it lies next to the wall or beyond the "
+                f"double range; best w = {best_w!r}",
+                best_w=best_w, residual=best_h, iterations=iters)
+        return SolveResult(lo if h_lo <= h_hi else hi, branch, min(h_lo, h_hi), iters)
 
     raise ConvergenceError(
         f"no convergence to tol {tol:g} within {max_iter} iterations for "
         f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
-        f"residual = {best_g:.3e}",
-        best_w=best_w, residual=best_g, iterations=iters)
+        f"relative residual = {best_h:.3e}",
+        best_w=best_w, residual=best_h, iterations=iters)
 
 
 def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
@@ -364,8 +340,8 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
 
         dW/dz = -[(1-q) W + 1]^(q/(q-1)) / ((q-2) W - 1)
 
-    with the classical limit e^(-W)/(1+W) inside the q -> 1 collapse
-    tolerance.  Diverges (vertical tangent) at the branch point.
+    and e^(-W)/(1+W) at q = 1.  Diverges (vertical tangent) at the branch
+    point.
     """
     q = _require_finite("q", q)
     z = _require_finite("z", z)
@@ -374,20 +350,23 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
         raise DerivativeSingularError(
             f"dW/dz diverges at the branch point z_b = {bp.z_b!r} for q = {q:g}")
     w = wq(q, z, branch, tol, max_iter).w
-    if abs(q - 1.0) <= Q_COLLAPSE_TOL:
+    if q == 1.0:
         den = 1.0 + w
         if den == 0.0:
             raise DerivativeSingularError(f"dW/dz diverges at w = -1 (q = {q:g})")
-        return math.exp(-w) / den
+        try:
+            return math.exp(-w) / den
+        except OverflowError:
+            return math.copysign(math.inf, den)
     den = (q - 2.0) * w - 1.0
     if den == 0.0:
         raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")
-    base = (1.0 - q) * w + 1.0
-    if base <= 0.0:
+    u = (1.0 - q) * w
+    if u <= -1.0:
         raise DomainError(
-            f"derivative undefined: 1 + (1-q) w = {base!r} outside the positivity domain")
+            f"derivative undefined: 1 + (1-q) w = {1.0 + u!r} outside the positivity domain")
     try:
-        num = math.exp((q / (q - 1.0)) * math.log(base))
+        num = math.exp((q / (q - 1.0)) * math.log1p(u))
     except OverflowError:
         num = math.inf
     return -num / den

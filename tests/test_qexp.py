@@ -56,6 +56,11 @@ def test_exp_q_overflow_saturates():
     assert exp_q(0.99, 1e9) == math.inf
 
 
+def test_exp_q_cutoff_holds_next_to_the_classical_point():
+    # 1 + (1-q) z = -9 < 0 however close q is to 1: the cutoff, not e^z
+    assert exp_q(1.0 + 1e-13, 1e14) == 0.0
+
+
 def test_exp_q_rejects_non_finite():
     with pytest.raises(MalformedInputError):
         exp_q(float("nan"), 1.0)

@@ -2,6 +2,8 @@
 helpers, branch-point reports, suite wiring."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +172,11 @@ def test_solver_and_oracle_agree_at_classical_point():
             lo = mid
     assert abs(0.5 * (lo + hi) - OMEGA) < 1e-15
     assert abs(wq(1.0, 1.0).w - OMEGA) <= 1e-12
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # only algebraicity_scan needs numpy, which dominates the import time
+    code = "import sys, lambert_tsallis; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

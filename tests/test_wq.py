@@ -124,6 +124,33 @@ def test_deep_lower_branch_classical():
     assert abs(res.w * math.exp(res.w) - (-1e-8)) <= 1e-10
 
 
+@pytest.mark.parametrize("q,closed_form", [
+    (0.0, lambda z: 2.0 * z / (1.0 + math.sqrt(1.0 + 4.0 * z))),
+    (1.0, lambda z: z - z * z),
+    (2.0, lambda z: z / (1.0 + z)),
+])
+def test_tiny_z_keeps_full_relative_accuracy(q, closed_form):
+    # an absolute residual test would accept any w below ~1e-12 here
+    z = 1e-20
+    ref = closed_form(z)
+    assert abs(wq(q, z).w - ref) <= 4.0 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("q,z", [(3.0, 1e3), (2.5, 1e4)])
+def test_representable_roots_next_to_the_wall_converge(q, z):
+    # f' is 4e9 and 2e10 at these roots, so f jumps 2e-7 and 2e-6 between
+    # neighbouring doubles and none meets an absolute residual test of
+    # 1e-12 |z|; the roots are still doubles well inside the wall
+    res = wq(q, z)
+    assert abs(res.w * exp_q(q, res.w) / z - 1.0) <= 1e-8
+
+
+def test_root_next_to_the_wall_matches_q3_closed_form():
+    # at q = 3, w / sqrt(1 - 2w) = z solves to w = 1 / (1 + sqrt(1 + z^-2))
+    ref = 1.0 / (1.0 + math.sqrt(1.0 + 1e-6))
+    assert abs(wq(3.0, 1e3).w - ref) <= 4.0 * math.ulp(ref)
+
+
 # ------------------------------------------------------- branch point, domain
 
 def test_branch_point_classical():
@@ -243,6 +270,15 @@ def test_derivative_matches_finite_difference():
             h = 1e-6 * max(1.0, abs(z))
             fd = (wq(q, z + h).w - wq(q, z - h).w) / (2 * h)
             assert dwq_dz(q, z) == pytest.approx(fd, rel=1e-6)
+
+
+def test_derivative_deep_on_classical_lower_branch_is_finite():
+    # W ~ -697 here: e^(-W) ~ 1e303 is still a double, and equals W/z
+    z = -1e-300
+    w = wq(1.0, z, Branch.LOWER).w
+    d = dwq_dz(1.0, z, Branch.LOWER)
+    assert isinstance(d, float)
+    assert d == pytest.approx(w / (z * (1.0 + w)), rel=1e-12)
 
 
 def test_lower_branch_derivative_is_negative_classical():
