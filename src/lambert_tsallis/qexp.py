@@ -84,7 +84,12 @@ def exp_q(q: float, z: float) -> float:
     u = (1.0 - q) * z
     bracket = 1.0 + u
     if bracket > 0.0:
-        return _safe_exp(math.log1p(u) / (1.0 - q))
+        # u overflows only where log1p(u) = log(u) to double precision
+        lg = math.log1p(u) if u < math.inf else math.log(abs(1.0 - q)) + math.log(abs(z))
+        try:
+            return math.exp(lg / (1.0 - q))
+        except OverflowError:
+            return math.inf
     if bracket < 0.0:
         return 0.0
     # bracket exactly zero: positive exponent collapses, negative diverges

@@ -3,10 +3,11 @@ classifier's exact claims together.
 
 Everything here is an independent route to a value computed elsewhere:
 defining-equation residuals, derivative-vs-finite-difference consistency,
-the polynomial identity satisfied by W_q(1), branch-point geometry, and a
-brute-force scan for small integer polynomials annihilating a target
-(a cheap minimal-polynomial probe: a hit certifies "algebraic to working
-precision", a miss is evidence, never proof, of transcendence).
+the polynomial identity satisfied by W_q(1), branch-point geometry, and an
+exhaustive meet-in-the-middle scan for small integer polynomials
+annihilating a target (a cheap minimal-polynomial probe: a hit certifies
+"algebraic to working precision", a miss is evidence, never proof, of
+transcendence).
 
 The fixed grids used by the `verify` CLI command and the acceptance tests
 are module constants; internal solves run at a relative tol of 1e-13 so
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, NoBranchPointError
@@ -145,20 +147,35 @@ def branch_point_check(q: float, delta: float = 1e-4) -> BranchPointReport:
                              passed=passed)
 
 
-_SCAN_BLOCK = 8_000_000  # elements per vectorized block (~64 MB of float64)
+_U = 2.0 ** -53  # unit roundoff of a double
+
+
+def _horner(coeffs: tuple[int, ...], x: float) -> float:
+    """p(x) by Horner in double precision, leading coefficient first.
+    Leading zero coefficients leave the value bit for bit unchanged."""
+    v = 0.0
+    for c in coeffs:
+        v = v * x + c
+    return v
 
 
 def algebraicity_scan(x: float, degree_max: int, coeff_max: int,
                       eps: float = 1e-8) -> ScanReport:
-    """Exhaustive minimum of |p(x)| over nonzero integer polynomials with
+    """Exact minimum of |p(x)| over nonzero integer polynomials with
     degree <= degree_max, |coefficients| <= coeff_max, leading coefficient
-    positive.  Horner evaluation in double precision.
+    positive, where |p(x)| is the Horner value in double precision.
 
-    Deterministic: the reported polynomial is the first minimizer in the
-    enumeration order (degree ascending, then coefficient vectors in
-    lexicographic order, leading coefficient first), which is exactly the
-    degree-major lexicographically smallest among ties.  hit means
-    best |p(x)| < eps.
+    Deterministic: the reported polynomial is the first minimizer in
+    degree-ascending, then lexicographic order (leading coefficient first).
+    hit means best |p(x)| < eps.
+
+    Meet in the middle (Horowitz & Sahni, JACM 21(2), 1974): p = H + L,
+    with L the lower m = floor((D+1)/2) coefficients.  The L values are
+    sorted once; for each H the polynomials whose split sum H(x) + L(x)
+    lies within a rigorous rounding bound of the best Horner value so far
+    are found by bisection and evaluated by Horner, so no minimizer and no
+    tie is missed.  With n = 2C+1 that takes O(n^(D+1-m) log n) time and
+    O(n^m) memory, where a full enumeration visits C n^D polynomials.
     """
     if not (1 <= degree_max <= 4):
         raise ConfigurationError(f"degree_max must be in 1..4, got {degree_max!r}")
@@ -168,45 +185,74 @@ def algebraicity_scan(x: float, degree_max: int, coeff_max: int,
         raise ConfigurationError(f"eps must be positive, got {eps!r}")
     if not math.isfinite(x):
         raise ConfigurationError(f"scan target must be finite, got {x!r}")
-    import numpy as np  # here, not at module level: numpy is most of the import time
+    x = float(x)
+    if abs(x) > 2 * coeff_max + 2:
+        # |p(x)| > |x|^d (1 - C/(|x|-1)) > |x|/2 > 1 for every nonconstant p
+        # in the box (also in floating point, overflow included), so the
+        # constant 1 wins
+        best, poly = 1.0, (1,)
+    else:
+        best, poly = _scan_min(x, degree_max, coeff_max)
+    return ScanReport(target=x, degree_max=degree_max, coeff_max=coeff_max,
+                      best_poly=poly, best_abs_value=best, hit=best < eps)
 
-    best_val = math.inf
-    best_poly: tuple[int, ...] = ()
-    for deg in range(0, degree_max + 1):
-        axes = [list(range(1, coeff_max + 1))]
-        axes += [list(range(-coeff_max, coeff_max + 1))] * deg
-        # vectorize as many trailing axes as fit in one block
-        tail = 0
-        size = 1
-        while tail < len(axes) and size * len(axes[-(tail + 1)]) <= _SCAN_BLOCK:
-            size *= len(axes[-(tail + 1)])
-            tail += 1
-        head_axes = axes[:len(axes) - tail]
-        tail_axes = axes[len(axes) - tail:]
-        grids = []
-        if tail_axes:
-            grids = np.meshgrid(*[np.asarray(a, dtype=float) for a in tail_axes],
-                                indexing="ij", sparse=True)
-        for head in itertools.product(*head_axes):
-            value = None
-            for c in list(head) + list(grids):
-                value = c if value is None else value * x + c
-            if grids:
-                flat = np.abs(np.asarray(value, dtype=float)).ravel(order="C")
-                i = int(np.argmin(flat))
-                v = float(flat[i])
-                if v < best_val:
-                    idx = np.unravel_index(i, tuple(len(a) for a in tail_axes))
-                    coeffs = tuple(int(c) for c in head) + tuple(
-                        int(tail_axes[k][idx[k]]) for k in range(len(tail_axes)))
-                    best_val, best_poly = v, coeffs
-            else:
-                v = abs(float(value))
-                if v < best_val:
-                    best_val, best_poly = v, tuple(int(c) for c in head)
-    return ScanReport(target=float(x), degree_max=degree_max, coeff_max=coeff_max,
-                      best_poly=best_poly, best_abs_value=best_val,
-                      hit=best_val < eps)
+
+def _scan_min(x: float, degree_max: int, coeff_max: int) -> tuple[float, tuple[int, ...]]:
+    """(min |p(x)|, its first minimizer) for |x| <= 2C + 2, where no value
+    overflows.  Candidates are compared as (|p(x)|, coefficient vector
+    padded with leading zeros to length D+1): for vectors whose first
+    nonzero entry is positive, lexicographic order of the padded vector
+    is degree-ascending, then lexicographic order."""
+    box = range(-coeff_max, coeff_max + 1)
+    m = (degree_max + 1) // 2  # coefficients in L
+    nh = degree_max + 1 - m    # coefficients in H
+    lows = sorted((_horner(c, x), c) for c in itertools.product(box, repeat=m))
+    lvals = [v for v, _ in lows]
+    n = len(lvals)
+    # H = 0: the polynomials of degree < m, whose L value is their Horner value
+    best, low = min((abs(v), c) for v, c in lows if c > (0,) * m)
+    key = (0,) * nh + low
+    # Rounding (Higham, Accuracy and Stability, 2nd ed., sec. 5.1), with
+    # T = C sum_{i>=1} |x|^i and u the unit roundoff: the computed H value
+    # lies within gamma_2D T of H(x), and the computed L value and the
+    # Horner value v of p = H + L lie within gamma_2D T + 2u|L| and
+    # gamma_2D T + 2u v of L(x) and |p(x)| (the constant coefficient enters
+    # only their last, relative rounding).  A p with v <= best thus has
+    # |H + L| <= best (1 + 2u) + 3 gamma_2D T + 2u |L|, where |L| <= T + r.
+    # The radius r = best (1 + 8u) + gamma_{8D+8} T + 2^-1000 also covers
+    # rounding the search bounds, and 2^-1000 the underflow (below 1e-312
+    # for |x| <= 2C + 2).
+    k = 8 * degree_max + 8
+    err = (k * _U / (1.0 - k * _U) * coeff_max
+           * math.fsum(abs(x) ** i for i in range(1, degree_max + 1)) + 2.0 ** -1000)
+    xm = math.prod(itertools.repeat(x, m))
+    r = best * (1.0 + 8.0 * _U) + err
+    # H streams in increasing key order: fewer leading zeros later, then
+    # lexicographic, so a zero minimum ends the scan once its H is done
+    for lead in range(nh):  # H / x^m has degree `lead`
+        pad = (0,) * (nh - 1 - lead)
+        heads = (itertools.product(range(1, coeff_max + 1), *[box] * (lead - 1))
+                 if lead else [()])
+        for head in heads:
+            t = _horner(head, x) * x
+            for c in (box if lead else range(1, coeff_max + 1)):
+                target = -(t + c) * xm
+                j = bisect_left(lvals, target - r)
+                while j < n and lvals[j] <= target + r:
+                    p = pad + head + (c,) + lows[j][1]
+                    v = abs(_horner(p, x))
+                    if v < best or (v == best and p < key):
+                        best, key = v, p
+                        r = best * (1.0 + 8.0 * _U) + err
+                    j += 1
+                if best == 0.0:
+                    return best, _strip(key)
+    return best, _strip(key)
+
+
+def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The polynomial without its leading zero coefficients."""
+    return tuple(itertools.dropwhile(lambda c: c == 0, key))
 
 
 def _upper_residual_grid(q: float, n: int = 50) -> list[float]:

@@ -45,7 +45,7 @@ from enum import Enum
 
 from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
                      DomainError, NoBranchPointError)
-from .qexp import _require_finite, exp_q
+from .qexp import _require_finite, _safe_exp, exp_q
 
 __all__ = [
     "DEFAULT_TOL",
@@ -365,10 +365,11 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     if u <= -1.0:
         raise DomainError(
             f"derivative undefined: 1 + (1-q) w = {1.0 + u!r} outside the positivity domain")
+    log_num = (q / (q - 1.0)) * math.log1p(u)
     try:
-        num = math.exp((q / (q - 1.0)) * math.log1p(u))
-    except OverflowError:
-        num = math.inf
+        num = math.exp(log_num)
+    except OverflowError:  # the quotient may still be finite: divide in log space
+        return -math.copysign(_safe_exp(log_num - math.log(abs(den))), den)
     return -num / den
 
 

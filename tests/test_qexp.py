@@ -56,6 +56,13 @@ def test_exp_q_overflow_saturates():
     assert exp_q(0.99, 1e9) == math.inf
 
 
+def test_exp_q_finite_where_the_bracket_overflows():
+    # (1-q) z overflows to +inf, but [1 + (1-q) z]^(1/(1-q)) is a double
+    assert exp_q(3.0, -1e308) == pytest.approx(7.0710678118654752e-155, rel=1e-12)
+    assert exp_q(-1.0, 1e308) == pytest.approx(1.4142135623730951e154, rel=1e-12)
+    assert exp_q(-2.0, 1.5e308) == pytest.approx(7.6630943239355311e102, rel=1e-12)
+
+
 def test_exp_q_cutoff_holds_next_to_the_classical_point():
     # 1 + (1-q) z = -9 < 0 however close q is to 1: the cutoff, not e^z
     assert exp_q(1.0 + 1e-13, 1e14) == 0.0

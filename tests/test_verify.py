@@ -1,7 +1,9 @@
 """Cross-check harness: scan determinism and hits, residual/derivative
 helpers, branch-point reports, suite wiring."""
 
+import itertools
 import math
+import random
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 
 from lambert_tsallis.errors import ConfigurationError, NoBranchPointError
 from lambert_tsallis.verify import (BRANCH_POINT_Q_GRID, EQ5_Q_GRID,
-                                    RESIDUAL_Q_GRID, algebraicity_scan,
+                                    RESIDUAL_Q_GRID, ScanReport,
+                                    algebraicity_scan,
                                     branch_point_check, check_derivative_fd,
                                     eq5_residual, residual_defining_eq,
                                     run_all, run_branch_suite,
@@ -67,6 +70,67 @@ def test_scan_respects_coefficient_bound():
     # 1/7 needs coefficient 7; with coeff_max 5 nothing annihilates it
     assert not algebraicity_scan(1.0 / 7.0, 1, 5, eps=1e-12).hit
     assert algebraicity_scan(1.0 / 7.0, 1, 7, eps=1e-12).hit
+
+
+def brute_force_scan(x, degree_max, coeff_max, eps=1e-8):
+    """Reference scan: every polynomial in enumeration order (degree
+    ascending, then lexicographic, leading coefficient first) evaluated by
+    Horner; the first strict minimum wins."""
+    best, best_poly = math.inf, ()
+    box = range(-coeff_max, coeff_max + 1)
+    for deg in range(degree_max + 1):
+        for poly in itertools.product(range(1, coeff_max + 1), *[box] * deg):
+            value = poly[0]
+            for c in poly[1:]:
+                value = value * x + c
+            if abs(float(value)) < best:
+                best, best_poly = abs(float(value)), poly
+    return ScanReport(target=x, degree_max=degree_max, coeff_max=coeff_max,
+                      best_poly=best_poly, best_abs_value=best, hit=best < eps)
+
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_RNG = random.Random(20240613)
+SCAN_TARGETS = (
+    # exact zeros and rounding-level ties among many polynomials
+    [0.0, 1.0, -1.0, 0.5, 2.0 / 3.0, 1.0 / 7.0, math.sqrt(2.0), -math.sqrt(2.0), _PHI,
+     1.0 - _PHI]
+    + [_RNG.uniform(-3.0, 3.0) for _ in range(8)]
+    # powers underflow to zero or to subnormals
+    + [1e-300, -1e-300, 5e-324, 1e-160]
+    # |x| = 2C + 2 on either side for C = 1..3, and high powers overflowing
+    + [4.0, -6.0, 8.0, 8.5, -9.0, 1e100, -1e100, 1e154]
+)
+
+
+@pytest.mark.parametrize("x", SCAN_TARGETS)
+def test_scan_matches_brute_force(x):
+    for degree_max in range(1, 5):
+        for coeff_max in range(1, 4):
+            rep = algebraicity_scan(x, degree_max, coeff_max)
+            ref = brute_force_scan(x, degree_max, coeff_max)
+            assert rep == ref, (degree_max, coeff_max)
+            assert rep.best_abs_value.hex() == ref.best_abs_value.hex()
+
+
+@pytest.mark.parametrize("x, degree_max, coeff_max", [
+    (8.0 / 3.0, 3, 5),            # equal values at different split sums
+    (-math.sqrt(2.0), 3, 5),      # minimizers off the nearest split sum
+    (-math.sqrt(2.0), 4, 5),
+    (math.sqrt(3.0), 3, 10),
+])
+def test_scan_matches_brute_force_on_wider_boxes(x, degree_max, coeff_max):
+    rep = algebraicity_scan(x, degree_max, coeff_max)
+    ref = brute_force_scan(x, degree_max, coeff_max)
+    assert rep == ref
+    assert rep.best_abs_value.hex() == ref.best_abs_value.hex()
+
+
+def test_scan_omega_degree_four_is_pinned():
+    rep = algebraicity_scan(OMEGA, 4, 30)
+    assert rep.best_poly == (23, -16, 22, -8, -2)
+    assert rep.best_abs_value == 2.4389017250214806e-08
+    assert not rep.hit
 
 
 def test_scan_configuration_bounds():
@@ -175,8 +239,19 @@ def test_solver_and_oracle_agree_at_classical_point():
 
 
 def test_package_import_leaves_numpy_unloaded():
-    # only algebraicity_scan needs numpy, which dominates the import time
+    # the package has no runtime dependencies; numpy, if installed, would
+    # dominate the import time
     code = "import sys, lambert_tsallis; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_verify_runs_with_numpy_blocked():
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "from lambert_tsallis import cli\n"
+            "assert cli.main(['verify', '--suite', 'all']) == 0\n"
+            "assert cli.main(['verify', '--suite', 'scan', '--degree-max', '4']) == 0\n")
+    subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                   check=True)

@@ -281,6 +281,12 @@ def test_derivative_deep_on_classical_lower_branch_is_finite():
     assert d == pytest.approx(w / (z * (1.0 + w)), rel=1e-12)
 
 
+def test_derivative_finite_where_its_numerator_overflows():
+    # W ~ -2e240: [1 + (1-q) W]^(q/(q-1)) ~ 8e360 overflows, the quotient
+    # 4e120 does not
+    assert dwq_dz(3.0, -1e120) == pytest.approx(4e120, rel=1e-12)
+
+
 def test_lower_branch_derivative_is_negative_classical():
     z = -0.2
     assert dwq_dz(1.0, z, Branch.LOWER) < 0
