@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from typing import Any
 
@@ -29,17 +30,24 @@ from .classify import (classify_expq, classify_lnq_derivative, classify_tower,
                        classify_wq)
 from .errors import (ConfigurationError, LambertTsallisError, MalformedInputError)
 from .exact import parse_exact, render_exact
-from .qexp import dlnq_dz, exp_q, ln_q
+from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
                      run_eq5_suite, run_residual_suite, run_scan_suite)
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain,
-                 branch_point, dwq_dz, wq)
+from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _check_request, _solve,
+                 branch_domain, branch_point, dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
 
 
 def _fmt_plain(v: float) -> str:
     return format(v, ".10g")
+
+
+def _json_float(x: float) -> str:
+    """A float as JSON: 17 significant digits, non-finite values as the
+    strings "inf", "-inf" and "nan"."""
+    s = format(x, ".17g")
+    return s if math.isfinite(x) else f'"{s}"'
 
 
 def render_json(doc: Any) -> str:
@@ -56,11 +64,7 @@ def render_json(doc: Any) -> str:
     if isinstance(doc, int):
         return str(doc)
     if isinstance(doc, float):
-        if math.isinf(doc):
-            return '"inf"' if doc > 0 else '"-inf"'
-        if math.isnan(doc):
-            return '"nan"'
-        return format(doc, ".17g")
+        return _json_float(doc)
     if isinstance(doc, (list, tuple)):
         return "[" + ", ".join(render_json(v) for v in doc) + "]"
     if isinstance(doc, dict):
@@ -73,6 +77,13 @@ def _csv_line(row: list[Any]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(row)
     return buf.getvalue()
+
+
+# Negative float literals that argparse must read as values, not options:
+# its own pattern (3.10 to 3.13) has no exponent and no inf or nan, so
+# "--z -1e-3" failed with "expected one argument".
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,6 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--eps", type=float, default=1e-8)
     p_ver.add_argument("--format", choices=["plain", "json", "csv"],
                        default="plain")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -247,6 +260,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    """Checks the table once, in the order a per-row call of the public
+    functions would, then evaluates each row with the unchecked kernels."""
     if args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     if not (args.z_from < args.z_to):
@@ -255,9 +270,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     step = (args.z_to - args.z_from) / (args.steps - 1)
     grid = [args.z_from + i * step for i in range(args.steps)]
     branch = Branch(args.branch)
+    q = args.q
 
     if args.subject == "wq":
-        dom = branch_domain(args.q, branch)
+        dom = branch_domain(q, branch)
         kept = [z for z in grid if dom.contains(z)]
         clipped = len(grid) - len(kept)
         if clipped:
@@ -268,11 +284,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print("error: no grid points inside the branch domain",
                   file=sys.stderr)
             return 1
-        solved = [wq(args.q, z, branch, args.tol, args.max_iter) for z in kept]
+        # every kept z is finite and inside the domain, so the first one
+        # meets each check that wq would make on any of them
+        bp = branch_point(q)
+        _check_request(q, kept[0], branch, bp, args.tol, args.max_iter)
+        solved = [_solve(q, z, branch, bp, args.tol, args.max_iter) for z in kept]
         rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
     else:
+        q = _require_finite("q", q)
+        for z in grid:
+            if not math.isfinite(z):
+                _require_finite("z", z)
         clipped = 0
-        rows = [(z, exp_q(args.q, z)) for z in grid]
+        rows = [(z, _exp_q(q, z)) for z in grid]
 
     if args.format == "json":
         doc: dict[str, Any] = {"command": "table", "subject": args.subject,
@@ -280,21 +304,20 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                "clipped": clipped}
         if args.subject == "wq":
             doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
-            doc["rows"] = [{"z": z, "value": v, "residual": r}
-                           for z, v, r in rows]
+            body = [f'{{"z": {_json_float(z)}, "value": {_json_float(v)}, '
+                    f'"residual": {_json_float(r)}}}' for z, v, r in rows]
         else:
-            doc["rows"] = [{"z": z, "value": v} for z, v in rows]
-        print(render_json(doc))
+            body = [f'{{"z": {_json_float(z)}, "value": {_json_float(v)}}}'
+                    for z, v in rows]
+        # the rows are the document's last key: render the rest, reopen it
+        head = render_json(doc)[:-1]
+        print(f'{head}, "rows": [{", ".join(body)}]}}')
+    elif args.subject == "wq":
+        # csv.writer would quote none of these fields
+        print("\n".join(["z,value,residual",
+                         *(f"{z:.17g},{v:.17g},{r:.17g}" for z, v, r in rows)]))
     else:
-        if args.subject == "wq":
-            print(_csv_line(["z", "value", "residual"]))
-            for z, v, r in rows:
-                print(_csv_line([format(z, ".17g"), format(v, ".17g"),
-                                 format(r, ".17g")]))
-        else:
-            print(_csv_line(["z", "value"]))
-            for z, v in rows:
-                print(_csv_line([format(z, ".17g"), format(v, ".17g")]))
+        print("\n".join(["z,value", *(f"{z:.17g},{v:.17g}" for z, v in rows)]))
     return 0
 
 

@@ -15,6 +15,7 @@ to +inf, the same sentinel as the boundary divergence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,6 +69,16 @@ def _require_finite(name: str, v: float) -> float:
     return v
 
 
+def _positive_real(name: str, z) -> float:
+    """z as a float when it is a finite real number > 0 (int, float,
+    Fraction, ...); DomainError for anything else."""
+    if isinstance(z, numbers.Real):
+        x = float(z)
+        if math.isfinite(x) and x > 0.0:
+            return x
+    raise DomainError(f"{name} is defined for z > 0 only, got z = {z!r}")
+
+
 def _safe_exp(x: float) -> float:
     try:
         return math.exp(x)
@@ -77,8 +88,11 @@ def _safe_exp(x: float) -> float:
 
 def exp_q(q: float, z: float) -> float:
     """Deformed exponential of order q at z."""
-    q = _require_finite("q", q)
-    z = _require_finite("z", z)
+    return _exp_q(_require_finite("q", q), _require_finite("z", z))
+
+
+def _exp_q(q: float, z: float) -> float:
+    """exp_q on finite floats, unchecked: the kernel behind exp_q."""
     if q == 1.0:
         return _safe_exp(z)
     u = (1.0 - q) * z
@@ -103,9 +117,7 @@ def ln_q(q: float, z: float) -> float:
     difference does not cancel for q near 1 or z near 1.
     """
     q = _require_finite("q", q)
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
-        raise DomainError(f"ln_q is defined for z > 0 only, got z = {z!r}")
-    z = float(z)
+    z = _positive_real("ln_q", z)
     if q == 1.0:
         return math.log(z)
     om = 1.0 - q
@@ -118,6 +130,4 @@ def ln_q(q: float, z: float) -> float:
 def dlnq_dz(q: float, z: float) -> float:
     """Derivative of ln_q at z > 0, which is z^(-q) for every q."""
     q = _require_finite("q", q)
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
-        raise DomainError(f"dlnq_dz is defined for z > 0 only, got z = {z!r}")
-    return _safe_exp(-q * math.log(float(z)))
+    return _safe_exp(-q * math.log(_positive_real("dlnq_dz", z)))

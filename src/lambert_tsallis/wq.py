@@ -33,6 +33,13 @@ the bracket or |h| fails to halve in two evaluations.  It stops when
 step.  A bracket closed on adjacent doubles returns its better end, or
 raises ConvergenceError when one end is the wall or the end of the double
 range: no double approximates the root there.
+
+Inputs are checked once per public call.  wq checks that q and z are
+finite, computes branch_point(q) once, and hands the rest to
+_check_request (branch, tol, max_iter, lower-branch existence, domain, in
+that order); _solve then runs the loop on the checked request and checks
+nothing.  dwq_dz reuses the same branch point, and a caller that checks a whole grid
+of requests once (the CLI's table) calls _solve per point.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ from enum import Enum
 
 from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
                      DomainError, NoBranchPointError)
-from .qexp import _require_finite, _safe_exp, exp_q
+# exp_q itself is unused here, but bench/spans.py wraps it at this name
+from .qexp import _exp_q, _require_finite, _safe_exp, exp_q  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOL",
@@ -126,14 +134,17 @@ def branch_point(q: float) -> BranchPoint | None:
     if q >= 2.0:
         return None
     w_b = 1.0 / (q - 2.0)
-    return BranchPoint(z_b=w_b * exp_q(q, w_b), w_b=w_b)
+    return BranchPoint(z_b=w_b * _exp_q(q, w_b), w_b=w_b)
 
 
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     """Set of z for which the branch has a real value."""
     q = _require_finite("q", q)
-    branch = Branch(branch)
-    bp = branch_point(q)
+    return _domain(q, Branch(branch), branch_point(q))
+
+
+def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> Interval:
+    """branch_domain for a finite q whose branch point bp is known."""
     if branch is Branch.UPPER:
         if bp is not None:
             return Interval(bp.z_b, math.inf, True, False)
@@ -269,20 +280,35 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     """
     q = _require_finite("q", q)
     z = _require_finite("z", z)
+    bp = branch_point(q)
+    branch = _check_request(q, z, branch, bp, tol, max_iter)
+    return _solve(q, z, branch, bp, tol, max_iter)
+
+
+def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | None,
+                   tol: float, max_iter: int) -> Branch:
+    """wq's checks after q and z are known finite and bp = branch_point(q),
+    in order: the branch, tol, max_iter, the lower branch's existence and
+    the branch domain.  Returns the branch as a Branch."""
     branch = Branch(branch)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter!r}")
-
-    bp = branch_point(q)
     if branch is Branch.LOWER and bp is None:
         raise NoBranchPointError(
             f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
-    dom = branch_domain(q, branch)
+    dom = _domain(q, branch, bp)
     if not dom.contains(z):
         raise DomainError(
             f"z = {z!r} is outside the {branch.value}-branch domain {dom} for q = {q:g}")
+    return branch
+
+
+def _solve(q: float, z: float, branch: Branch, bp: BranchPoint | None,
+           tol: float, max_iter: int) -> SolveResult:
+    """The solver behind wq, unchecked: the request has passed
+    _check_request and bp is branch_point(q)."""
     if branch is Branch.UPPER and z == 0.0:
         return SolveResult(0.0, branch, 0.0, 0)
     if bp is not None and z == bp.z_b:
@@ -349,7 +375,8 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     if bp is not None and z == bp.z_b:
         raise DerivativeSingularError(
             f"dW/dz diverges at the branch point z_b = {bp.z_b!r} for q = {q:g}")
-    w = wq(q, z, branch, tol, max_iter).w
+    branch = _check_request(q, z, branch, bp, tol, max_iter)
+    w = _solve(q, z, branch, bp, tol, max_iter).w
     if q == 1.0:
         den = 1.0 + w
         if den == 0.0:

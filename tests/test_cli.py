@@ -11,6 +11,10 @@ import sys
 import pytest
 
 from lambert_tsallis.cli import main, render_json
+from lambert_tsallis.errors import ConvergenceError
+from lambert_tsallis.qexp import exp_q
+from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain,
+                                wq)
 
 CLI = [sys.executable, "-m", "lambert_tsallis"]
 
@@ -244,3 +248,133 @@ def test_render_json_primitives():
         '{"a": [1, 2.5, true, null, "x"]}'
     assert render_json(float("-inf")) == '"-inf"'
     assert json.loads(render_json(0.1 + 0.2)) == 0.1 + 0.2
+
+
+def run_main(capsys, *args):
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# ------------------------------------------ negative numbers as option values
+
+def test_negative_exponent_value_after_a_space(capsys):
+    spaced = run_main(capsys, "eval", "wq", "--q", "1", "--z", "-1e-3")
+    joined = run_main(capsys, "eval", "wq", "--q", "1", "--z=-1e-3")
+    assert spaced == joined
+    assert spaced[0] == 0
+    table = ["table", "expq", "--q", "1", "--z-to", "1e308", "--steps", "5"]
+    assert run_main(capsys, *table, "--z-from", "-1e308") == \
+        run_main(capsys, *table, "--z-from=-1e308")
+
+
+def test_negative_infinity_value_after_a_space(capsys):
+    code, out, err = run_main(capsys, "eval", "wq", "--q", "1", "--z", "-inf")
+    assert code == 2
+    assert err == "error: z must be a finite real, got -inf\n"
+
+
+# ------------------------------------- table rendering, pinned to the old one
+
+def _table_reference(subject, q, z_from, z_to, steps, branch="upper", fmt="csv"):
+    """(stdout, stderr) of `table` built the way the CLI first built them:
+    the public wq or exp_q per row, a dict document through render_json,
+    and csv.writer."""
+    step = (z_to - z_from) / (steps - 1)
+    grid = [z_from + i * step for i in range(steps)]
+    err = ""
+    if subject == "wq":
+        dom = branch_domain(q, branch)
+        kept = [z for z in grid if dom.contains(z)]
+        clipped = steps - len(kept)
+        if clipped:
+            err = (f"warning: {clipped} of {steps} grid points fall outside the "
+                   f"{branch} branch domain {dom} and were dropped\n")
+        solved = [wq(q, z, Branch(branch)) for z in kept]
+        rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
+        header = ["z", "value", "residual"]
+    else:
+        clipped = 0
+        rows = [(z, exp_q(q, z)) for z in grid]
+        header = ["z", "value"]
+    if fmt == "json":
+        doc = {"command": "table", "subject": subject, "q": q, "branch": branch,
+               "clipped": clipped}
+        if subject == "wq":
+            doc["meta"] = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
+        doc["rows"] = [dict(zip(header, row)) for row in rows]
+        return render_json(doc) + "\n", err
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(x, ".17g") for x in row] for row in rows)
+    return buf.getvalue(), err
+
+
+@pytest.mark.parametrize("subject, q, z_from, z_to, steps, branch, fmt", [
+    ("wq", 1.0, -1.0, 3.0, 17, "upper", "csv"),        # clipped below z_b
+    ("wq", 0.5, -0.4, -1e-3, 40, "lower", "json"),     # clipped, wall side
+    ("wq", 2.5, -3.0, 1e6, 9, "upper", "json"),        # no branch point
+    ("expq", 1.0, 700.0, 720.0, 21, "upper", "csv"),   # inf rows from z = 710
+    ("expq", 1.0, 700.0, 720.0, 21, "upper", "json"),
+    ("expq", 0.5, -5.0, 5.0, 11, "upper", "csv"),      # 0.0 rows past the cutoff
+    ("expq", 0.5, -5.0, 5.0, 11, "upper", "json"),
+    ("expq", 3.0, -5.0, 5.0, 21, "upper", "json"),     # inf at the boundary
+    ("wq", 1.0, -1e-300, 1e-300, 7, "upper", "csv"),   # tiny, negative
+    ("wq", 1.0, -1e-300, 1e-300, 7, "upper", "json"),
+    ("expq", 1.5, -1e-300, 1e-300, 7, "upper", "json"),
+])
+def test_table_matches_the_dict_and_csv_writer_rendering(
+        capsys, subject, q, z_from, z_to, steps, branch, fmt):
+    code, out, err = run_main(capsys, "table", subject, "--q", repr(q),
+                              f"--z-from={z_from!r}", f"--z-to={z_to!r}",
+                              "--steps", str(steps), "--branch", branch,
+                              "--format", fmt)
+    assert code == 0
+    assert (out, err) == _table_reference(subject, q, z_from, z_to, steps, branch, fmt)
+
+
+def test_table_reference_cases_cover_inf_zero_and_clipping(capsys):
+    # the cases above print what they are there for
+    assert '"inf"' in run_main(capsys, "table", "expq", "--q", "1", "--z-from", "700",
+                               "--z-to", "720", "--steps", "21", "--format", "json")[1]
+    assert "\n-5,0\n" in run_main(capsys, "table", "expq", "--q", "0.5", "--z-from=-5",
+                                   "--z-to", "5", "--steps", "11")[1]
+    assert "dropped" in run_main(capsys, "table", "wq", "--q", "0.5", "--z-from=-0.4",
+                                 "--z-to=-1e-3", "--steps", "40", "--branch", "lower")[2]
+
+
+# ----------------------------------------------- table error precedence
+
+TABLE_WQ = ["table", "wq", "--q", "1", "--steps", "9"]
+
+
+def test_table_bad_tol_with_points_kept_exits_two(capsys):
+    code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "-1", "--z-to", "1",
+                              "--tol", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: 3 of 9 grid points fall outside the upper branch domain "
+        "[-0.367879, inf) and were dropped",
+        "error: tol must be a positive finite real, got 0.0"]
+
+
+def test_table_bad_tol_with_every_point_clipped_exits_one(capsys):
+    code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "1", "--z-to", "2",
+                              "--branch", "lower", "--tol", "0")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: no grid points inside the branch domain\n")
+
+
+def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
+    with pytest.raises(ConvergenceError) as exc:
+        wq(1.0, 1.0, Branch.UPPER, DEFAULT_TOL, 1)
+    code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "1", "--z-to", "2",
+                              "--max-iter", "1")
+    assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+
+
+def test_table_expq_non_finite_grid_exits_two(capsys):
+    code, out, err = run_main(capsys, "table", "expq", "--q", "1", "--z-from=-1e308",
+                              "--z-to=1e308", "--steps", "5")
+    assert (code, out, err) == (2, "", "error: z must be a finite real, got nan\n")

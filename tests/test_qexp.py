@@ -2,6 +2,7 @@
 behavior, round trips, continuity in q, finite-difference consistency."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -88,6 +89,17 @@ def test_ln_q_rejects_nonpositive():
     for z in (0.0, -1.0):
         with pytest.raises(DomainError):
             ln_q(1.5, z)
+
+
+def test_ln_q_and_dlnq_dz_accept_exact_reals():
+    # Fraction is a numbers.Real, as exp_q and wq already accept
+    assert ln_q(2.0, Fraction(1, 2)) == ln_q(2.0, 0.5) == pytest.approx(-1.0, rel=1e-15)
+    assert dlnq_dz(2.0, Fraction(1, 2)) == 4.0
+    for bad in (Fraction(-1, 2), Fraction(0), math.inf, math.nan, "2"):
+        with pytest.raises(DomainError, match="defined for z > 0 only"):
+            ln_q(2.0, bad)
+        with pytest.raises(DomainError, match="defined for z > 0 only"):
+            dlnq_dz(2.0, bad)
 
 
 def test_dlnq_dz_is_power_law():
