@@ -26,7 +26,7 @@ from .exact import (ArithmeticClass, Constant, NamedTranscendental, QuadSurd,
                     Rational, add, classify_number, div, is_algebraic, mul,
                     neg, normalize, parse_exact, rational, render_exact, sign,
                     sub, surd, to_real)
-from .qexp import QExpDomain, dlnq_dz, exp_q, ln_q, positivity_domain
+from .qexp import dlnq_dz, exp_q, ln_q, positivity_domain
 from .verify import (BranchPointReport, CheckResult, ScanReport,
                      algebraicity_scan, branch_point_check,
                      check_derivative_fd, eq5_residual, residual_defining_eq,
@@ -45,7 +45,7 @@ __all__ = [
     "neg", "mul", "div", "sign", "classify_number", "is_algebraic", "to_real",
     "parse_exact", "render_exact",
     # deformed exponential
-    "exp_q", "ln_q", "dlnq_dz", "positivity_domain", "QExpDomain",
+    "exp_q", "ln_q", "dlnq_dz", "positivity_domain",
     # inverse function
     "Branch", "BranchPoint", "Interval", "SolveResult", "wq", "dwq_dz",
     "branch_point", "branch_domain", "wq_closed_form",

@@ -1,10 +1,17 @@
 """Arithmetic-nature classification for values of the deformed functions.
 
 Verdicts are produced by a guarded decision procedure over exact inputs
-(`exact.ExactNumber`); floating point is never consulted for a verdict.
-Every Transcendental verdict cites a rule whose hypotheses were checked
-exactly on the inputs, so a verdict is never wrong; when no rule applies
-the result is the legal verdict Unknown with rule GuardFallthrough.
+(`exact.ExactNumber`).  Each classify_* normalizes its operands once and
+then tests their canonical shapes directly.  Every Transcendental verdict
+cites a rule whose hypotheses were checked on the inputs, so a verdict is
+never wrong; when no rule applies the result is the legal verdict Unknown
+with rule GuardFallthrough.
+
+Floating point enters in one place, the z_b guard of classify_wq: for surd
+q < 2 and z < 0, W_q(z) is real only for z >= z_b, which has no exact form
+here.  z is compared exactly with the double z_b of branch_point(to_real(q))
+widened by a relative 1e-12, far above that double's error: below the band
+is a DomainError, inside it Unknown.
 
 The rules:
 
@@ -12,8 +19,8 @@ The rules:
 * Theorem2: q algebraic irrational, z nonzero algebraic with
   1 + (1-q) z > 0  =>  exp_q(z) transcendental (Gelfond-Schneider with
   base 1 + (1-q) z and exponent 1/(1-q)).
-* Theorem3: q algebraic irrational, z nonzero algebraic  =>  W_q(z)
-  transcendental (else exp_q(W) = z/W would contradict the Theorem-2
+* Theorem3: q algebraic irrational, z nonzero algebraic, W_q(z) real  =>
+  W_q(z) transcendental (else exp_q(W) = z/W would contradict the Theorem-2
   argument).
 * Theorem4: q algebraic irrational, z0 positive algebraic, z0 != 1  =>
   d ln_q/dz at z0, i.e. z0^(-q), transcendental.
@@ -37,8 +44,9 @@ from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFieldError
 from .exact import (ONE, ZERO, ArithmeticClass, ExactNumber, NamedTranscendental,
-                    QuadSurd, Rational, add, classify_number, div, is_algebraic,
-                    is_zero, mul, normalize, rational_bounds, render_exact, sign, sub)
+                    QuadSurd, Rational, add, classify_number, div, mul, normalize,
+                    rational_bounds, render_exact, sign, sub, to_real)
+from .wq import branch_point
 
 __all__ = [
     "Rule",
@@ -87,16 +95,25 @@ def _unknown(reason: str) -> Classification:
     return Classification(ArithmeticClass.UNKNOWN, Rule.GUARD_FALLTHROUGH, reason)
 
 
-def _is_rat(x: ExactNumber) -> bool:
-    return isinstance(x, Rational)
+_TWO = Rational(Fraction(2))
+# Relative half-width of the band around the double z_b in which
+# classify_wq answers Unknown.  Against 60-digit mpmath, the relative error
+# of the double branch_point(to_real(q)).z_b was at most 7.8e-16 over the
+# 2 222 surd q < 2 of benchmark seeds 1-5 and 7.7e-15 over values next to
+# 1, next to 2 and down to -1e16: next to 2 it grows like eps |log(2-q)|,
+# to about 1e-14 before q rounds to 2.
+_ZB_MARGIN = Fraction(1, 10**12)
 
 
-def _is_surd(x: ExactNumber) -> bool:
-    return isinstance(x, QuadSurd)
-
-
-def _is_named(x: ExactNumber) -> bool:
-    return isinstance(x, NamedTranscendental)
+def _double_z_b(q: QuadSurd) -> Fraction | None:
+    """The double z_b of branch_point(to_real(q)) for a surd q < 2; None if q
+    rounds to 2, lies below the double range, or is below about -1e16, where
+    1 + (1-q) w_b and with it z_b round to 0."""
+    try:
+        bp = branch_point(to_real(q))
+    except OverflowError:
+        return None
+    return None if bp is None or bp.z_b == 0.0 else Fraction(bp.z_b)
 
 
 def _bracket_sign_algebraic(q: ExactNumber, z: ExactNumber) -> int | None:
@@ -133,17 +150,17 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
     same cutoff guard; (f) otherwise Unknown.
     """
     q, z = normalize(q), normalize(z)
-    if is_zero(z):
+    if z == ZERO:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "exp_q(0) = 1 exactly for every deformation q.", ONE)
-    if q == ONE and is_algebraic(z):
+    if q == ONE and not isinstance(z, NamedTranscendental):
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.CLASSICAL_EXP,
             f"q = 1 is the classical exponential and z = {render_exact(z)} is a "
             "nonzero algebraic number, so e^z is transcendental "
             "(Hermite-Lindemann).")
-    if is_algebraic(q) and q != ONE and is_algebraic(z):
+    if not isinstance(q, NamedTranscendental) and not isinstance(z, NamedTranscendental):
         s = _bracket_sign_algebraic(q, z)
         if s is None:
             return _unknown(
@@ -159,7 +176,7 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
             return _unknown(
                 "1 + (1-q) z = 0 exactly: the power degenerates at the cutoff "
                 "boundary (0 for q < 1, divergent for q > 1) and no rule applies.")
-        if _is_surd(q):
+        if isinstance(q, QuadSurd):
             return Classification(
                 ArithmeticClass.TRANSCENDENTAL, Rule.THEOREM_2,
                 f"q = {render_exact(q)} is algebraic irrational and z = "
@@ -169,7 +186,7 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
                 "exp_q(z) transcendental.")
         # q rational != 1 with algebraic z: the exponent 1/(1-q) is rational,
         # Gelfond-Schneider does not reach it
-    if _is_rat(q) and q != ONE and _is_named(z):
+    if isinstance(q, Rational) and q != ONE and isinstance(z, NamedTranscendental):
         s = _bracket_sign_named(q, z)
         if s is not None and s < 0:
             return Classification(
@@ -199,15 +216,17 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
     form z/(1+z) by field arithmetic (domain error at and below the pole
     z = -1); (c) q = 1, z = 1 -> ClassicalW1; (d) q algebraic irrational,
     z = 1 -> Theorem1; (e) q algebraic irrational, z nonzero algebraic ->
-    Theorem3; (f) otherwise Unknown.
+    Theorem3, behind the z_b guard for q < 2 and z < 0: a domain error
+    below the band around the double z_b, Unknown inside it or where no
+    usable double z_b exists; (f) otherwise Unknown.
     """
     q, z = normalize(q), normalize(z)
-    if is_zero(z):
+    if z == ZERO:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "W_q(0) = 0 exactly for every q (0 is the only solution of "
             "w exp_q(w) = 0 on the principal branch).", ZERO)
-    if q == Rational(Fraction(2)) and is_algebraic(z):
+    if q == _TWO and not isinstance(z, NamedTranscendental):
         if sign(add(ONE, z)) <= 0:
             raise DomainError(
                 f"W_2(z) = z/(1+z) has a pole at z = -1 and no real value for "
@@ -223,7 +242,7 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
             "q = 1, z = 1: W(1) is the omega constant, transcendental "
             "(were it algebraic, e^W(1) = 1/W(1) would contradict "
             "Lindemann-Weierstrass).")
-    if _is_surd(q) and z == ONE:
+    if isinstance(q, QuadSurd) and z == ONE:
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.THEOREM_1,
             f"q = {render_exact(q)} is algebraic irrational; x = W_q(1) satisfies "
@@ -231,7 +250,20 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
             "make x^(q-1) transcendental by Gelfond-Schneider (exponent q-1 "
             "algebraic irrational) while (1-q) x + 1 stays algebraic: "
             "contradiction, hence W_q(1) is transcendental.")
-    if _is_surd(q) and is_algebraic(z):
+    if isinstance(q, QuadSurd) and not isinstance(z, NamedTranscendental):
+        if sign(z) < 0 and sign(sub(q, _TWO)) < 0:
+            # W_q(z) is real only for z >= z_b
+            z_b = _double_z_b(q)
+            if z_b is not None and sign(sub(z, Rational(z_b * (1 + _ZB_MARGIN)))) < 0:
+                raise DomainError(
+                    f"W_q(z) has no real value below the branch point z_b = "
+                    f"{float(z_b)!r} of q = {render_exact(q)}; got z = {render_exact(z)}")
+            if z_b is None or sign(sub(z, Rational(z_b * (1 - _ZB_MARGIN)))) <= 0:
+                return _unknown(
+                    f"z = {render_exact(z)} is not clear of the branch point z_b of "
+                    f"q = {render_exact(q)}: it lies within a relative 1e-12 of the "
+                    "double z_b, or no usable double z_b exists, so whether W_q(z) "
+                    "is real is not decided.")
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.THEOREM_3,
             f"q = {render_exact(q)} is algebraic irrational and z = "
@@ -255,7 +287,7 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
     (d) otherwise Unknown.  z0 <= 0 is a domain error.
     """
     q, z0 = normalize(q), normalize(z0)
-    if is_algebraic(z0) and sign(z0) <= 0:
+    if not isinstance(z0, NamedTranscendental) and sign(z0) <= 0:
         raise DomainError(
             f"the deformed logarithm needs z0 > 0, got z0 = {render_exact(z0)}")
     if z0 == ONE:
@@ -264,14 +296,14 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
             "z0 = 1 gives 1^(-q) = 1 exactly; base 1 is excluded from "
             "Gelfond-Schneider, so the transcendence rule deliberately does "
             "not fire here.", ONE)
-    if _is_surd(q) and is_algebraic(z0):
+    if isinstance(q, QuadSurd) and not isinstance(z0, NamedTranscendental):
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.THEOREM_4,
             f"d ln_q/dz at z0 equals z0^(-q); z0 = {render_exact(z0)} is "
             f"algebraic, positive, not 0 or 1, and -q = -({render_exact(q)}) is "
             "algebraic irrational, so Gelfond-Schneider makes the value "
             "transcendental.")
-    if _is_rat(q) and q.value.denominator == 1 and _is_rat(z0):
+    if isinstance(q, Rational) and q.value.denominator == 1 and isinstance(z0, Rational):
         value = Rational(z0.value ** (-int(q.value)))
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
@@ -293,7 +325,7 @@ def classify_tower(r: ExactNumber) -> Classification:
     error when r <= 0 (the real tower is undefined for most negative bases).
     """
     r = normalize(r)
-    if _is_rat(r):
+    if isinstance(r, Rational):
         v = r.value
         if v.denominator == 1:
             if v >= 0:
@@ -315,7 +347,7 @@ def classify_tower(r: ExactNumber) -> Classification:
             "rationals, taken as given); Gelfond-Schneider with algebraic base "
             "r not 0 or 1 and algebraic irrational exponent r^r then makes the "
             "right-associative tower r^(r^r) transcendental.")
-    if _is_surd(r):
+    if isinstance(r, QuadSurd):
         if sign(r) < 0:
             raise DomainError(
                 f"unsupported base r = {render_exact(r)}: negative bases have no "

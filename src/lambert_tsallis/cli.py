@@ -211,33 +211,20 @@ def _cmd_branch_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(args: argparse.Namespace, names: list[str]) -> dict[str, str]:
-    got = {}
-    for name in names:
-        raw = getattr(args, name)
-        if raw is None:
-            raise ConfigurationError(
-                f"classify {args.subject} requires --{name}")
-        got[name] = raw
-    return got
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.subject == "wq":
-        raw = _require(args, ["q", "z"])
-        result = classify_wq(parse_exact(raw["q"]), parse_exact(raw["z"]))
-    elif args.subject == "expq":
-        raw = _require(args, ["q", "z"])
-        result = classify_expq(parse_exact(raw["q"]), parse_exact(raw["z"]))
-    elif args.subject == "lnq-deriv":
-        raw = _require(args, ["q", "z0"])
-        result = classify_lnq_derivative(parse_exact(raw["q"]),
-                                         parse_exact(raw["z0"]))
-    else:  # tower
-        raw = _require(args, ["r"])
-        result = classify_tower(parse_exact(raw["r"]))
-    inputs = {name: render_exact(parse_exact(value))
-              for name, value in raw.items()}
+    # built per call, so the module's names stay the binding site bench/spans.py wraps
+    classifier, names = {
+        "wq": (classify_wq, ["q", "z"]),
+        "expq": (classify_expq, ["q", "z"]),
+        "lnq-deriv": (classify_lnq_derivative, ["q", "z0"]),
+        "tower": (classify_tower, ["r"]),
+    }[args.subject]
+    for name in names:
+        if getattr(args, name) is None:
+            raise ConfigurationError(f"classify {args.subject} requires --{name}")
+    operands = {name: parse_exact(getattr(args, name)) for name in names}
+    result = classifier(*operands.values())
+    inputs = {name: render_exact(x) for name, x in operands.items()}
     record = result.to_record()
 
     if args.format == "json":

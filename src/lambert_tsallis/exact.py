@@ -12,6 +12,8 @@ Numbers are one of three closed-form shapes:
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Combining surds over distinct squarefree bases is
 rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
+Each public function normalizes its arguments once; the arithmetic then
+builds its canonical results directly.
 
 Sign evaluation never touches floating point: for a + b*sqrt(d) it compares
 a*a against b*b*d together with the signs of a and b.
@@ -57,9 +59,6 @@ __all__ = [
     "sign",
     "classify_number",
     "to_real",
-    "is_zero",
-    "is_one",
-    "is_integer",
     "is_algebraic",
     "rational_bounds",
     "parse_exact",
@@ -126,14 +125,22 @@ def surd(a, b, d: int) -> ExactNumber:
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s*s*f and f squarefree, by trial division."""
-    s, f, p = 1, n, 2
-    while p * p <= f:
-        while f % (p * p) == 0:
-            f //= p * p
+    """Return (s, f) with n = s*s*f and f squarefree, for n >= 1.
+
+    Trial division stops once p**3 exceeds the cofactor m still to split:
+    m then has at most two prime factors, so it is a square or squarefree.
+    """
+    s, f, m, p = 1, 1, n, 2
+    while p * p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
             s *= p
+        if m % p == 0:
+            m //= p
+            f *= p
         p += 1 if p == 2 else 2
-    return s, f
+    r = isqrt(m)
+    return (s * r, f) if r * r == m else (s, f * m)
 
 
 def normalize(x: ExactNumber) -> ExactNumber:
@@ -181,9 +188,11 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
 
 
 def _build(a: Fraction, b: Fraction, d: int | None) -> ExactNumber:
+    """The canonical a + b*sqrt(d); d comes from an operand that _field_pair
+    normalized, so it is squarefree and >= 2."""
     if d is None or b == 0:
         return Rational(a)
-    return normalize(QuadSurd(a, b, d))
+    return QuadSurd(a, b, d)
 
 
 def add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
@@ -215,10 +224,8 @@ def div(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     if d is None:
         return Rational(a1 / a2)
     # 1/(a2 + b2 sqrt(d)) = (a2 - b2 sqrt(d)) / (a2^2 - b2^2 d)
+    # nonzero: the canonical divisor is nonzero and sqrt(d) irrational
     n = a2 * a2 - b2 * b2 * d
-    if n == 0:
-        # only reachable for a non-canonical divisor whose norm vanishes
-        raise ZeroDivisionError("exact division by zero")
     return _build((a1 * a2 - b1 * b2 * d) / n, (b1 * a2 - a1 * b2) / n, d)
 
 
@@ -235,10 +242,8 @@ def sign(x: ExactNumber) -> int:
             sb = 1 if b > 0 else -1
             if sa == sb:
                 return sa
-            gap = a * a - b * b * d
-            if gap == 0:
-                return 0  # unreachable for canonical surds; kept for safety
-            return sa if gap > 0 else sb
+            # a*a != b*b*d, as sqrt(d) is irrational
+            return sa if a * a > b * b * d else sb
         case NamedTranscendental():
             raise UnsupportedOperandError("exact sign of e or pi is not provided here")
     raise MalformedInputError(f"not an exact number: {x!r}")
@@ -275,21 +280,6 @@ def to_real(x: ExactNumber) -> float:
         case NamedTranscendental(tag):
             return math.e if tag is Constant.E else math.pi
     raise MalformedInputError(f"not an exact number: {x!r}")
-
-
-def is_zero(x: ExactNumber) -> bool:
-    x = normalize(x)
-    return isinstance(x, Rational) and x.value == 0
-
-
-def is_one(x: ExactNumber) -> bool:
-    x = normalize(x)
-    return isinstance(x, Rational) and x.value == 1
-
-
-def is_integer(x: ExactNumber) -> bool:
-    x = normalize(x)
-    return isinstance(x, Rational) and x.value.denominator == 1
 
 
 def is_algebraic(x: ExactNumber) -> bool:

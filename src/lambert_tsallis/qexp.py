@@ -17,53 +17,67 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, MalformedInputError
 
 __all__ = [
-    "DomainKind",
-    "QExpDomain",
+    "Interval",
     "positivity_domain",
     "exp_q",
     "ln_q",
     "dlnq_dz",
 ]
 
-class DomainKind(Enum):
-    ALL_REALS = "all_reals"
-    HALF_LINE_LOWER = "half_line_lower"  # exp_q positive strictly above the bound
-    HALF_LINE_UPPER = "half_line_upper"  # exp_q finite positive strictly below the bound
-
 
 @dataclass(frozen=True)
-class QExpDomain:
-    """Where exp_q(q, .) is strictly positive (and finite)."""
+class Interval:
+    """Real interval with individually open or closed endpoints."""
 
-    kind: DomainKind
-    bound: float | None
+    lo: float
+    hi: float
+    lo_closed: bool
+    hi_closed: bool
 
-    def strictly_positive_at(self, z: float) -> bool:
-        if self.kind is DomainKind.ALL_REALS:
-            return True
-        if self.kind is DomainKind.HALF_LINE_LOWER:
-            return z > self.bound
-        return z < self.bound
+    @classmethod
+    def empty(cls) -> "Interval":
+        return cls(math.inf, -math.inf, False, False)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.lo > self.hi
+
+    def contains(self, z: float) -> bool:
+        above = z >= self.lo if self.lo_closed else z > self.lo
+        below = z <= self.hi if self.hi_closed else z < self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        if self.is_empty:
+            return "(empty)"
+        lb = "[" if self.lo_closed else "("
+        rb = "]" if self.hi_closed else ")"
+        return f"{lb}{self.lo:g}, {self.hi:g}{rb}"
 
 
-def positivity_domain(q: float) -> QExpDomain:
-    """Positivity region of exp_q: all reals at q = 1, else a half line
-    bounded by the cutoff point 1/(q-1)."""
-    _require_finite("q", q)
+def positivity_domain(q: float) -> Interval:
+    """Where exp_q(q, .) is strictly positive and finite: all reals at
+    q = 1, else the open half line on the near side of the cutoff point
+    1/(q-1), above it for q < 1 and below it for q > 1."""
+    q = _require_finite("q", q)
     if q == 1.0:
-        return QExpDomain(DomainKind.ALL_REALS, None)
+        return Interval(-math.inf, math.inf, False, False)
     bound = 1.0 / (q - 1.0)
-    kind = DomainKind.HALF_LINE_LOWER if q < 1.0 else DomainKind.HALF_LINE_UPPER
-    return QExpDomain(kind, bound)
+    if q < 1.0:
+        return Interval(bound, math.inf, False, False)
+    return Interval(-math.inf, bound, False, False)
 
 
 def _require_finite(name: str, v: float) -> float:
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an int or Fraction beyond the double range
+        raise MalformedInputError(
+            f"{name} must be a finite real, got a value beyond the double range") from None
     if not math.isfinite(v):
         raise MalformedInputError(f"{name} must be a finite real, got {v!r}")
     return v
@@ -71,11 +85,14 @@ def _require_finite(name: str, v: float) -> float:
 
 def _positive_real(name: str, z) -> float:
     """z as a float when it is a finite real number > 0 (int, float,
-    Fraction, ...); DomainError for anything else."""
-    if isinstance(z, numbers.Real):
-        x = float(z)
-        if math.isfinite(x) and x > 0.0:
+    Fraction, ...), decided on z itself: DomainError for z <= 0, non-finite
+    or non-real z, MalformedInputError for a z > 0 beyond the double range."""
+    if isinstance(z, numbers.Real) and 0 < z < math.inf:
+        x = _require_finite("z", z)
+        if x > 0.0:
             return x
+        raise MalformedInputError(f"{name} needs z within the double range, got a z > 0 "
+                                  "that rounds to 0")
     raise DomainError(f"{name} is defined for z > 0 only, got z = {z!r}")
 
 

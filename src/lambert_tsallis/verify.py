@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, NoBranchPointError
-from .qexp import exp_q
+from .qexp import exp_q, positivity_domain
 from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain, branch_point,
                  dwq_dz, wq)
 
@@ -131,7 +131,7 @@ def branch_point_check(q: float, delta: float = 1e-4) -> BranchPointReport:
         raise NoBranchPointError(f"no branch point exists for q = {q:g} >= 2")
     if not (delta > 0.0):
         raise ConfigurationError(f"delta must be positive, got {delta!r}")
-    if q < 1.0 and bp.w_b - delta <= 1.0 / (q - 1.0):
+    if not positivity_domain(q).contains(bp.w_b - delta):
         raise ConfigurationError(
             f"delta = {delta!r} reaches past the positivity wall for q = {q:g}")
     consistency = abs(bp.w_b * exp_q(q, bp.w_b) - bp.z_b)

@@ -52,8 +52,8 @@ from enum import Enum
 
 from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
                      DomainError, NoBranchPointError)
-# exp_q itself is unused here, but bench/spans.py wraps it at this name
-from .qexp import _exp_q, _require_finite, _safe_exp, exp_q  # noqa: F401
+# Interval is re-exported; exp_q is unused here, but bench/spans.py wraps it at this name
+from .qexp import Interval, _exp_q, _require_finite, _safe_exp, exp_q  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOL",
@@ -90,38 +90,6 @@ class SolveResult:
     branch: Branch
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Real interval with individually open or closed endpoints."""
-
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-
-    @classmethod
-    def empty(cls) -> "Interval":
-        return cls(math.inf, -math.inf, False, False)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
-    def contains(self, z: float) -> bool:
-        if self.is_empty:
-            return False
-        above = z >= self.lo if self.lo_closed else z > self.lo
-        below = z <= self.hi if self.hi_closed else z < self.hi
-        return above and below
-
-    def __str__(self) -> str:
-        if self.is_empty:
-            return "(empty)"
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"{lb}{self.lo:g}, {self.hi:g}{rb}"
 
 
 def branch_point(q: float) -> BranchPoint | None:

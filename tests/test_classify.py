@@ -2,17 +2,20 @@
 refusals, and agreement between exact claims and the numeric layer."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lambert_tsallis.classify import (Rule, classify_expq,
+from lambert_tsallis.classify import (_ZB_MARGIN, Rule, classify_expq,
                                       classify_lnq_derivative, classify_tower,
                                       classify_wq)
-from lambert_tsallis.errors import DomainError
-from lambert_tsallis.exact import (ArithmeticClass, parse_exact, rational,
-                                   render_exact, to_real)
+from lambert_tsallis.errors import ConvergenceError, DomainError
+from lambert_tsallis.exact import (ArithmeticClass, QuadSurd, Rational, normalize,
+                                   parse_exact, rational, render_exact, to_real)
 from lambert_tsallis.qexp import dlnq_dz, exp_q
-from lambert_tsallis.wq import wq
+from lambert_tsallis.wq import branch_point, wq
 
 R = ArithmeticClass.RATIONAL
 A = ArithmeticClass.ALGEBRAIC_IRRATIONAL
@@ -190,6 +193,77 @@ def test_wq_rational_nonclassical_q_unknown():
 def test_wq_named_inputs_unknown():
     assert c_wq("pi", "1").rule is Rule.GUARD_FALLTHROUGH
     assert c_wq("sqrt(2)", "pi").rule is Rule.GUARD_FALLTHROUGH
+
+
+# ------------------------------------------------------------- z_b guard
+
+@pytest.mark.parametrize("q,z", [("3-2*sqrt(2)", "-10"), ("sqrt(2)", "-100"),
+                                 ("1-sqrt(2)", "-1")])
+def test_wq_below_the_branch_point_refused(q, z):
+    # z_b is about -0.264, -0.469 and -0.222: no real W_q(z) exists
+    with pytest.raises(DomainError, match="below the branch point"):
+        c_wq(q, z)
+
+
+def test_wq_band_around_the_double_branch_point_is_unknown():
+    q = parse_exact("sqrt(2)")
+    z_b = Fraction(branch_point(to_real(q)).z_b)
+    assert classify_wq(q, Rational(z_b)).rule is Rule.GUARD_FALLTHROUGH
+    above = Rational(z_b * (1 - 10 * _ZB_MARGIN))
+    assert classify_wq(q, above).rule is Rule.THEOREM_3
+    with pytest.raises(DomainError):
+        classify_wq(q, Rational(z_b * (1 + 10 * _ZB_MARGIN)))
+
+
+@pytest.mark.parametrize("q", [
+    f"2-1/{10 ** 20}*sqrt(2)",       # rounds to 2: no branch point
+    f"-{10 ** 17}+sqrt(2)",          # the double z_b is 0, the true one -1e-17
+    f"-{10 ** 400}+sqrt(2)",         # beyond the double range
+])
+def test_wq_without_a_usable_double_branch_point_is_unknown(q):
+    assert c_wq(q, f"-1/{10 ** 30}").rule is Rule.GUARD_FALLTHROUGH
+
+
+def _refuses(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except DomainError:
+        return True
+    except ConvergenceError:  # a root next to the wall exists
+        pass
+    return False
+
+
+@given(a=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+       b=st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+       d=st.sampled_from([2, 3, 5, 7]),
+       za=st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+       zb=st.sampled_from([0, 1, -1, Fraction(1, 3)]))
+def test_wq_refuses_exactly_where_the_numeric_branch_has_no_value(a, b, d, za, zb):
+    q, z = normalize(QuadSurd(a, b, d)), normalize(QuadSurd(za, zb, d))
+    qf, zf = to_real(q), to_real(z)
+    bp = branch_point(qf)
+    if bp is not None and abs(zf - bp.z_b) <= 1e-9 * abs(bp.z_b):
+        return  # inside a band wider than the guard's
+    assert _refuses(classify_wq, q, z) == _refuses(wq, qf, zf)
+
+
+def test_double_branch_point_is_well_inside_the_guard_margin():
+    mpmath = pytest.importorskip("mpmath")
+    texts = ["sqrt(2)", "3-2*sqrt(2)", "1-sqrt(2)", "-10+2*sqrt(5)", "1/2-1/3*sqrt(7)",
+             "7/3-sqrt(2)", "-99+70*sqrt(2)"]
+    for k in range(1, 16):
+        texts += [f"1+1/{10 ** k}*sqrt(2)", f"1-1/{10 ** k}*sqrt(3)",
+                  f"2-1/{10 ** k}*sqrt(2)", f"-{10 ** k}+sqrt(5)"]
+    for text in texts:
+        q = parse_exact(text)
+        z_b = branch_point(to_real(q)).z_b
+        with mpmath.workdps(60):
+            qv = (mpmath.mpf(q.a.numerator) / q.a.denominator
+                  + mpmath.mpf(q.b.numerator) / q.b.denominator * mpmath.sqrt(q.d))
+            exact = -(2 - qv) ** ((qv - 2) / (1 - qv))
+            rel = abs((mpmath.mpf(z_b) - exact) / exact)
+        assert rel < float(_ZB_MARGIN) / 10, text
 
 
 # -------------------------------------------------------- lnq-deriv corners

@@ -32,6 +32,19 @@ def test_normalize_extracts_square_factor():
     assert surd(0, 1, 8) == QuadSurd(Fraction(0), Fraction(2), 2)
 
 
+def test_normalize_large_square_factor():
+    # 1000003 and 1000033 are prime, and both exceed the cube root of d
+    d = 1000003 ** 2 * 1000033
+    assert surd(0, 1, d) == QuadSurd(Fraction(0), Fraction(1000003), 1000033)
+    assert surd(0, 1, (1000003 * 1000033) ** 2) == Rational(Fraction(1000003 * 1000033))
+
+
+def test_normalize_large_prime_radicand():
+    # 10**16 + 61 is prime; trial division to its square root would not finish
+    assert parse_exact("sqrt(10000000000000061)") == QuadSurd(
+        Fraction(0), Fraction(1), 10 ** 16 + 61)
+
+
 def test_normalize_perfect_square_collapses():
     # 3 + 5 sqrt(9) = 18
     assert surd(3, 5, 9) == Rational(Fraction(18))
@@ -215,6 +228,16 @@ def test_field_closure_and_to_real_consistency(d, data):
                sub: lambda: to_real(x) - to_real(y),
                mul: lambda: to_real(x) * to_real(y)}[op]()
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+@given(d=radicands, data=st.data())
+def test_arithmetic_results_are_canonical(d, data):
+    x = data.draw(surds(d=d))
+    y = data.draw(surds(d=d))
+    ops = (add, sub, mul) if y == ZERO else (add, sub, mul, div)
+    for op in ops:
+        z = op(x, y)
+        assert normalize(z) == z
 
 
 @given(d=radicands, data=st.data())

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lambert_tsallis.errors import DomainError, MalformedInputError
-from lambert_tsallis.qexp import (DomainKind, dlnq_dz, exp_q, ln_q,
+from lambert_tsallis.qexp import (Interval, dlnq_dz, exp_q, ln_q,
                                   positivity_domain)
+from lambert_tsallis.wq import wq
 
 # d/dz ln_q(z) at q = sqrt(2), z = 2 is 2^(-sqrt(2)); value checked against
 # 60-digit arithmetic
@@ -102,6 +103,20 @@ def test_ln_q_and_dlnq_dz_accept_exact_reals():
             dlnq_dz(2.0, bad)
 
 
+def test_exact_reals_beyond_the_double_range_are_malformed():
+    big = 10 ** 400
+    for call in (lambda: exp_q(1.0, big), lambda: exp_q(big, 1.0),
+                 lambda: wq(1.0, big), lambda: ln_q(2.0, big), lambda: dlnq_dz(2.0, big)):
+        with pytest.raises(MalformedInputError, match="double range"):
+            call()
+    # positive, but 0.0 as a double: not "defined for z > 0 only"
+    with pytest.raises(MalformedInputError, match="double range"):
+        ln_q(2.0, Fraction(1, big))
+    for bad in (-big, -Fraction(1, big)):
+        with pytest.raises(DomainError, match="defined for z > 0 only"):
+            ln_q(2.0, bad)
+
+
 def test_dlnq_dz_is_power_law():
     assert dlnq_dz(math.sqrt(2.0), 2.0) == pytest.approx(
         TWO_POW_MINUS_ROOT2, abs=1e-15)
@@ -114,15 +129,15 @@ def test_dlnq_dz_is_power_law():
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.5, 2.0, math.sqrt(2.0), 3.0])
 def test_positivity_domain_contains_zero(q):
     dom = positivity_domain(q)
-    assert dom.strictly_positive_at(0.0)
+    assert dom.contains(0.0)
     if q < 1.0:
-        assert dom.kind is DomainKind.HALF_LINE_LOWER
-        assert not dom.strictly_positive_at(1.0 / (q - 1.0))
+        assert dom == Interval(1.0 / (q - 1.0), math.inf, False, False)
+        assert not dom.contains(1.0 / (q - 1.0))
     elif q == 1.0:
-        assert dom.kind is DomainKind.ALL_REALS
+        assert dom == Interval(-math.inf, math.inf, False, False)
     else:
-        assert dom.kind is DomainKind.HALF_LINE_UPPER
-        assert not dom.strictly_positive_at(1.0 / (q - 1.0))
+        assert dom == Interval(-math.inf, 1.0 / (q - 1.0), False, False)
+        assert not dom.contains(1.0 / (q - 1.0))
 
 
 @given(q=st.floats(min_value=0.0, max_value=3.0),
@@ -135,7 +150,7 @@ def test_ln_q_inverts_exp_q(q, z):
 @given(q=st.floats(min_value=0.0, max_value=3.0),
        z=st.floats(min_value=-5.0, max_value=5.0))
 def test_exp_q_round_trip_inside_positivity(q, z):
-    if not positivity_domain(q).strictly_positive_at(z):
+    if not positivity_domain(q).contains(z):
         return
     y = exp_q(q, z)
     if y == math.inf:
@@ -155,10 +170,10 @@ def test_q_to_one_collapse_is_seamless(z):
 def test_exp_q_matches_finite_difference_of_itself(q):
     # d exp_q/dz = exp_q^q wherever the bracket is positive
     for z in (0.1, 0.5, -0.2, 0.05):
-        if not positivity_domain(q).strictly_positive_at(z):
+        if not positivity_domain(q).contains(z):
             continue
         h = 1e-6
-        if not positivity_domain(q).strictly_positive_at(z + h):
+        if not positivity_domain(q).contains(z + h):
             continue
         fd = (exp_q(q, z + h) - exp_q(q, z - h)) / (2 * h)
         assert fd == pytest.approx(exp_q(q, z) ** q, rel=1e-6)
