@@ -254,8 +254,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if not (args.z_from < args.z_to):
         raise ConfigurationError(
             f"--z-from must be less than --z-to, got {args.z_from} and {args.z_to}")
-    step = (args.z_to - args.z_from) / (args.steps - 1)
+    n = args.steps - 1
+    step = (args.z_to - args.z_from) / n
     grid = [args.z_from + i * step for i in range(args.steps)]
+    if not all(map(math.isfinite, grid)):
+        # a range wider than the largest double, or an infinite end (whose
+        # points stay non-finite either way, and no table accepts them)
+        grid = [args.z_from * (1.0 - i / n) + args.z_to * (i / n) for i in range(args.steps)]
     branch = Branch(args.branch)
     q = args.q
 
@@ -279,9 +284,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
     else:
         q = _require_finite("q", q)
-        for z in grid:
-            if not math.isfinite(z):
-                _require_finite("z", z)
+        # every grid point is finite once both ends are
+        _require_finite("z", args.z_from)
+        _require_finite("z", args.z_to)
         clipped = 0
         rows = [(z, _exp_q(q, z)) for z in grid]
 

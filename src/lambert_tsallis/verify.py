@@ -327,9 +327,8 @@ def run_derivative_suite() -> list[CheckResult]:
 
 def run_eq5_suite() -> list[CheckResult]:
     """Polynomial identity satisfied by W_q(1)."""
-    return [CheckResult(f"eq5 q={q:g}", eq5_residual(q) <= 1e-10,
-                        eq5_residual(q), 1e-10)
-            for q in EQ5_Q_GRID]
+    residuals = [(q, eq5_residual(q)) for q in EQ5_Q_GRID]
+    return [CheckResult(f"eq5 q={q:g}", r <= 1e-10, r, 1e-10) for q, r in residuals]
 
 
 def run_branch_suite() -> list[CheckResult]:
@@ -343,10 +342,9 @@ def run_branch_suite() -> list[CheckResult]:
         out.append(CheckResult(f"upper-monotone q={q:g}", worst_mono < 0.0,
                                worst_mono, 0.0))
         worst_curv = -math.inf
-        for z in zs:
+        for z, w in zip(zs, ws):
             h = 0.05 * max(1.0, abs(z))
-            second = (wq(q, z + h, Branch.UPPER, tol=_TIGHT_TOL).w
-                      - 2.0 * wq(q, z, Branch.UPPER, tol=_TIGHT_TOL).w
+            second = (wq(q, z + h, Branch.UPPER, tol=_TIGHT_TOL).w - 2.0 * w
                       + wq(q, z - h, Branch.UPPER, tol=_TIGHT_TOL).w) / (h * h)
             worst_curv = max(worst_curv, second)
         out.append(CheckResult(f"upper-concavity q={q:g}", worst_curv <= 1e-8,

@@ -34,6 +34,12 @@ step.  A bracket closed on adjacent doubles returns its better end, or
 raises ConvergenceError when one end is the wall or the end of the double
 range: no double approximates the root there.
 
+dwq_dz evaluates dW/dz = 1/f'(W) = (W/z) b / (1 + (2-q) W) for every q, with
+b = exp_q(W)^(1-q) (W/(z (1+W)) at q = 1; Corless et al., Adv. Comput. Math.
+5 (1996), sec. 4).  b is the bracket 1 + (1-q) W except next to the wall,
+where that cancels and the defining relation exp_q(W) = z/W gives
+b = (W/z)^(q-1); there the formula reads (W/z)^q / (1 + (2-q) W).
+
 Inputs are checked once per public call.  wq checks that q and z are
 finite, computes branch_point(q) once, and hands the rest to
 _check_request (branch, tol, max_iter, lower-branch existence, domain, in
@@ -330,13 +336,8 @@ def _solve(q: float, z: float, branch: Branch, bp: BranchPoint | None,
 
 def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Derivative of the branch at z, via the closed form
-
-        dW/dz = -[(1-q) W + 1]^(q/(q-1)) / ((q-2) W - 1)
-
-    and e^(-W)/(1+W) at q = 1.  Diverges (vertical tangent) at the branch
-    point.
-    """
+    """Derivative of the branch at z, 1/f'(W) (see the module notes): 1 at
+    z = 0, divergent (vertical tangent) at the branch point."""
     q = _require_finite("q", q)
     z = _require_finite("z", z)
     bp = branch_point(q)
@@ -344,28 +345,28 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
         raise DerivativeSingularError(
             f"dW/dz diverges at the branch point z_b = {bp.z_b!r} for q = {q:g}")
     branch = _check_request(q, z, branch, bp, tol, max_iter)
+    if z == 0.0:
+        return 1.0
     w = _solve(q, z, branch, bp, tol, max_iter).w
-    if q == 1.0:
-        den = 1.0 + w
-        if den == 0.0:
-            raise DerivativeSingularError(f"dW/dz diverges at w = -1 (q = {q:g})")
-        try:
-            return math.exp(-w) / den
-        except OverflowError:
-            return math.copysign(math.inf, den)
-    den = (q - 2.0) * w - 1.0
+    den = 1.0 + (2.0 - q) * w
     if den == 0.0:
         raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")
-    u = (1.0 - q) * w
-    if u <= -1.0:
-        raise DomainError(
-            f"derivative undefined: 1 + (1-q) w = {1.0 + u!r} outside the positivity domain")
-    log_num = (q / (q - 1.0)) * math.log1p(u)
+    ratio = w / z  # positive: w and z share a sign on every branch
+    # exp_q(W)^(1-q).  The bracket is accurate to a few ulp down to 1/2; below,
+    # where it cancels, z/W stands in for exp_q(W).  Using z/W everywhere
+    # would multiply the solver's relative error in W by |q|
+    bracket = 1.0 + (1.0 - q) * w
     try:
-        num = math.exp(log_num)
-    except OverflowError:  # the quotient may still be finite: divide in log space
-        return -math.copysign(_safe_exp(log_num - math.log(abs(den))), den)
-    return -num / den
+        if bracket < 0.5:
+            bracket = ratio ** (q - 1.0)
+        d = ratio * (bracket / den)
+    except OverflowError:
+        d = math.inf
+    if all(sys.float_info.min <= x < math.inf for x in (ratio, bracket, abs(d))):
+        return d
+    # a factor leaves the normal range: divide in log space
+    log_power = q * (math.log(abs(w)) - math.log(abs(z)))
+    return math.copysign(_safe_exp(log_power - math.log(abs(den))), den)
 
 
 def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float | None:

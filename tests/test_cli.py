@@ -375,6 +375,23 @@ def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
 
 
 def test_table_expq_non_finite_grid_exits_two(capsys):
-    code, out, err = run_main(capsys, "table", "expq", "--q", "1", "--z-from=-1e308",
+    code, out, err = run_main(capsys, "table", "expq", "--q", "1", "--z-from=-inf",
                               "--z-to=1e308", "--steps", "5")
-    assert (code, out, err) == (2, "", "error: z must be a finite real, got nan\n")
+    assert (code, out, err) == (2, "", "error: z must be a finite real, got -inf\n")
+    code, out, err = run_main(capsys, "table", "expq", "--q", "1", "--z-from=0",
+                              "--z-to=inf", "--steps", "5")
+    assert (code, out, err) == (2, "", "error: z must be a finite real, got inf\n")
+
+
+@pytest.mark.parametrize("subject", ["expq", "wq"])
+def test_table_over_a_range_wider_than_the_largest_double(capsys, subject):
+    # z_to - z_from overflows; the grid still runs from end to end
+    code, out, err = run_main(capsys, "table", subject, "--q", "1", "--z-from=-1e308",
+                              "--z-to=1e308", "--steps", "5")
+    assert code == 0
+    zs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    if subject == "expq":
+        assert (zs, err) == ([-1e308, -5e307, 0.0, 5e307, 1e308], "")
+    else:  # the two negative points lie below z_b = -1/e
+        assert zs == [0.0, 5e307, 1e308]
+        assert err.startswith("warning: 2 of 5 grid points fall outside")

@@ -8,6 +8,7 @@ arithmetic for the rest.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -253,6 +254,7 @@ def test_derivative_pinned_values():
     assert abs(dwq_dz(1.0, 1.0) - DW_AT_ONE) <= 1e-12
     assert abs(dwq_dz(2.0, 1.0) - 0.25) <= 1e-12
     assert abs(dwq_dz(0.0, 2.0) - 1.0 / 3.0) <= 1e-12
+    assert all(dwq_dz(q, 0.0) == 1.0 for q in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0))
 
 
 def test_derivative_singular_at_branch_point():
@@ -282,9 +284,55 @@ def test_derivative_deep_on_classical_lower_branch_is_finite():
 
 
 def test_derivative_finite_where_its_numerator_overflows():
-    # W ~ -2e240: [1 + (1-q) W]^(q/(q-1)) ~ 8e360 overflows, the quotient
-    # 4e120 does not
+    # W ~ -2e240: (W/z)^q ~ 8e360 overflows, the quotient 4e120 does not
     assert dwq_dz(3.0, -1e120) == pytest.approx(4e120, rel=1e-12)
+
+
+def test_derivative_q2_matches_its_closed_form_to_a_few_ulp():
+    # W_2(z) = z/(1+z), so dW/dz = 1/(1+z)^2, here rounded once from the
+    # exact rational; the bracket form lost 23% at z = 9999999999999998
+    for z in [10.0 ** (k / 10) for k in range(-30, 161)] + [9999999999999998.0]:
+        exact = float(1 / (1 + Fraction(z)) ** 2)
+        assert abs(dwq_dz(2.0, z) - exact) <= 4 * math.ulp(exact), z
+
+
+def test_derivative_next_to_the_q_above_one_pole():
+    # W_1.5(z) -> 2 as z grows; 1 - W/2 cancels in the bracket form, which
+    # gave 6.84e-49 here.  The reference is the derivative of the closed form
+    # W = 2 + 2/z - 2 sqrt(2z+1)/z at 120 digits
+    ref = 5.000000000000000448e-49
+    assert abs(dwq_dz(1.5, 1.9999999999999997e32) - ref) <= 4 * math.ulp(ref)
+
+
+def test_derivative_next_to_the_q_below_one_wall():
+    # q = 0.5: f(w) = w (1 + w/2)^2, and W = -2 + e with e^2 (2 - e) = 4|z|,
+    # so dW/dz = 1/f'(W) = 2/(e (3e/2 - 2)) = -1/sqrt(2|z|) (1 + O(e)); the
+    # double W is the wall -2 itself, where the bracket form gave -4.5e15
+    z = -1.3600403358685677e-140
+    ref = -1.0 / math.sqrt(2.0 * abs(z))
+    assert abs(dwq_dz(0.5, z, Branch.LOWER) - ref) <= 4 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("q, z, bracket, rel", [
+    # 1 + (1-q) W ~ 1e-10: the bracket power lost 1e-5 here
+    (1.1167, 4.46e86, lambda q, z: (0, 1 / (q - 1)), 4e-15),
+    # (W/z)^q would carry |q| = 1e10 times the solver's relative error in W
+    # (some 30 ulp here) into the value; the bracket 1 + (1-q) W ~ 4e73 does not
+    (1e10, -2.167098732883686e63, lambda q, z: (2 * z, z / 2), 1e-12),
+], ids=["near-the-pole", "large-q"])
+def test_derivative_against_mpmath(q, z, bracket, rel):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        mq, mz = mpmath.mpf(q), mpmath.mpf(z)
+        lo, hi = bracket(mq, mz)
+        for _ in range(400):  # bisection on f(w) = w exp_q(w), increasing here
+            mid = (lo + hi) / 2
+            if mid * (1 + (1 - mq) * mid) ** (1 / (1 - mq)) < mz:
+                lo = mid
+            else:
+                hi = mid
+        ref = (lo / mz) ** mq / (1 + (2 - mq) * lo)
+        assert abs(dwq_dz(q, z) - ref) <= rel * abs(ref)
 
 
 def test_lower_branch_derivative_is_negative_classical():
