@@ -256,10 +256,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"--z-from must be less than --z-to, got {args.z_from} and {args.z_to}")
     n = args.steps - 1
     step = (args.z_to - args.z_from) / n
-    grid = [args.z_from + i * step for i in range(args.steps)]
-    if not all(map(math.isfinite, grid)):
-        # a range wider than the largest double, or an infinite end (whose
-        # points stay non-finite either way, and no table accepts them)
+    # z_from + i*step rises with i, so its last point bounds the grid.  It is
+    # not finite for a range wider than the largest double, an end next to it
+    # or an infinite end (whose points stay non-finite, and no table takes them)
+    if math.isfinite(args.z_from + n * step):
+        grid = [args.z_from + i * step for i in range(args.steps)]
+    else:
         grid = [args.z_from * (1.0 - i / n) + args.z_to * (i / n) for i in range(args.steps)]
     branch = Branch(args.branch)
     q = args.q

@@ -34,11 +34,10 @@ step.  A bracket closed on adjacent doubles returns its better end, or
 raises ConvergenceError when one end is the wall or the end of the double
 range: no double approximates the root there.
 
-dwq_dz evaluates dW/dz = 1/f'(W) = (W/z) b / (1 + (2-q) W) for every q, with
-b = exp_q(W)^(1-q) (W/(z (1+W)) at q = 1; Corless et al., Adv. Comput. Math.
-5 (1996), sec. 4).  b is the bracket 1 + (1-q) W except next to the wall,
-where that cancels and the defining relation exp_q(W) = z/W gives
-b = (W/z)^(q-1); there the formula reads (W/z)^q / (1 + (2-q) W).
+dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) for every q
+(Corless et al., Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W
+from the defining relation, as the bracket 1 + (1-q) W cancels next to the
+wall.  It divides in log space where a factor leaves the normal range.
 
 Inputs are checked once per public call.  wq checks that q and z are
 finite, computes branch_point(q) once, and hands the rest to
@@ -352,21 +351,20 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     if den == 0.0:
         raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")
     ratio = w / z  # positive: w and z share a sign on every branch
-    # exp_q(W)^(1-q).  The bracket is accurate to a few ulp down to 1/2; below,
-    # where it cancels, z/W stands in for exp_q(W).  Using z/W everywhere
-    # would multiply the solver's relative error in W by |q|
-    bracket = 1.0 + (1.0 - q) * w
     try:
-        if bracket < 0.5:
-            bracket = ratio ** (q - 1.0)
-        d = ratio * (bracket / den)
+        power = ratio ** q
     except OverflowError:
-        d = math.inf
-    if all(sys.float_info.min <= x < math.inf for x in (ratio, bracket, abs(d))):
+        power = math.inf
+    d = power / den
+    normal = sys.float_info.min <= ratio < math.inf
+    if normal and sys.float_info.min <= min(power, abs(d)) and abs(d) < math.inf:
         return d
-    # a factor leaves the normal range: divide in log space
-    log_power = q * (math.log(abs(w)) - math.log(abs(z)))
-    return math.copysign(_safe_exp(log_power - math.log(abs(den))), den)
+    # a factor leaves the normal range: divide in log space, where an
+    # infinite den is (2-q) W to within rounding
+    log_ratio = math.log(ratio) if normal else math.log(abs(w)) - math.log(abs(z))
+    log_den = (math.log(abs(den)) if math.isfinite(den)
+               else math.log(abs(2.0 - q)) + math.log(abs(w)))
+    return math.copysign(_safe_exp(q * log_ratio - log_den), den)
 
 
 def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float | None:

@@ -395,3 +395,12 @@ def test_table_over_a_range_wider_than_the_largest_double(capsys, subject):
     else:  # the two negative points lie below z_b = -1/e
         assert zs == [0.0, 5e307, 1e308]
         assert err.startswith("warning: 2 of 5 grid points fall outside")
+
+
+def test_table_ending_at_the_largest_double(capsys):
+    # step = DBL_MAX/3 is finite, but 3*step rounds up to inf
+    top = sys.float_info.max
+    code, out, err = run_main(capsys, "table", "expq", "--q", "2", "--z-from=0",
+                              f"--z-to={top!r}", "--steps", "4")
+    zs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert (code, err, zs[0], zs[-1]) == (0, "", 0.0, top)

@@ -313,18 +313,13 @@ def test_derivative_next_to_the_q_below_one_wall():
     assert abs(dwq_dz(0.5, z, Branch.LOWER) - ref) <= 4 * math.ulp(ref)
 
 
-@pytest.mark.parametrize("q, z, bracket, rel", [
+def test_derivative_near_the_pole_against_mpmath():
     # 1 + (1-q) W ~ 1e-10: the bracket power lost 1e-5 here
-    (1.1167, 4.46e86, lambda q, z: (0, 1 / (q - 1)), 4e-15),
-    # (W/z)^q would carry |q| = 1e10 times the solver's relative error in W
-    # (some 30 ulp here) into the value; the bracket 1 + (1-q) W ~ 4e73 does not
-    (1e10, -2.167098732883686e63, lambda q, z: (2 * z, z / 2), 1e-12),
-], ids=["near-the-pole", "large-q"])
-def test_derivative_against_mpmath(q, z, bracket, rel):
     mpmath = pytest.importorskip("mpmath")
+    q, z = 1.1167, 4.46e86
     with mpmath.workdps(60):
         mq, mz = mpmath.mpf(q), mpmath.mpf(z)
-        lo, hi = bracket(mq, mz)
+        lo, hi = mpmath.mpf(0), 1 / (mq - 1)
         for _ in range(400):  # bisection on f(w) = w exp_q(w), increasing here
             mid = (lo + hi) / 2
             if mid * (1 + (1 - mq) * mid) ** (1 / (1 - mq)) < mz:
@@ -332,7 +327,22 @@ def test_derivative_against_mpmath(q, z, bracket, rel):
             else:
                 hi = mid
         ref = (lo / mz) ** mq / (1 + (2 - mq) * lo)
-        assert abs(dwq_dz(q, z) - ref) <= rel * abs(ref)
+        assert abs(dwq_dz(q, z) - ref) <= 4e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("q, z, rel", [
+    # (W/z)^q ~ 2e310 and 1 + (2-q) W ~ 5e310 both overflow
+    (-1000.0, 1e308, 1e-13),
+    # the same at large q, where (W/z)^q carries q = 1e10 times the rounding
+    # of W/z = 1 + 7e-8 into the value, some 2e-6 here
+    (1e10, -1e300, 1e-5),
+])
+def test_derivative_where_power_and_denominator_both_overflow(q, z, rel):
+    # 1/f'(W) = (W/z)^(q-1) / ((2-q) z) (1 + O(1/W)), and
+    # (W/z)^(q-1) = (z/W)^(1-q) = 1 + (1-q) W
+    w = wq(q, z).w
+    ref = (w / z) * (1.0 - q) / (2.0 - q)
+    assert abs(dwq_dz(q, z) - ref) <= rel * abs(ref)
 
 
 def test_lower_branch_derivative_is_negative_classical():
