@@ -33,8 +33,8 @@ from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
                      run_eq5_suite, run_residual_suite, run_scan_suite)
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _check_request, _solve,
-                 branch_domain, branch_point, dwq_dz, wq)
+from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _bracket, _check_request,
+                 _newton, _solve, branch_domain, branch_point, dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
 
@@ -248,23 +248,31 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     """Checks the table once, in the order a per-row call of the public
-    functions would, then evaluates each row with the unchecked kernels."""
+    functions would, then evaluates each row with the unchecked kernels.
+
+    A wq row starts its Newton loop from the analytic start of its bracket
+    or from the cubic through the last four roots, whichever landed nearer
+    the root on the previous row; the cubic only from strictly inside the
+    bracket.  Each row meets wq's stopping rule, but may differ from a
+    per-point wq in the last bits."""
     if args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     if not (args.z_from < args.z_to):
         raise ConfigurationError(
             f"--z-from must be less than --z-to, got {args.z_from} and {args.z_to}")
+    q = _require_finite("q", args.q)
+    # every grid point is finite once both ends are
+    _require_finite("z", args.z_from)
+    _require_finite("z", args.z_to)
     n = args.steps - 1
     step = (args.z_to - args.z_from) / n
     # z_from + i*step rises with i, so its last point bounds the grid.  It is
-    # not finite for a range wider than the largest double, an end next to it
-    # or an infinite end (whose points stay non-finite, and no table takes them)
+    # not finite for a range wider than the largest double or an end next to it
     if math.isfinite(args.z_from + n * step):
         grid = [args.z_from + i * step for i in range(args.steps)]
     else:
         grid = [args.z_from * (1.0 - i / n) + args.z_to * (i / n) for i in range(args.steps)]
     branch = Branch(args.branch)
-    q = args.q
 
     if args.subject == "wq":
         dom = branch_domain(q, branch)
@@ -282,13 +290,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # meets each check that wq would make on any of them
         bp = branch_point(q)
         _check_request(q, kept[0], branch, bp, args.tol, args.max_iter)
-        solved = [_solve(q, z, branch, bp, args.tol, args.max_iter) for z in kept]
-        rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
+        z_b = math.nan if bp is None else bp.z_b
+        rows = []
+        w1 = w2 = w3 = w4 = math.nan  # the last four roots, newest first
+        cubic_nearer = False
+        for z in kept:
+            if z == 0.0 or z == z_b:  # roots _solve returns without a bracket
+                r = _solve(q, z, branch, bp, args.tol, args.max_iter)
+            else:
+                lo, hi, start = _bracket(q, z, branch, bp)
+                cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
+                inside = lo < cubic < hi
+                r = _newton(q, z, branch, lo, hi, cubic if inside and cubic_nearer else start,
+                            args.tol, args.max_iter)
+                cubic_nearer = inside and abs(cubic - r.w) < abs(start - r.w)
+            w1, w2, w3, w4 = r.w, w1, w2, w3
+            rows.append((z, r.w, r.residual))
     else:
-        q = _require_finite("q", q)
-        # every grid point is finite once both ends are
-        _require_finite("z", args.z_from)
-        _require_finite("z", args.z_to)
         clipped = 0
         rows = [(z, _exp_q(q, z)) for z in grid]
 

@@ -42,9 +42,11 @@ wall.  It divides in log space where a factor leaves the normal range.
 Inputs are checked once per public call.  wq checks that q and z are
 finite, computes branch_point(q) once, and hands the rest to
 _check_request (branch, tol, max_iter, lower-branch existence, domain, in
-that order); _solve then runs the loop on the checked request and checks
-nothing.  dwq_dz reuses the same branch point, and a caller that checks a whole grid
-of requests once (the CLI's table) calls _solve per point.
+that order); _solve then brackets the checked request and runs the loop,
+_newton, checking nothing.  dwq_dz reuses the same branch point.  A caller
+that checks a whole grid of requests once (the CLI's table) brackets each
+point with _bracket and may hand _newton a start of its own from inside
+that bracket.
 """
 
 from __future__ import annotations
@@ -289,6 +291,12 @@ def _solve(q: float, z: float, branch: Branch, bp: BranchPoint | None,
         return SolveResult(bp.w_b, branch, 0.0, 0)
 
     lo, hi, w = _bracket(q, z, branch, bp)
+    return _newton(q, z, branch, lo, hi, w, tol, max_iter)
+
+
+def _newton(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
+            tol: float, max_iter: int) -> SolveResult:
+    """_solve's loop from the start w in the bracket [lo, hi] of the root."""
     rising = branch is Branch.LOWER or z > 0.0  # h increases through the root
     best_w, best_h = w, math.inf
     back1 = back2 = math.inf  # |h| one and two evaluations ago

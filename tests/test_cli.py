@@ -2,6 +2,7 @@
 stability."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from lambert_tsallis.cli import main, render_json
 from lambert_tsallis.errors import ConvergenceError
 from lambert_tsallis.qexp import exp_q
 from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain,
-                                wq)
+                                branch_point, dwq_dz, wq)
 
 CLI = [sys.executable, "-m", "lambert_tsallis"]
 
@@ -276,10 +277,12 @@ def test_negative_infinity_value_after_a_space(capsys):
 
 # ------------------------------------- table rendering, pinned to the old one
 
-def _table_reference(subject, q, z_from, z_to, steps, branch="upper", fmt="csv"):
+def _table_reference(subject, q, z_from, z_to, steps, branch="upper", fmt="csv",
+                     solved=None):
     """(stdout, stderr) of `table` built the way the CLI first built them:
     the public wq or exp_q per row, a dict document through render_json,
-    and csv.writer."""
+    and csv.writer.  solved, given, replaces the per-row wq results by
+    (value, residual) pairs."""
     step = (z_to - z_from) / (steps - 1)
     grid = [z_from + i * step for i in range(steps)]
     err = ""
@@ -290,8 +293,9 @@ def _table_reference(subject, q, z_from, z_to, steps, branch="upper", fmt="csv")
         if clipped:
             err = (f"warning: {clipped} of {steps} grid points fall outside the "
                    f"{branch} branch domain {dom} and were dropped\n")
-        solved = [wq(q, z, Branch(branch)) for z in kept]
-        rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
+        if solved is None:
+            solved = [(r.w, r.residual) for r in (wq(q, z, Branch(branch)) for z in kept)]
+        rows = [(z, *s) for z, s in zip(kept, solved)]
         header = ["z", "value", "residual"]
     else:
         clipped = 0
@@ -331,7 +335,44 @@ def test_table_matches_the_dict_and_csv_writer_rendering(
                               "--steps", str(steps), "--branch", branch,
                               "--format", fmt)
     assert code == 0
-    assert (out, err) == _table_reference(subject, q, z_from, z_to, steps, branch, fmt)
+    if subject == "expq":
+        assert (out, err) == _table_reference(subject, q, z_from, z_to, steps, branch, fmt)
+        return
+    # a wq row may differ from a per-point wq in the last bits: render the
+    # table's own values again, and check them against wq separately
+    rows = _parse_table(out, fmt)
+    solved = [(v, r) for _, v, r in rows]
+    assert (out, err) == _table_reference(subject, q, z_from, z_to, steps, branch, fmt,
+                                          solved)
+    for z, v, _ in rows:
+        _assert_near_wq(q, z, branch, v)
+
+
+def _parse_table(out, fmt):
+    """(z, value, residual) rows of a wq table's stdout."""
+    if fmt == "json":
+        return [(r["z"], r["value"], r["residual"]) for r in json.loads(out)["rows"]]
+    return [tuple(map(float, row)) for row in list(csv.reader(io.StringIO(out)))[1:]]
+
+
+def _assert_near_wq(q, z, branch, v):
+    """v is within 4 max(1, kappa) max(1, |log(w/z)|) ulp of the per-point
+    wq = w, with kappa the root's condition number |z W'(z) / W|.  The log
+    residual cancels two logarithms of size |log(w/z)|, so its rounding
+    moves a root by about that many times kappa ulp: both v and w stop
+    somewhere in that band (on the lower branch at q = sqrt(2), z =
+    -0.3951521733234387, wq is 1 ulp from the true root and a table row 10
+    ulp, with kappa = 2.2).  Returns the per-point result."""
+    point = wq(q, z, Branch(branch))
+    w = point.w
+    bp = branch_point(q)
+    if w == 0.0 or (bp is not None and z == bp.z_b):
+        assert v == w  # the roots wq returns without solving
+        return point
+    kappa = abs(z * dwq_dz(q, z, Branch(branch)) / w)
+    noise = max(1.0, abs(math.log(w / z)))
+    assert abs(v - w) <= 4.0 * max(1.0, kappa) * noise * math.ulp(w), (q, z, v, w)
+    return point
 
 
 def test_table_reference_cases_cover_inf_zero_and_clipping(capsys):
@@ -383,6 +424,20 @@ def test_table_expq_non_finite_grid_exits_two(capsys):
     assert (code, out, err) == (2, "", "error: z must be a finite real, got inf\n")
 
 
+@pytest.mark.parametrize("ends, given", [(["--z-from=-inf", "--z-to=1"], "-inf"),
+                                         (["--z-from=0", "--z-to=inf"], "inf")])
+def test_table_wq_infinite_end_exits_two(capsys, ends, given):
+    code, out, err = run_main(capsys, "table", "wq", "--q", "1", *ends, "--steps", "5")
+    assert (code, out, err) == (2, "", f"error: z must be a finite real, got {given}\n")
+
+
+@pytest.mark.parametrize("subject", ["expq", "wq"])
+def test_table_checks_q_before_an_infinite_end(capsys, subject):
+    code, out, err = run_main(capsys, "table", subject, "--q", "nan", "--z-from=0",
+                              "--z-to=inf", "--steps", "5")
+    assert (code, out, err) == (2, "", "error: q must be a finite real, got nan\n")
+
+
 @pytest.mark.parametrize("subject", ["expq", "wq"])
 def test_table_over_a_range_wider_than_the_largest_double(capsys, subject):
     # z_to - z_from overflows; the grid still runs from end to end
@@ -404,3 +459,76 @@ def test_table_ending_at_the_largest_double(capsys):
                               f"--z-to={top!r}", "--steps", "4")
     zs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert (code, err, zs[0], zs[-1]) == (0, "", 0.0, top)
+
+
+# ------------------------------------------------ wq tables by continuation
+
+def _wq_table(capsys, q, z_from, z_to, branch):
+    """(z, value, residual) rows of a 1000-step csv table."""
+    code, out, err = run_main(capsys, "table", "wq", "--q", repr(q), f"--z-from={z_from!r}",
+                              f"--z-to={z_to!r}", "--steps", "1000", "--branch", branch)
+    assert code == 0, err
+    return _parse_table(out, "csv")
+
+
+def _continuation_tables():
+    for q in [0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 3.0]:
+        bp = branch_point(q)
+        if bp is None:
+            yield q, -0.999 if q == 2.0 else -20.0, 25.0, "upper"
+        else:  # both branches from z_b itself
+            yield q, bp.z_b, 25.0, "upper"
+            yield q, bp.z_b, bp.z_b * 1e-6, "lower"
+
+
+@pytest.mark.parametrize("q, z_from, z_to, branch", list(_continuation_tables()))
+def test_table_rows_by_continuation_are_accurate(capsys, q, z_from, z_to, branch):
+    rows = _wq_table(capsys, q, z_from, z_to, branch)
+    assert len(rows) == 1000 and rows[0][0] == z_from
+    for z, v, residual in rows:
+        point = _assert_near_wq(q, z, branch, v)
+        # a step under 4 ulp also stops the loop, where conditioning puts
+        # tol out of reach: at q = 0 next to the wall, wq's residual is 1.3e-10
+        assert residual <= max(DEFAULT_TOL, point.residual), (q, z, residual)
+
+
+def _evaluations(monkeypatch, capsys, q, z_from, z_to, branch):
+    """Residual evaluations of a 1000-step table and of a per-point wq on
+    each of its rows."""
+    solver = importlib.import_module("lambert_tsallis.wq")
+    count = [0]
+    log_residual = solver._log_residual
+
+    def counted(*args):
+        count[0] += 1
+        return log_residual(*args)
+
+    monkeypatch.setattr(solver, "_log_residual", counted)
+    rows = _wq_table(capsys, q, z_from, z_to, branch)
+    table, count[0] = count[0], 0
+    for z, _, _ in rows:
+        wq(q, z, Branch(branch))
+    return table, count[0]
+
+
+@pytest.mark.parametrize("q, z_from, z_to, branch", [
+    (1.0, -0.3, 25.0, "upper"),
+    (0.5, -0.5, -1e-3, "lower"),
+    (3.0, -20.0, 25.0, "upper"),
+])
+def test_table_continuation_saves_evaluations_on_smooth_tables(
+        monkeypatch, capsys, q, z_from, z_to, branch):
+    table, per_point = _evaluations(monkeypatch, capsys, q, z_from, z_to, branch)
+    assert table <= 0.6 * per_point, (table, per_point)
+
+
+@pytest.mark.parametrize("q, z_from, z_to", [
+    (2.0, -0.999, 1.0),
+    (2.5, -1e6, 1e6),
+    (2.8335, -1e6, 1e6),
+])
+def test_table_continuation_keeps_a_near_exact_start(monkeypatch, capsys, q, z_from, z_to):
+    # the analytic start is within an evaluation or so of the root here, so
+    # extrapolating every row would cost more than it saves
+    table, per_point = _evaluations(monkeypatch, capsys, q, z_from, z_to, "upper")
+    assert table <= 1.1 * per_point, (table, per_point)
