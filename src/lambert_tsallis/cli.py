@@ -33,8 +33,8 @@ from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
                      run_eq5_suite, run_residual_suite, run_scan_suite)
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _bracket, _check_request,
-                 _newton, _solve, branch_domain, branch_point, dwq_dz, wq)
+from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _branch_point, _check_request,
+                 _domain, _solve, branch_point, dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
 
@@ -248,13 +248,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     """Checks the table once, in the order a per-row call of the public
-    functions would, then evaluates each row with the unchecked kernels.
-
-    A wq row starts its Newton loop from the analytic start of its bracket
-    or from the cubic through the last four roots, whichever landed nearer
-    the root on the previous row; the cubic only from strictly inside the
-    bracket.  Each row meets wq's stopping rule, but may differ from a
-    per-point wq in the last bits."""
+    functions would, then evaluates the rows with the unchecked kernels:
+    _exp_q per row, or one wq._solve over the kept grid, which may start a
+    row from the roots before it.  Each wq row meets wq's stopping rule,
+    but from the sixth row on may differ from a per-point wq in the last
+    bits."""
     if args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     if not (args.z_from < args.z_to):
@@ -275,7 +273,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     branch = Branch(args.branch)
 
     if args.subject == "wq":
-        dom = branch_domain(q, branch)
+        bp = _branch_point(q)
+        dom = _domain(q, branch, bp)
         kept = [z for z in grid if dom.contains(z)]
         clipped = len(grid) - len(kept)
         if clipped:
@@ -288,24 +287,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return 1
         # every kept z is finite and inside the domain, so the first one
         # meets each check that wq would make on any of them
-        bp = branch_point(q)
         _check_request(q, kept[0], branch, bp, args.tol, args.max_iter)
-        z_b = math.nan if bp is None else bp.z_b
-        rows = []
-        w1 = w2 = w3 = w4 = math.nan  # the last four roots, newest first
-        cubic_nearer = False
-        for z in kept:
-            if z == 0.0 or z == z_b:  # roots _solve returns without a bracket
-                r = _solve(q, z, branch, bp, args.tol, args.max_iter)
-            else:
-                lo, hi, start = _bracket(q, z, branch, bp)
-                cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
-                inside = lo < cubic < hi
-                r = _newton(q, z, branch, lo, hi, cubic if inside and cubic_nearer else start,
-                            args.tol, args.max_iter)
-                cubic_nearer = inside and abs(cubic - r.w) < abs(start - r.w)
-            w1, w2, w3, w4 = r.w, w1, w2, w3
-            rows.append((z, r.w, r.residual))
+        solved = _solve(q, kept, branch, bp, args.tol, args.max_iter)
+        rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
     else:
         clipped = 0
         rows = [(z, _exp_q(q, z)) for z in grid]
@@ -343,8 +327,11 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    scan = {"degree_max": args.degree_max, "coeff_max": args.coeff_max, "eps": args.eps}
     if args.suite == "scan":
-        checks = run_scan_suite(args.degree_max, args.coeff_max, args.eps)
+        checks = run_scan_suite(**scan)
+    elif args.suite == "all":
+        checks = _SUITES["all"](**scan)
     else:
         checks = _SUITES[args.suite]()
     ok = all(c.passed for c in checks)

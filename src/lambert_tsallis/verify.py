@@ -255,74 +255,49 @@ def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(itertools.dropwhile(lambda c: c == 0, key))
 
 
-def _upper_residual_grid(q: float, n: int = 50) -> list[float]:
-    bp = branch_point(q)
-    if bp is not None:
-        lo, hi = bp.z_b, bp.z_b + 25.0
-    elif q == 2.0:
-        lo, hi = -0.95, 24.0
-    else:
-        lo, hi = -20.0, 25.0
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-
-
-def _lower_residual_grid(q: float, n: int = 50) -> list[float] | None:
+def _grids(q: float, interior: bool) -> list[tuple[Branch, list[float]]]:
+    """(branch, z grid) pairs for q, upper branch first: the residual
+    grids, which start at z_b, or the interior grids of the derivative and
+    branch suites, which keep z +- h inside the domain."""
     bp = branch_point(q)
     if bp is None:
-        return None
-    lo, hi = bp.z_b, bp.z_b * 1e-3  # both negative; approaches 0- from z_b
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+        if q == 2.0:
+            lo, hi = (-0.8, 10.0) if interior else (-0.95, 24.0)
+        else:
+            lo, hi = (-8.0, 10.0) if interior else (-20.0, 25.0)
+        ends = [(Branch.UPPER, lo, hi, 25 if interior else 50)]
+    elif interior:
+        ends = [(Branch.UPPER, bp.z_b + 0.1, bp.z_b + 10.0, 25),
+                (Branch.LOWER, bp.z_b + 0.1 * abs(bp.z_b), -0.05 * abs(bp.z_b), 15)]
+    else:  # the lower grid approaches 0- from z_b
+        ends = [(Branch.UPPER, bp.z_b, bp.z_b + 25.0, 50),
+                (Branch.LOWER, bp.z_b, bp.z_b * 1e-3, 50)]
+    return [(branch, [lo + i * (hi - lo) / (n - 1) for i in range(n)])
+            for branch, lo, hi, n in ends]
 
 
-def _upper_interior_grid(q: float, n: int = 25) -> list[float]:
-    bp = branch_point(q)
-    if bp is not None:
-        lo, hi = bp.z_b + 0.1, bp.z_b + 10.0
-    elif q == 2.0:
-        lo, hi = -0.8, 10.0
-    else:
-        lo, hi = -8.0, 10.0
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-
-
-def _lower_interior_grid(q: float, n: int = 15) -> list[float] | None:
-    bp = branch_point(q)
-    if bp is None:
-        return None
-    lo = bp.z_b + 0.1 * abs(bp.z_b)
-    hi = -0.05 * abs(bp.z_b)
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+def _worst_over_grids(name: str, interior: bool, measure, threshold: float) -> list[CheckResult]:
+    """One check per q and branch: the largest measure(q, z, branch) over
+    the grid against threshold."""
+    out = []
+    for q in RESIDUAL_Q_GRID:
+        for branch, zs in _grids(q, interior):
+            worst = max(measure(q, z, branch) for z in zs)
+            out.append(CheckResult(f"{name} q={q:g} {branch.value}",
+                                   worst <= threshold, worst, threshold))
+    return out
 
 
 def run_residual_suite() -> list[CheckResult]:
     """Scaled defining-equation residual over the documented z grids."""
-    out = []
-    for q in RESIDUAL_Q_GRID:
-        grids = [(Branch.UPPER, _upper_residual_grid(q)),
-                 (Branch.LOWER, _lower_residual_grid(q))]
-        for branch, zs in grids:
-            if zs is None:
-                continue
-            worst = max(residual_defining_eq(q, z, branch) / max(1.0, abs(z))
-                        for z in zs)
-            out.append(CheckResult(f"residual q={q:g} {branch.value}",
-                                   worst <= 1e-10, worst, 1e-10))
-    return out
+    return _worst_over_grids(
+        "residual", False,
+        lambda q, z, branch: residual_defining_eq(q, z, branch) / max(1.0, abs(z)), 1e-10)
 
 
 def run_derivative_suite() -> list[CheckResult]:
     """Closed-form derivative vs central difference at interior points."""
-    out = []
-    for q in RESIDUAL_Q_GRID:
-        grids = [(Branch.UPPER, _upper_interior_grid(q)),
-                 (Branch.LOWER, _lower_interior_grid(q))]
-        for branch, zs in grids:
-            if zs is None:
-                continue
-            worst = max(check_derivative_fd(q, z, branch) for z in zs)
-            out.append(CheckResult(f"derivative q={q:g} {branch.value}",
-                                   worst <= 1e-6, worst, 1e-6))
-    return out
+    return _worst_over_grids("derivative", True, check_derivative_fd, 1e-6)
 
 
 def run_eq5_suite() -> list[CheckResult]:
@@ -336,25 +311,24 @@ def run_branch_suite() -> list[CheckResult]:
     lower branch, branch-point reports, and the q = 2 lower-branch refusal."""
     out = []
     for q in RESIDUAL_Q_GRID:
-        zs = _upper_interior_grid(q)
-        ws = [wq(q, z, Branch.UPPER, tol=_TIGHT_TOL).w for z in zs]
-        worst_mono = max(ws[i] - ws[i + 1] for i in range(len(ws) - 1))
-        out.append(CheckResult(f"upper-monotone q={q:g}", worst_mono < 0.0,
-                               worst_mono, 0.0))
-        worst_curv = -math.inf
-        for z, w in zip(zs, ws):
-            h = 0.05 * max(1.0, abs(z))
-            second = (wq(q, z + h, Branch.UPPER, tol=_TIGHT_TOL).w - 2.0 * w
-                      + wq(q, z - h, Branch.UPPER, tol=_TIGHT_TOL).w) / (h * h)
-            worst_curv = max(worst_curv, second)
-        out.append(CheckResult(f"upper-concavity q={q:g}", worst_curv <= 1e-8,
-                               worst_curv, 1e-8))
-        zs_low = _lower_interior_grid(q)
-        if zs_low is not None:
-            ws_low = [wq(q, z, Branch.LOWER, tol=_TIGHT_TOL).w for z in zs_low]
-            worst_dec = max(ws_low[i + 1] - ws_low[i] for i in range(len(ws_low) - 1))
-            out.append(CheckResult(f"lower-decreasing q={q:g}", worst_dec < 0.0,
-                                   worst_dec, 0.0))
+        for branch, zs in _grids(q, interior=True):
+            ws = [wq(q, z, branch, tol=_TIGHT_TOL).w for z in zs]
+            if branch is Branch.LOWER:
+                worst_dec = max(ws[i + 1] - ws[i] for i in range(len(ws) - 1))
+                out.append(CheckResult(f"lower-decreasing q={q:g}", worst_dec < 0.0,
+                                       worst_dec, 0.0))
+                continue
+            worst_mono = max(ws[i] - ws[i + 1] for i in range(len(ws) - 1))
+            out.append(CheckResult(f"upper-monotone q={q:g}", worst_mono < 0.0,
+                                   worst_mono, 0.0))
+            worst_curv = -math.inf
+            for z, w in zip(zs, ws):
+                h = 0.05 * max(1.0, abs(z))
+                second = (wq(q, z + h, Branch.UPPER, tol=_TIGHT_TOL).w - 2.0 * w
+                          + wq(q, z - h, Branch.UPPER, tol=_TIGHT_TOL).w) / (h * h)
+                worst_curv = max(worst_curv, second)
+            out.append(CheckResult(f"upper-concavity q={q:g}", worst_curv <= 1e-8,
+                                   worst_curv, 1e-8))
     for q in BRANCH_POINT_Q_GRID:
         report = branch_point_check(q)
         out.append(CheckResult(f"branch-point q={q:g}", report.passed,
@@ -390,6 +364,8 @@ def run_scan_suite(degree_max: int = 3, coeff_max: int = 30,
     return out
 
 
-def run_all() -> list[CheckResult]:
+def run_all(degree_max: int = 3, coeff_max: int = 30,
+            eps: float = 1e-8) -> list[CheckResult]:
+    """Every suite; the scan's no-hit bounds as in run_scan_suite."""
     return (run_residual_suite() + run_derivative_suite() + run_eq5_suite()
-            + run_branch_suite() + run_scan_suite())
+            + run_branch_suite() + run_scan_suite(degree_max, coeff_max, eps))

@@ -40,13 +40,13 @@ from the defining relation, as the bracket 1 + (1-q) W cancels next to the
 wall.  It divides in log space where a factor leaves the normal range.
 
 Inputs are checked once per public call.  wq checks that q and z are
-finite, computes branch_point(q) once, and hands the rest to
-_check_request (branch, tol, max_iter, lower-branch existence, domain, in
-that order); _solve then brackets the checked request and runs the loop,
-_newton, checking nothing.  dwq_dz reuses the same branch point.  A caller
-that checks a whole grid of requests once (the CLI's table) brackets each
-point with _bracket and may hand _newton a start of its own from inside
-that bracket.
+finite, computes the branch point once with the unchecked _branch_point,
+and hands the rest to _check_request (branch, tol, max_iter, lower-branch
+existence, domain, in that order); dwq_dz reuses the same branch point.
+_solve, which checks nothing, is the only solver: it solves checked points
+on one branch in order, one point for wq and dwq_dz and the kept grid for
+the CLI's table, and from the sixth point on may start one from the cubic
+through the last four roots instead of the analytic start.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,7 +106,11 @@ def branch_point(q: float) -> BranchPoint | None:
     At q = 2 no finite branch point exists, and for q > 2 the stationary
     point of the formula falls outside the positivity domain of exp_q.
     """
-    q = _require_finite("q", q)
+    return _branch_point(_require_finite("q", q))
+
+
+def _branch_point(q: float) -> BranchPoint | None:
+    """branch_point for a q known to be finite."""
     if q >= 2.0:
         return None
     w_b = 1.0 / (q - 2.0)
@@ -115,7 +120,7 @@ def branch_point(q: float) -> BranchPoint | None:
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     """Set of z for which the branch has a real value."""
     q = _require_finite("q", q)
-    return _domain(q, Branch(branch), branch_point(q))
+    return _domain(q, Branch(branch), _branch_point(q))
 
 
 def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> Interval:
@@ -255,9 +260,11 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     """
     q = _require_finite("q", q)
     z = _require_finite("z", z)
-    bp = branch_point(q)
+    bp = _branch_point(q)
     branch = _check_request(q, z, branch, bp, tol, max_iter)
-    return _solve(q, z, branch, bp, tol, max_iter)
+    # unpacking runs the generator to its end, so it need not be closed
+    (result,) = _solve(q, (z,), branch, bp, tol, max_iter)
+    return result
 
 
 def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | None,
@@ -280,65 +287,86 @@ def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | N
     return branch
 
 
-def _solve(q: float, z: float, branch: Branch, bp: BranchPoint | None,
-           tol: float, max_iter: int) -> SolveResult:
-    """The solver behind wq, unchecked: the request has passed
-    _check_request and bp is branch_point(q)."""
-    if branch is Branch.UPPER and z == 0.0:
-        return SolveResult(0.0, branch, 0.0, 0)
-    if bp is not None and z == bp.z_b:
-        # both branches meet here, where h has a double root
-        return SolveResult(bp.w_b, branch, 0.0, 0)
+def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None,
+           tol: float, max_iter: int) -> Iterator[SolveResult]:
+    """The solver behind wq, unchecked: every z in zs has passed
+    _check_request on this branch and bp is _branch_point(q).  Solves the
+    points in order and yields one result per point.  It is a generator so
+    that a table, which keeps two floats of each result, frees each result
+    at once: 10^4 live results would pass into the garbage collector's
+    older generations and be traversed there again and again.
 
-    lo, hi, w = _bracket(q, z, branch, bp)
-    return _newton(q, z, branch, lo, hi, w, tol, max_iter)
-
-
-def _newton(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
-            tol: float, max_iter: int) -> SolveResult:
-    """_solve's loop from the start w in the bracket [lo, hi] of the root."""
-    rising = branch is Branch.LOWER or z > 0.0  # h increases through the root
-    best_w, best_h = w, math.inf
-    back1 = back2 = math.inf  # |h| one and two evaluations ago
-    iters = 0
-    while iters < max_iter:
-        h, slope = _log_residual(q, z, w)
-        iters += 1
-        ah = abs(h)
-        if ah < best_h:
-            best_w, best_h = w, ah
-        if (h < 0.0) == rising:
-            lo = w
+    A point starts its Newton loop from the analytic start of its bracket
+    or from the cubic through the last four roots, 4 w1 - 6 w2 + 4 w3 - w4,
+    whichever landed nearer the root on the previous point; the cubic only
+    from strictly inside the bracket.  The cubic needs four roots and one
+    point to compare on, so the first five points of a run take the
+    analytic start, as wq's one-point run always does."""
+    lower = branch is Branch.LOWER  # looked up once per run, not per point
+    z_b = math.nan if bp is None else bp.z_b
+    w1 = w2 = w3 = w4 = math.nan  # the last four roots, newest first
+    cubic_nearer = False
+    for z in zs:
+        if z == 0.0:  # the lower branch's domain excludes 0
+            result = SolveResult(0.0, branch, 0.0, 0)
+        elif z == z_b:
+            # both branches meet here, where h has a double root
+            result = SolveResult(bp.w_b, branch, 0.0, 0)
         else:
-            hi = w
-        newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
-        inside = lo < newton < hi
-        if (ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w)) and (inside or newton == w):
-            return SolveResult(newton, branch, ah, iters)
-        halved = ah <= 0.5 * back2
-        back1, back2 = ah, back1
-        if inside and halved:
-            w = newton
-            continue
-        a, b = _ordinal(lo), _ordinal(hi)
-        if b - a > 1:
-            w = _from_ordinal((a + b) // 2)
-            continue
-        # closed on adjacent doubles; an analytic end, never evaluated, may be the root
-        h_lo, h_hi = (abs(_log_residual(q, z, e)[0]) for e in (lo, hi))
-        if math.isinf(h_lo + h_hi) or max(-lo, hi) == sys.float_info.max:
-            raise ConvergenceError(
-                f"no double approximates the root for q = {q:g}, z = {z!r} "
-                f"({branch.value} branch): it lies next to the wall or beyond the "
-                f"double range; best w = {best_w!r}",
-                best_w=best_w, residual=best_h, iterations=iters)
-        return SolveResult(lo if h_lo <= h_hi else hi, branch, min(h_lo, h_hi), iters)
-
-    raise ConvergenceError(
-        f"no convergence to tol {tol:g} within {max_iter} iterations for "
-        f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
-        f"relative residual = {best_h:.3e}",
-        best_w=best_w, residual=best_h, iterations=iters)
+            lo, hi, start = _bracket(q, z, branch, bp)
+            inside = False
+            if w4 == w4:  # four roots so far (w4 is nan before); saves a one-point run the cubic
+                cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
+                inside = lo < cubic < hi
+            w = cubic if inside and cubic_nearer else start
+            rising = lower or z > 0.0  # h increases through the root
+            best_w, best_h = w, math.inf
+            back1 = back2 = math.inf  # |h| one and two evaluations ago
+            iters = 0
+            while iters < max_iter:
+                h, slope = _log_residual(q, z, w)
+                iters += 1
+                ah = abs(h)
+                if ah < best_h:
+                    best_w, best_h = w, ah
+                if (h < 0.0) == rising:
+                    lo = w
+                else:
+                    hi = w
+                newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
+                step_inside = lo < newton < hi
+                if ((ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w))
+                        and (step_inside or newton == w)):
+                    result = SolveResult(newton, branch, ah, iters)
+                    break
+                halved = ah <= 0.5 * back2
+                back1, back2 = ah, back1
+                if step_inside and halved:
+                    w = newton
+                    continue
+                a, b = _ordinal(lo), _ordinal(hi)
+                if b - a > 1:
+                    w = _from_ordinal((a + b) // 2)
+                    continue
+                # closed on adjacent doubles; an analytic end, never evaluated, may be the root
+                h_lo, h_hi = (abs(_log_residual(q, z, e)[0]) for e in (lo, hi))
+                if math.isinf(h_lo + h_hi) or max(-lo, hi) == sys.float_info.max:
+                    raise ConvergenceError(
+                        f"no double approximates the root for q = {q:g}, z = {z!r} "
+                        f"({branch.value} branch): it lies next to the wall or beyond the "
+                        f"double range; best w = {best_w!r}",
+                        best_w=best_w, residual=best_h, iterations=iters)
+                result = SolveResult(lo if h_lo <= h_hi else hi, branch, min(h_lo, h_hi), iters)
+                break
+            else:
+                raise ConvergenceError(
+                    f"no convergence to tol {tol:g} within {max_iter} iterations for "
+                    f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
+                    f"relative residual = {best_h:.3e}",
+                    best_w=best_w, residual=best_h, iterations=iters)
+            cubic_nearer = inside and abs(cubic - result.w) < abs(start - result.w)
+        w1, w2, w3, w4 = result.w, w1, w2, w3
+        yield result
 
 
 def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
@@ -347,14 +375,15 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     z = 0, divergent (vertical tangent) at the branch point."""
     q = _require_finite("q", q)
     z = _require_finite("z", z)
-    bp = branch_point(q)
+    bp = _branch_point(q)
     if bp is not None and z == bp.z_b:
         raise DerivativeSingularError(
             f"dW/dz diverges at the branch point z_b = {bp.z_b!r} for q = {q:g}")
     branch = _check_request(q, z, branch, bp, tol, max_iter)
     if z == 0.0:
         return 1.0
-    w = _solve(q, z, branch, bp, tol, max_iter).w
+    (result,) = _solve(q, (z,), branch, bp, tol, max_iter)
+    w = result.w
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
         raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")

@@ -231,6 +231,15 @@ def test_verify_plain_has_line_per_check():
     assert p.returncode == 0
 
 
+def test_verify_all_applies_the_scan_flags(capsys):
+    # the default suite is all; its scan takes the flags as --suite scan does
+    code, out, _ = run_main(capsys, "verify", "--degree-max", "1", "--coeff-max", "2",
+                            "--eps", "1e-3")
+    assert code == 0
+    assert ("PASS  scan W(1) no hit deg<=1 coeff<=2: measured 1.343e-01 "
+            "(threshold 1.000e-03)") in out.splitlines()
+
+
 # ------------------------------------------------- in-process entry point
 
 def test_main_callable_in_process(capsys):
@@ -485,11 +494,24 @@ def _continuation_tables():
 def test_table_rows_by_continuation_are_accurate(capsys, q, z_from, z_to, branch):
     rows = _wq_table(capsys, q, z_from, z_to, branch)
     assert len(rows) == 1000 and rows[0][0] == z_from
-    for z, v, residual in rows:
+    for i, (z, v, residual) in enumerate(rows):
         point = _assert_near_wq(q, z, branch, v)
         # a step under 4 ulp also stops the loop, where conditioning puts
         # tol out of reach: at q = 0 next to the wall, wq's residual is 1.3e-10
         assert residual <= max(DEFAULT_TOL, point.residual), (q, z, residual)
+        if i < 5:  # the cubic start needs four roots and a row to compare on
+            assert (repr(v), repr(residual)) == (repr(point.w), repr(point.residual)), (q, z)
+    bp = branch_point(q)
+    if bp is not None:  # the table starts at z_b, where wq returns w_b unsolved
+        assert rows[0] == (bp.z_b, bp.w_b, 0.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0, 3.0])
+def test_table_row_at_zero_is_exact(capsys, q):
+    code, out, err = run_main(capsys, "table", "wq", "--q", repr(q), "--z-from=-0.25",
+                              "--z-to=0.25", "--steps", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "0,0,0"
 
 
 def _evaluations(monkeypatch, capsys, q, z_from, z_to, branch):
