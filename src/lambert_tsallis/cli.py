@@ -252,7 +252,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     _exp_q per row, or one wq._solve over the kept grid, which may start a
     row from the roots before it.  Each wq row meets wq's stopping rule,
     but from the sixth row on may differ from a per-point wq in the last
-    bits."""
+    bits.  Every row renders through one %.17g template, and only a JSON
+    body holding inf or nan is rendered again, through render_json."""
     if args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     if not (args.z_from < args.z_to):
@@ -289,10 +290,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # meets each check that wq would make on any of them
         _check_request(q, kept[0], branch, bp, args.tol, args.max_iter)
         solved = _solve(q, kept, branch, bp, args.tol, args.max_iter)
-        rows = [(z, r.w, r.residual) for z, r in zip(kept, solved)]
+        rows = [(z, w, residual) for z, (w, residual, _) in zip(kept, solved)]
     else:
         clipped = 0
         rows = [(z, _exp_q(q, z)) for z in grid]
+    keys = ["z", "value", "residual"][:len(rows[0])]  # only wq rows have a residual
 
     if args.format == "json":
         doc: dict[str, Any] = {"command": "table", "subject": args.subject,
@@ -300,20 +302,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                "clipped": clipped}
         if args.subject == "wq":
             doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
-            body = [f'{{"z": {_json_float(z)}, "value": {_json_float(v)}, '
-                    f'"residual": {_json_float(r)}}}' for z, v, r in rows]
-        else:
-            body = [f'{{"z": {_json_float(z)}, "value": {_json_float(v)}}}'
-                    for z, v in rows]
+        template = "{%s}" % ", ".join(f'"{key}": %.17g' for key in keys)
+        body = ", ".join(map(template.__mod__, rows))
+        # neither a key nor the %.17g text of a finite double has an n, so the
+        # body has one exactly when a value is inf or nan, which JSON quotes
+        if "n" in body:
+            body = render_json([dict(zip(keys, row)) for row in rows])[1:-1]
         # the rows are the document's last key: render the rest, reopen it
         head = render_json(doc)[:-1]
-        print(f'{head}, "rows": [{", ".join(body)}]}}')
-    elif args.subject == "wq":
-        # csv.writer would quote none of these fields
-        print("\n".join(["z,value,residual",
-                         *(f"{z:.17g},{v:.17g},{r:.17g}" for z, v, r in rows)]))
+        print(f'{head}, "rows": [{body}]}}')
     else:
-        print("\n".join(["z,value", *(f"{z:.17g},{v:.17g}" for z, v in rows)]))
+        # csv.writer would quote none of these fields
+        template = ",".join(["%.17g"] * len(keys))
+        print("\n".join([",".join(keys), *map(template.__mod__, rows)]))
     return 0
 
 

@@ -44,9 +44,9 @@ finite, computes the branch point once with the unchecked _branch_point,
 and hands the rest to _check_request (branch, tol, max_iter, lower-branch
 existence, domain, in that order); dwq_dz reuses the same branch point.
 _solve, which checks nothing, is the only solver: it solves checked points
-on one branch in order, one point for wq and dwq_dz and the kept grid for
-the CLI's table, and from the sixth point on may start one from the cubic
-through the last four roots instead of the analytic start.
+on one branch in order (one for wq and dwq_dz, the kept grid for the CLI's
+table) and yields plain (w, residual, iterations) tuples; only wq builds a
+SolveResult.
 """
 
 from __future__ import annotations
@@ -120,7 +120,13 @@ def _branch_point(q: float) -> BranchPoint | None:
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     """Set of z for which the branch has a real value."""
     q = _require_finite("q", q)
-    return _domain(q, Branch(branch), _branch_point(q))
+    return _domain(q, _as_branch(branch), _branch_point(q))
+
+
+def _as_branch(branch: Branch | str) -> Branch:
+    # a member skips Branch(branch), whose EnumMeta lookup costs ~5% of a wq call;
+    # anything else converts, and an unknown value raises ValueError as before
+    return branch if branch.__class__ is Branch else Branch(branch)
 
 
 def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> Interval:
@@ -263,8 +269,8 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     bp = _branch_point(q)
     branch = _check_request(q, z, branch, bp, tol, max_iter)
     # unpacking runs the generator to its end, so it need not be closed
-    (result,) = _solve(q, (z,), branch, bp, tol, max_iter)
-    return result
+    ((w, residual, iterations),) = _solve(q, (z,), branch, bp, tol, max_iter)
+    return SolveResult(w, branch, residual, iterations)
 
 
 def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | None,
@@ -272,7 +278,7 @@ def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | N
     """wq's checks after q and z are known finite and bp = branch_point(q),
     in order: the branch, tol, max_iter, the lower branch's existence and
     the branch domain.  Returns the branch as a Branch."""
-    branch = Branch(branch)
+    branch = _as_branch(branch)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
     if max_iter < 1:
@@ -288,13 +294,13 @@ def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | N
 
 
 def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None,
-           tol: float, max_iter: int) -> Iterator[SolveResult]:
+           tol: float, max_iter: int) -> Iterator[tuple[float, float, int]]:
     """The solver behind wq, unchecked: every z in zs has passed
     _check_request on this branch and bp is _branch_point(q).  Solves the
-    points in order and yields one result per point.  It is a generator so
-    that a table, which keeps two floats of each result, frees each result
-    at once: 10^4 live results would pass into the garbage collector's
-    older generations and be traversed there again and again.
+    points in order and yields a (w, residual, iterations) tuple per point,
+    a sixth of a frozen SolveResult's cost.  A generator, so that a table
+    frees each row at once: 10^4 live rows would pass into the garbage
+    collector's older generations and be traversed there again and again.
 
     A point starts its Newton loop from the analytic start of its bracket
     or from the cubic through the last four roots, 4 w1 - 6 w2 + 4 w3 - w4,
@@ -308,10 +314,10 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     cubic_nearer = False
     for z in zs:
         if z == 0.0:  # the lower branch's domain excludes 0
-            result = SolveResult(0.0, branch, 0.0, 0)
+            result = (0.0, 0.0, 0)
         elif z == z_b:
             # both branches meet here, where h has a double root
-            result = SolveResult(bp.w_b, branch, 0.0, 0)
+            result = (bp.w_b, 0.0, 0)
         else:
             lo, hi, start = _bracket(q, z, branch, bp)
             inside = False
@@ -337,7 +343,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 step_inside = lo < newton < hi
                 if ((ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w))
                         and (step_inside or newton == w)):
-                    result = SolveResult(newton, branch, ah, iters)
+                    result = (newton, ah, iters)
                     break
                 halved = ah <= 0.5 * back2
                 back1, back2 = ah, back1
@@ -356,7 +362,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                         f"({branch.value} branch): it lies next to the wall or beyond the "
                         f"double range; best w = {best_w!r}",
                         best_w=best_w, residual=best_h, iterations=iters)
-                result = SolveResult(lo if h_lo <= h_hi else hi, branch, min(h_lo, h_hi), iters)
+                result = (lo if h_lo <= h_hi else hi, min(h_lo, h_hi), iters)
                 break
             else:
                 raise ConvergenceError(
@@ -364,8 +370,8 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                     f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
                     f"relative residual = {best_h:.3e}",
                     best_w=best_w, residual=best_h, iterations=iters)
-            cubic_nearer = inside and abs(cubic - result.w) < abs(start - result.w)
-        w1, w2, w3, w4 = result.w, w1, w2, w3
+            cubic_nearer = inside and abs(cubic - result[0]) < abs(start - result[0])
+        w1, w2, w3, w4 = result[0], w1, w2, w3
         yield result
 
 
@@ -382,8 +388,7 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     branch = _check_request(q, z, branch, bp, tol, max_iter)
     if z == 0.0:
         return 1.0
-    (result,) = _solve(q, (z,), branch, bp, tol, max_iter)
-    w = result.w
+    ((w, _, _),) = _solve(q, (z,), branch, bp, tol, max_iter)
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
         raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")
@@ -415,7 +420,7 @@ def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float |
     """
     q = _require_finite("q", q)
     z = _require_finite("z", z)
-    branch = Branch(branch)
+    branch = _as_branch(branch)
     if q == 2.0:
         if branch is Branch.UPPER and z > -1.0:
             return z / (1.0 + z)

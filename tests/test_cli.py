@@ -336,6 +336,8 @@ def _table_reference(subject, q, z_from, z_to, steps, branch="upper", fmt="csv",
     ("wq", 1.0, -1e-300, 1e-300, 7, "upper", "csv"),   # tiny, negative
     ("wq", 1.0, -1e-300, 1e-300, 7, "upper", "json"),
     ("expq", 1.5, -1e-300, 1e-300, 7, "upper", "json"),
+    ("wq", 1.0, -1e-323, 1.5e-323, 6, "upper", "json"),  # subnormal z, w and residual
+    ("expq", 1.0, -750.0, -740.0, 11, "upper", "csv"),   # 0 and subnormal values
 ])
 def test_table_matches_the_dict_and_csv_writer_rendering(
         capsys, subject, q, z_from, z_to, steps, branch, fmt):
@@ -392,6 +394,41 @@ def test_table_reference_cases_cover_inf_zero_and_clipping(capsys):
                                    "--z-to", "5", "--steps", "11")[1]
     assert "dropped" in run_main(capsys, "table", "wq", "--q", "0.5", "--z-from=-0.4",
                                  "--z-to=-1e-3", "--steps", "40", "--branch", "lower")[2]
+
+
+# Doubles whose text is easiest to get wrong.  The CLI's own grids produce
+# no -0.0, so the kernels are replaced and the rows go through _cmd_table.
+_AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max]
+
+
+@pytest.mark.parametrize("subject", ["wq", "expq"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("last", [1.0, math.inf, -math.inf, math.nan])
+def test_table_rows_render_awkward_doubles_as_format_and_render_json(
+        monkeypatch, capsys, subject, fmt, last):
+    cli = importlib.import_module("lambert_tsallis.cli")
+    values = [*_AWKWARD, last]
+    residuals = values[::-1]
+    by_z = dict(zip([-1e-323, -5e-324, 0.0, 5e-324, 1e-323, 1.5e-323], values))
+    monkeypatch.setattr(cli, "_exp_q", lambda q, z: by_z[z])
+    monkeypatch.setattr(cli, "_solve", lambda q, zs, *rest: zip(values, residuals, range(6)))
+    code, out, err = run_main(capsys, "table", subject, "--q", "1", "--z-from=-1e-323",
+                              "--z-to=1.5e-323", "--steps", "6", "--format", fmt)
+    assert (code, err) == (0, "")
+    header = ["z", "value", "residual"] if subject == "wq" else ["z", "value"]
+    rows = [row[:len(header)] for row in zip(by_z, values, residuals)]
+    if fmt == "csv":
+        expected = [",".join(header)] + [",".join(format(x, ".17g") for x in row)
+                                         for row in rows]
+        assert out == "\n".join(expected) + "\n"
+        return
+    doc = {"command": "table", "subject": subject, "q": 1.0, "branch": "upper",
+           "clipped": 0}
+    if subject == "wq":
+        doc["meta"] = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
+    doc["rows"] = [dict(zip(header, row)) for row in rows]
+    assert out == render_json(doc) + "\n"
+    assert '"value": -0' in out and '"value": 4.9406564584124654e-324' in out
 
 
 # ----------------------------------------------- table error precedence
@@ -542,6 +579,24 @@ def test_table_continuation_saves_evaluations_on_smooth_tables(
         monkeypatch, capsys, q, z_from, z_to, branch):
     table, per_point = _evaluations(monkeypatch, capsys, q, z_from, z_to, branch)
     assert table <= 0.6 * per_point, (table, per_point)
+
+
+def test_table_builds_no_solve_result(monkeypatch, capsys):
+    # the solver yields plain tuples; only the public wq builds a SolveResult
+    solver = importlib.import_module("lambert_tsallis.wq")
+    built = [0]
+
+    class Counted(solver.SolveResult):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "SolveResult", Counted)
+    rows = _wq_table(capsys, 1.0, -0.3, 25.0, "upper")
+    assert (len(rows), built[0]) == (1000, 0)
+    result = wq(1.0, 1.0)
+    assert (built[0], type(result)) == (1, Counted)
+    assert result.branch is Branch.UPPER and type(result.iterations) is int
 
 
 @pytest.mark.parametrize("q, z_from, z_to", [

@@ -231,6 +231,22 @@ def test_bad_solver_configuration():
         wq(1.0, 1.0, Branch.UPPER, max_iter=0)
 
 
+@pytest.mark.parametrize("q, z", [(0.0, -0.1875), (0.5, -0.1), (1.0, -0.2), (1.5, -0.05)])
+def test_branch_as_a_string_or_a_member_gives_one_answer(q, z):
+    assert wq(q, z, "lower") == wq(q, z, Branch.LOWER)
+    assert repr(dwq_dz(q, z, "lower")) == repr(dwq_dz(q, z, Branch.LOWER))
+    assert branch_domain(q, "lower") == branch_domain(q, Branch.LOWER)
+    assert wq_closed_form(q, z, "lower") == wq_closed_form(q, z, Branch.LOWER)
+
+
+@pytest.mark.parametrize("call", [lambda b: wq(1, 1, b), lambda b: dwq_dz(1, 1, b),
+                                  lambda b: branch_domain(1, b),
+                                  lambda b: wq_closed_form(0, 1, b)])
+def test_unknown_branch_raises_value_error(call):
+    with pytest.raises(ValueError, match="^'sideways' is not a valid Branch$"):
+        call("sideways")
+
+
 def test_non_finite_inputs_rejected():
     with pytest.raises(MalformedInputError):
         wq(float("nan"), 1.0)
