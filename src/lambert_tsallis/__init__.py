@@ -3,13 +3,14 @@ arithmetic-nature classification.
 
 Numeric layer: `exp_q` / `ln_q` evaluate the one-parameter deformation of
 exp and log (parameter q, classical limit q = 1), `wq` inverts
-w * exp_q(w) = z on its real branches with certified residuals, and
-`dwq_dz` gives the closed-form derivative.
+w * exp_q(w) = z on its real branches and reports the relative residual of
+its solve, and `dwq_dz` gives the closed-form derivative.
 
 Exact layer: `parse_exact` builds exact operands (rationals, quadratic
 surds, the named constants e and pi) and the `classify_*` functions return
 a verdict (rational / algebraic irrational / transcendental / unknown)
-with the rule that produced it.  Verdicts never rely on floating point.
+with the rule that produced it.  Verdicts come from exact arithmetic, but
+for one guard: `classify_wq` compares z with the double branch point z_b.
 
 `verify` holds independent numerical cross-checks; the same suites back
 the `lambert-tsallis verify` CLI command.

@@ -38,11 +38,13 @@ is a pure function of the input variants.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, UnsupportedFieldError
+from .errors import DomainError, MalformedInputError, UnsupportedFieldError
 from .exact import (ONE, ZERO, ArithmeticClass, ExactNumber, NamedTranscendental,
                     QuadSurd, Rational, add, classify_number, div, mul, normalize,
                     rational_bounds, render_exact, sign, sub, to_real)
@@ -111,7 +113,7 @@ def _double_z_b(q: QuadSurd) -> Fraction | None:
     1 + (1-q) w_b and with it z_b round to 0."""
     try:
         bp = branch_point(to_real(q))
-    except OverflowError:
+    except MalformedInputError:  # q is beyond the double range
         return None
     return None if bp is None or bp.z_b == 0.0 else Fraction(bp.z_b)
 
@@ -284,7 +286,8 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
     Decision order: (a) z0 = 1 -> Rational(1), the Gelfond-Schneider base-1
     guard; (b) q algebraic irrational, z0 positive algebraic != 1 ->
     Theorem4; (c) q a rational integer, z0 rational -> exact power;
-    (d) otherwise Unknown.  z0 <= 0 is a domain error.
+    (d) otherwise Unknown.  z0 <= 0 is a domain error; an exact power with
+    more digits than the interpreter converts to text is MalformedInputError.
     """
     q, z0 = normalize(q), normalize(z0)
     if not isinstance(z0, NamedTranscendental) and sign(z0) <= 0:
@@ -304,6 +307,16 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
             "algebraic irrational, so Gelfond-Schneider makes the value "
             "transcendental.")
     if isinstance(q, Rational) and q.value.denominator == 1 and isinstance(z0, Rational):
+        # The larger term of z0^(-q) has 1 + floor(|q| log10 m) digits, with
+        # m = max(|num|, den) >= 2: refuse a power that render_exact could not
+        # print before computing it.  Each factor adds over 1/4 digit, so |q|
+        # clamped to 4*limit still refuses; the limit is 0 where there is none.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        m = max(abs(z0.value.numerator), z0.value.denominator)
+        if limit and min(abs(int(q.value)), 4 * limit) * math.log10(m) >= limit:
+            raise MalformedInputError(
+                f"z0^(-q) has more than {limit} decimal digits, the interpreter's "
+                "limit on int-string conversion")
         value = Rational(z0.value ** (-int(q.value)))
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,

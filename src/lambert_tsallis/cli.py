@@ -10,9 +10,14 @@ Subcommands
 Exit codes: 0 success, 1 domain error or failed check, 2 malformed input or
 bad configuration (argparse errors land on 2 as well).
 
-JSON output renders floats with 17 significant digits so values round-trip;
-infinities appear as the strings "inf" / "-inf" since JSON has no literal
-for them.  Plain output uses 10 significant digits.
+Each command but table builds its result once and _emit prints it.  json:
+one document, floats to 17 significant digits so values round-trip, and
+inf, -inf, nan as strings (JSON has no literal for them).  csv: a header,
+then one line per record with minimal quoting, floats to 17 significant
+digits, booleans as true/false, an absent exact value as an empty field.
+plain: lines for humans, values to 10 significant digits (verify's
+measurements and thresholds as %.3e).  table prints the json and csv rules
+through one %.17g row template.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _branch_point, _check_re
                  _domain, _solve, branch_point, dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
-
-
-def _fmt_plain(v: float) -> str:
-    return format(v, ".10g")
 
 
 def _json_float(x: float) -> str:
@@ -73,9 +74,16 @@ def render_json(doc: Any) -> str:
     raise TypeError(f"cannot render {type(doc).__name__} as JSON")
 
 
+def _cell(v: Any) -> Any:
+    # csv.writer itself writes None as an empty field
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return format(v, ".17g") if isinstance(v, float) else v
+
+
 def _csv_line(row: list[Any]) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(row)
+    csv.writer(buf, lineterminator="").writerow(map(_cell, row))
     return buf.getvalue()
 
 
@@ -148,66 +156,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(fmt: str, doc: dict[str, Any], records: list[dict[str, Any]],
+          columns: list[str], plain: list[str]) -> None:
+    """Print a command's result: json as render_json(doc); csv as the
+    columns header and one _csv_line per record; plain as its lines."""
+    if fmt == "json":
+        print(render_json(doc))
+    elif fmt == "csv":
+        print(_csv_line(columns))
+        for record in records:
+            print(_csv_line([record[c] for c in columns]))
+    else:
+        print("\n".join(plain))
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    branch = Branch(args.branch)
     doc: dict[str, Any] = {"command": "eval", "subject": args.subject,
                            "q": args.q, "z": args.z}
-    extra: list[str] = []
-    if args.subject == "expq":
-        value = exp_q(args.q, args.z)
-    elif args.subject == "lnq":
-        value = ln_q(args.q, args.z)
-    elif args.subject == "dlnq":
-        value = dlnq_dz(args.q, args.z)
-    elif args.subject == "wq":
-        res = wq(args.q, args.z, branch, args.tol, args.max_iter)
-        value = res.w
+    plain: list[str] = []
+    # built per call, so the module's names stay the binding site bench/spans.py wraps
+    direct = {"expq": exp_q, "lnq": ln_q, "dlnq": dlnq_dz}
+    if args.subject in direct:
+        value = direct[args.subject](args.q, args.z)
+    else:
+        branch = Branch(args.branch)
         doc["branch"] = branch.value
-        doc["residual"] = res.residual
-        doc["iterations"] = res.iterations
-        doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
-        extra.append(f"residual={_fmt_plain(res.residual)} "
-                     f"iterations={res.iterations}")
-    else:  # dwq
-        value = dwq_dz(args.q, args.z, branch, args.tol, args.max_iter)
-        doc["branch"] = branch.value
+        if args.subject == "wq":
+            res = wq(args.q, args.z, branch, args.tol, args.max_iter)
+            value = res.w
+            doc.update(residual=res.residual, iterations=res.iterations)
+            plain.append(f"residual={res.residual:.10g} iterations={res.iterations}")
+        else:  # dwq
+            value = dwq_dz(args.q, args.z, branch, args.tol, args.max_iter)
         doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
     doc["value"] = value
-
-    if args.format == "json":
-        print(render_json(doc))
-    elif args.format == "csv":
-        if args.subject == "wq":
-            print(_csv_line(["value", "residual", "iterations"]))
-            print(_csv_line([format(value, ".17g"),
-                             format(doc["residual"], ".17g"),
-                             doc["iterations"]]))
-        else:
-            print(_csv_line(["value"]))
-            print(_csv_line([format(value, ".17g")]))
-    else:
-        print(_fmt_plain(value))
-        for line in extra:
-            print(line)
+    _emit(args.format, doc, [doc],
+          [key for key in ("value", "residual", "iterations") if key in doc],
+          [f"{value:.10g}", *plain])
     return 0
 
 
 def _cmd_branch_point(args: argparse.Namespace) -> int:
     bp = branch_point(args.q)
-    if args.format == "json":
-        body = None if bp is None else {"z_b": bp.z_b, "w_b": bp.w_b}
-        print(render_json({"command": "branch-point", "q": args.q,
-                           "branch_point": body}))
-    elif args.format == "csv":
-        print(_csv_line(["z_b", "w_b"]))
-        if bp is not None:
-            print(_csv_line([format(bp.z_b, ".17g"), format(bp.w_b, ".17g")]))
-    else:
-        if bp is None:
-            print(f"no branch point for q = {args.q:g} (exists only for q < 2)")
-        else:
-            print(f"z_b = {_fmt_plain(bp.z_b)}")
-            print(f"w_b = {_fmt_plain(bp.w_b)}")
+    body = None if bp is None else {"z_b": bp.z_b, "w_b": bp.w_b}
+    plain = ([f"no branch point for q = {args.q:g} (exists only for q < 2)"]
+             if body is None else [f"{k} = {v:.10g}" for k, v in body.items()])
+    _emit(args.format, {"command": "branch-point", "q": args.q, "branch_point": body},
+          [] if body is None else [body], ["z_b", "w_b"], plain)
     return 0
 
 
@@ -226,23 +221,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     result = classifier(*operands.values())
     inputs = {name: render_exact(x) for name, x in operands.items()}
     record = result.to_record()
-
-    if args.format == "json":
-        print(render_json({"command": "classify", "subject": args.subject,
-                           "inputs": inputs, **record}))
-    elif args.format == "csv":
-        print(_csv_line(["verdict", "rule", "exact_value", "justification"]))
-        print(_csv_line([record["verdict"], record["rule"],
-                         record["exact_value"] or "",
-                         record["justification"]]))
-    else:
-        for name, value in inputs.items():
-            print(f"{name} = {value}")
-        print(f"verdict: {record['verdict']}")
-        print(f"rule: {record['rule']}")
-        if record["exact_value"] is not None:
-            print(f"exact value: {record['exact_value']}")
-        print(f"justification: {record['justification']}")
+    plain = [f"{name} = {value}" for name, value in inputs.items()]
+    plain += [f"verdict: {record['verdict']}", f"rule: {record['rule']}"]
+    if record["exact_value"] is not None:
+        plain.append(f"exact value: {record['exact_value']}")
+    plain.append(f"justification: {record['justification']}")
+    _emit(args.format, {"command": "classify", "subject": args.subject,
+                        "inputs": inputs, **record},
+          [record], ["verdict", "rule", "exact_value", "justification"], plain)
     return 0
 
 
@@ -336,27 +322,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         checks = _SUITES[args.suite]()
     ok = all(c.passed for c in checks)
-
-    if args.format == "json":
-        print(render_json({"command": "verify", "suite": args.suite,
-                           "passed": ok,
-                           "checks": [{"name": c.name, "passed": c.passed,
-                                       "measured": c.measured,
-                                       "threshold": c.threshold}
-                                      for c in checks]}))
-    elif args.format == "csv":
-        print(_csv_line(["name", "passed", "measured", "threshold"]))
-        for c in checks:
-            print(_csv_line([c.name, str(c.passed).lower(),
-                             format(c.measured, ".17g"),
-                             format(c.threshold, ".17g")]))
-    else:
-        for c in checks:
-            mark = "PASS" if c.passed else "FAIL"
-            print(f"{mark}  {c.name}: measured {c.measured:.3e} "
-                  f"(threshold {c.threshold:.3e})")
-        print(f"{'all checks passed' if ok else 'SOME CHECKS FAILED'} "
-              f"({sum(c.passed for c in checks)}/{len(checks)})")
+    records = [{"name": c.name, "passed": c.passed, "measured": c.measured,
+                "threshold": c.threshold} for c in checks]
+    plain = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: measured {c.measured:.3e} "
+             f"(threshold {c.threshold:.3e})" for c in checks]
+    plain.append(f"{'all checks passed' if ok else 'SOME CHECKS FAILED'} "
+                 f"({sum(c.passed for c in checks)}/{len(checks)})")
+    _emit(args.format, {"command": "verify", "suite": args.suite, "passed": ok,
+                        "checks": records},
+          records, ["name", "passed", "measured", "threshold"], plain)
     return 0 if ok else 1
 
 

@@ -269,16 +269,21 @@ def to_real(x: ExactNumber) -> float:
 
     Surds go through a 128-bit rational enclosure of sqrt(d) so the final
     rounding happens once, on the exact sum; the result is correct to 1 ulp
-    even under heavy cancellation such as 3 - 2*sqrt(2).
+    even under heavy cancellation such as 3 - 2*sqrt(2).  A value beyond the
+    double range raises MalformedInputError.
     """
-    match normalize(x):
-        case Rational(v):
-            return float(v)
-        case QuadSurd(a, b, d):
-            approx = Fraction(isqrt(d << (2 * _SQRT_BITS)), 1 << _SQRT_BITS)
-            return float(a + b * approx)
-        case NamedTranscendental(tag):
-            return math.e if tag is Constant.E else math.pi
+    x = normalize(x)
+    try:
+        match x:
+            case Rational(v):
+                return float(v)
+            case QuadSurd(a, b, d):
+                approx = Fraction(isqrt(d << (2 * _SQRT_BITS)), 1 << _SQRT_BITS)
+                return float(a + b * approx)
+            case NamedTranscendental(tag):
+                return math.e if tag is Constant.E else math.pi
+    except OverflowError:  # float() of a Fraction past the largest double
+        raise MalformedInputError("the exact value is beyond the double range") from None
     raise MalformedInputError(f"not an exact number: {x!r}")
 
 
@@ -309,13 +314,26 @@ _SURD_RE = re.compile(
 )
 
 
+# Past sys.get_int_max_str_digits() digits, int() of a digit string and str()
+# of an int raise ValueError; both surface as MalformedInputError here
+_DIGIT_LIMIT = "the interpreter's limit on int-string conversion (sys.set_int_max_str_digits)"
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInputError(
+            f"a {len(text)}-digit integer is beyond {_DIGIT_LIMIT}") from None
+
+
 def _fraction_from_text(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/", 1)
-        if int(den) == 0:
+        if _int(den) == 0:
             raise MalformedInputError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_int(num), _int(den))
+    return Fraction(_int(text))
 
 
 def parse_exact(text: str) -> ExactNumber:
@@ -338,23 +356,29 @@ def parse_exact(text: str) -> ExactNumber:
     b = _fraction_from_text(m["b"]) if m["b"] else Fraction(1)
     if m["op"] == "-" or m["neg"]:
         b = -b
-    d = int(m["d"])
+    d = _int(m["d"])
     if d < 0:
         raise MalformedInputError(f"negative radicand in {text!r}")
     return normalize(QuadSurd(a, b, d))
 
 
 def render_exact(x: ExactNumber) -> str:
-    """Render in the same grammar parse_exact accepts; round-trips exactly."""
-    match normalize(x):
-        case Rational(v):
-            return str(v)
-        case QuadSurd(a, b, d):
-            root = f"sqrt({d})"
-            mag = root if abs(b) == 1 else f"{abs(b)}*{root}"
-            if a == 0:
-                return mag if b > 0 else f"-{mag}"
-            return f"{a}{'+' if b > 0 else '-'}{mag}"
-        case NamedTranscendental(tag):
-            return tag.value
+    """Render in the same grammar parse_exact accepts; round-trips exactly.
+    A term with more digits than str() of an int allows raises
+    MalformedInputError."""
+    x = normalize(x)
+    try:
+        match x:
+            case Rational(v):
+                return str(v)
+            case QuadSurd(a, b, d):
+                root = f"sqrt({d})"
+                mag = root if abs(b) == 1 else f"{abs(b)}*{root}"
+                if a == 0:
+                    return mag if b > 0 else f"-{mag}"
+                return f"{a}{'+' if b > 0 else '-'}{mag}"
+            case NamedTranscendental(tag):
+                return tag.value
+    except ValueError:
+        raise MalformedInputError(f"the exact value has a term beyond {_DIGIT_LIMIT}") from None
     raise MalformedInputError(f"not an exact number: {x!r}")

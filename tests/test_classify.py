@@ -2,6 +2,7 @@
 refusals, and agreement between exact claims and the numeric layer."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from lambert_tsallis.classify import (_ZB_MARGIN, Rule, classify_expq,
                                       classify_lnq_derivative, classify_tower,
                                       classify_wq)
-from lambert_tsallis.errors import ConvergenceError, DomainError
+from lambert_tsallis.errors import ConvergenceError, DomainError, MalformedInputError
 from lambert_tsallis.exact import (ArithmeticClass, QuadSurd, Rational, normalize,
                                    parse_exact, rational, render_exact, to_real)
 from lambert_tsallis.qexp import dlnq_dz, exp_q
@@ -289,6 +290,43 @@ def test_lnq_deriv_integer_q_exact_power():
     assert res.verdict is R and res.exact_value == rational(25)
     res = c_lnq("0", "7/2")
     assert res.verdict is R and res.exact_value == rational(1)
+
+
+# Python caps int <-> str conversions at sys.get_int_max_str_digits() digits
+# (4300 by default); 0, or a Python without the function, means no cap
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT,
+                                       reason="no int-string digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("q", ["20000", "-20000", "1000000"])
+def test_lnq_deriv_power_past_the_digit_limit_is_malformed(q):
+    # z0^(-q) would have too many digits to render: refused before the power.
+    # Keep q small enough that computing the power stays cheap where it is not
+    # refused: the power of a 13-digit q would need terabytes.
+    with pytest.raises(MalformedInputError, match="digits"):
+        c_lnq(q, "3/2")
+
+
+@needs_digit_limit
+def test_lnq_deriv_power_at_the_digit_limit_is_exact():
+    # 10^k has k + 1 digits: exactly the limit is rendered, one more refused
+    k = DIGIT_LIMIT - 1
+    for q in (-k, k):
+        res = c_lnq(str(q), "10")
+        assert res.exact_value == Rational(Fraction(10) ** -q)
+        assert len(render_exact(res.exact_value)) in (DIGIT_LIMIT, DIGIT_LIMIT + 2)
+    with pytest.raises(MalformedInputError):
+        c_lnq(str(-DIGIT_LIMIT), "10")
+
+
+@needs_digit_limit
+def test_wq_closed_form_past_the_digit_limit_is_malformed():
+    # W_2(z) = z/(1+z) has terms of twice the operands' digits
+    sevens = "7" * (DIGIT_LIMIT // 2 + 100)
+    with pytest.raises(MalformedInputError, match="limit"):
+        c_wq("2", f"{sevens}+{sevens}*sqrt(2)")
 
 
 def test_lnq_deriv_noninteger_rational_q_unknown():

@@ -11,9 +11,13 @@ import sys
 
 import pytest
 
+from lambert_tsallis.classify import (classify_expq, classify_lnq_derivative,
+                                      classify_tower, classify_wq)
 from lambert_tsallis.cli import main, render_json
 from lambert_tsallis.errors import ConvergenceError
-from lambert_tsallis.qexp import exp_q
+from lambert_tsallis.exact import parse_exact, render_exact
+from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
+from lambert_tsallis.verify import run_branch_suite, run_eq5_suite
 from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain,
                                 branch_point, dwq_dz, wq)
 
@@ -90,6 +94,20 @@ def test_exit_one_on_empty_table_intersection():
                 "--steps", "3")
     assert p.returncode == 1
     assert "warning" in p.stderr
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-string digit limit")
+@pytest.mark.parametrize("args", [
+    ("classify", "lnq-deriv", "--q", "20000", "--z0", "3/2"),
+    # W_2(z) = z/(1+z) has terms of about 5000 digits here
+    ("classify", "wq", "--q", "2", "--z", f"{'7' * 2500}+{'7' * 2500}*sqrt(2)"),
+], ids=["lnq-deriv", "wq-closed-form"])
+def test_exit_two_past_the_int_string_digit_limit(args):
+    p = run_cli(*args)
+    assert p.returncode == 2
+    # one error line, no traceback
+    assert p.stderr.startswith("error: ") and p.stderr.count("\n") == 1
 
 
 def test_exit_two_on_unknown_subcommand():
@@ -282,6 +300,124 @@ def test_negative_infinity_value_after_a_space(capsys):
     code, out, err = run_main(capsys, "eval", "wq", "--q", "1", "--z", "-inf")
     assert code == 2
     assert err == "error: z must be a finite real, got -inf\n"
+
+
+# ------------------------- record commands, pinned to the library's results
+
+def _csv_text(*rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _eval_reference(fmt, subject, q, z, branch="upper"):
+    """(argv, exit code, stdout) of `eval`, from the public functions."""
+    doc = {"command": "eval", "subject": subject, "q": q, "z": z}
+    if subject in ("wq", "dwq"):
+        doc["branch"] = branch
+    if subject == "wq":
+        res = wq(q, z, Branch(branch))
+        value = res.w
+        doc.update(residual=res.residual, iterations=res.iterations)
+        plain = f"{value:.10g}\nresidual={res.residual:.10g} iterations={res.iterations}\n"
+        csv_text = _csv_text(["value", "residual", "iterations"],
+                             [format(value, ".17g"), format(res.residual, ".17g"),
+                              res.iterations])
+    else:
+        value = {"expq": exp_q, "lnq": ln_q, "dlnq": dlnq_dz,
+                 "dwq": lambda q, z: dwq_dz(q, z, Branch(branch))}[subject](q, z)
+        plain = f"{value:.10g}\n"
+        csv_text = _csv_text(["value"], [format(value, ".17g")])
+    if subject in ("wq", "dwq"):
+        doc["meta"] = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
+    doc["value"] = value
+    argv = ["eval", subject, "--q", repr(q), f"--z={z!r}", "--branch", branch]
+    return argv, 0, {"json": render_json(doc) + "\n", "csv": csv_text, "plain": plain}[fmt]
+
+
+def _branch_point_reference(fmt, q):
+    bp = branch_point(q)
+    if bp is None:
+        body, rows = None, []
+        plain = f"no branch point for q = {q:g} (exists only for q < 2)\n"
+    else:
+        body = {"z_b": bp.z_b, "w_b": bp.w_b}
+        rows = [[format(bp.z_b, ".17g"), format(bp.w_b, ".17g")]]
+        plain = f"z_b = {bp.z_b:.10g}\nw_b = {bp.w_b:.10g}\n"
+    doc = {"command": "branch-point", "q": q, "branch_point": body}
+    return (["branch-point", "--q", repr(q)], 0,
+            {"json": render_json(doc) + "\n", "csv": _csv_text(["z_b", "w_b"], *rows),
+             "plain": plain}[fmt])
+
+
+def _classify_reference(fmt, subject, **texts):
+    classifier = {"wq": classify_wq, "expq": classify_expq,
+                  "lnq-deriv": classify_lnq_derivative, "tower": classify_tower}[subject]
+    operands = {name: parse_exact(text) for name, text in texts.items()}
+    record = classifier(*operands.values()).to_record()
+    inputs = {name: render_exact(x) for name, x in operands.items()}
+    doc = {"command": "classify", "subject": subject, "inputs": inputs, **record}
+    plain = [f"{name} = {text}" for name, text in inputs.items()]
+    plain += [f"verdict: {record['verdict']}", f"rule: {record['rule']}"]
+    if record["exact_value"] is not None:
+        plain.append(f"exact value: {record['exact_value']}")
+    plain.append(f"justification: {record['justification']}")
+    csv_text = _csv_text(["verdict", "rule", "exact_value", "justification"],
+                         [record["verdict"], record["rule"], record["exact_value"] or "",
+                          record["justification"]])
+    argv = ["classify", subject, *[a for n, t in texts.items() for a in (f"--{n}", t)]]
+    return argv, 0, {"json": render_json(doc) + "\n", "csv": csv_text,
+                     "plain": "\n".join(plain) + "\n"}[fmt]
+
+
+def _verify_reference(fmt, suite):
+    checks = {"eq5": run_eq5_suite, "branch": run_branch_suite}[suite]()
+    ok = all(c.passed for c in checks)
+    doc = {"command": "verify", "suite": suite, "passed": ok,
+           "checks": [{"name": c.name, "passed": c.passed, "measured": c.measured,
+                       "threshold": c.threshold} for c in checks]}
+    csv_text = _csv_text(["name", "passed", "measured", "threshold"],
+                         *[[c.name, "true" if c.passed else "false",
+                            format(c.measured, ".17g"), format(c.threshold, ".17g")]
+                           for c in checks])
+    plain = "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: measured "
+                    f"{c.measured:.3e} (threshold {c.threshold:.3e})\n" for c in checks)
+    plain += (f"{'all checks passed' if ok else 'SOME CHECKS FAILED'} "
+              f"({sum(c.passed for c in checks)}/{len(checks)})\n")
+    return (["verify", "--suite", suite], 0 if ok else 1,
+            {"json": render_json(doc) + "\n", "csv": csv_text, "plain": plain}[fmt])
+
+
+RECORD_CASES = [
+    (_eval_reference, {"subject": "expq", "q": 0.5, "z": 1.5}),
+    (_eval_reference, {"subject": "lnq", "q": 1.5, "z": 0.3}),
+    (_eval_reference, {"subject": "dlnq", "q": -2.0, "z": 3.0}),
+    (_eval_reference, {"subject": "wq", "q": 1.5, "z": 0.7}),
+    (_eval_reference, {"subject": "wq", "q": 1.0, "z": -0.2, "branch": "lower"}),
+    (_eval_reference, {"subject": "dwq", "q": 0.5, "z": -0.1, "branch": "lower"}),
+    (_eval_reference, {"subject": "expq", "q": 3.0, "z": 0.5}),  # inf
+    (_branch_point_reference, {"q": 1.0}),
+    (_branch_point_reference, {"q": 3.0}),  # none: the csv is its header only
+    (_classify_reference, {"subject": "wq", "q": "2", "z": "1"}),  # exact value
+    (_classify_reference, {"subject": "tower", "r": "3/4"}),  # no exact value
+    # commas in the justification: the csv field is quoted
+    (_classify_reference, {"subject": "lnq-deriv", "q": "sqrt(2)", "z0": "2"}),
+    (_verify_reference, {"suite": "eq5"}),
+    (_verify_reference, {"suite": "branch"}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("reference, kw", RECORD_CASES,
+                         ids=[f"{r.__name__[1:-10]}-{'-'.join(map(str, kw.values()))}"
+                              for r, kw in RECORD_CASES])
+def test_record_commands_match_the_library_rendering(capsys, reference, kw, fmt):
+    argv, code, out = reference(fmt, **kw)
+    assert run_main(capsys, *argv, "--format", fmt) == (code, out, "")
+    if kw.get("subject") == "lnq-deriv" and fmt == "csv":
+        # the justification holds commas, so its field comes out quoted
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        assert "," in row[3] and f'"{row[3]}"' in out
 
 
 # ------------------------------------- table rendering, pinned to the old one

@@ -1,6 +1,7 @@
 """Exact number representations: normalization, field arithmetic, signs,
 parsing, rendering."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,39 @@ def test_to_real_survives_cancellation():
     # so sqrt(2) - 665857/470832 = -1/(470832^2 (sqrt(2) + 665857/470832)) ~ -1.5949e-12
     x = add(rational(-665857, 470832), surd(0, 1, 2))
     assert to_real(x) == pytest.approx(-1.5949e-12, rel=1e-3)
+
+
+@pytest.mark.parametrize("text", [f"{10 ** 400}", f"{10 ** 400}+sqrt(2)",
+                                  f"-1/{10 ** 400}+{10 ** 400}*sqrt(3)"],
+                         ids=["rational", "surd", "surd-coefficient"])
+def test_to_real_beyond_the_double_range_is_malformed(text):
+    # float() of such a Fraction raises OverflowError
+    with pytest.raises(MalformedInputError, match="double range"):
+        to_real(parse_exact(text))
+
+
+# Python caps int <-> str conversions at sys.get_int_max_str_digits() digits
+# (4300 by default); 0, or a Python without the function, means no cap
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT,
+                                       reason="no int-string digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text", ["1" * (DIGIT_LIMIT + 1), f"1/{'3' * (DIGIT_LIMIT + 1)}",
+                                  f"1+2*sqrt({'7' * (DIGIT_LIMIT + 1)})"],
+                         ids=["integer", "denominator", "radicand"])
+def test_parse_exact_past_the_digit_limit_is_malformed(text):
+    with pytest.raises(MalformedInputError, match="limit"):
+        parse_exact(text)
+
+
+@needs_digit_limit
+def test_render_exact_past_the_digit_limit_is_malformed():
+    big = 10 ** (DIGIT_LIMIT + 1)
+    for x in (Rational(Fraction(big, 3)), surd(1, Fraction(1, big), 2)):
+        with pytest.raises(MalformedInputError, match="limit"):
+            render_exact(x)
 
 
 def test_rational_bounds_enclose():

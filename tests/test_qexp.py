@@ -86,6 +86,12 @@ def test_ln_q_pinned_values(q, z, expected):
     assert ln_q(q, z) == pytest.approx(expected, rel=1e-15)
 
 
+def test_ln_q_overflows_to_a_signed_infinity():
+    # z^(1-q) - 1 overflows: +inf for q < 1, and q > 1 at z -> 0+ gives -inf
+    assert ln_q(-1.0, 1e300) == math.inf
+    assert ln_q(3.0, 1e-300) == -math.inf
+
+
 def test_ln_q_rejects_nonpositive():
     for z in (0.0, -1.0):
         with pytest.raises(DomainError):

@@ -18,8 +18,8 @@ from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
                                     DerivativeSingularError, DomainError,
                                     MalformedInputError, NoBranchPointError)
 from lambert_tsallis.qexp import exp_q
-from lambert_tsallis.wq import (Branch, Interval, branch_domain, branch_point,
-                                dwq_dz, wq, wq_closed_form)
+from lambert_tsallis.wq import (Branch, Interval, _log_residual, branch_domain,
+                                branch_point, dwq_dz, wq, wq_closed_form)
 
 OMEGA = 0.5671432904097838          # W(1), classical
 DW_AT_ONE = 0.3618962566348892      # W'(1) = e^{-W(1)}/(1 + W(1))
@@ -193,6 +193,7 @@ def test_branch_domain_shapes():
 
     assert branch_domain(2.0, Branch.LOWER).is_empty
     assert branch_domain(2.5, Branch.LOWER).is_empty
+    assert str(branch_domain(3.0, "lower")) == "(empty)"
 
 
 def test_interval_str_and_contains():
@@ -344,6 +345,23 @@ def test_derivative_near_the_pole_against_mpmath():
                 hi = mid
         ref = (lo / mz) ** mq / (1 + (2 - mq) * lo)
         assert abs(dwq_dz(q, z) - ref) <= 4e-15 * abs(ref)
+
+
+def test_log_residual_where_w_over_z_overflows():
+    # the lower branch at q = 1.5 starts at w = 4/z, next to the root, and
+    # w/z = 4/z^2 overflows there: h falls back to log|w| - log|z|
+    q, z, w = 1.5, -1.3720515485065225e-197, -2.91534236039017e+197
+    assert math.isinf(w / z)
+    h, slope = _log_residual(q, z, w)
+    assert math.isfinite(h) and math.isfinite(slope)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        # w (1 - w/2)^(-2) = z is the quadratic (z/4) w^2 - (1+z) w + z = 0;
+        # the lower branch is its root of large |w|
+        mz = mpmath.mpf(z)
+        ref = 2 * (1 + mz + mpmath.sqrt(1 + 2 * mz)) / mz
+        # 15 ulp today: the |log z| loss of the log residual
+        assert abs((wq(q, z, Branch.LOWER).w - ref) / ref) <= 1e-12
 
 
 @pytest.mark.parametrize("q, z, rel", [
