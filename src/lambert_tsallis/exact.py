@@ -113,10 +113,11 @@ ONE = Rational(Fraction(1))
 
 def rational(num: int, den: int = 1) -> Rational:
     """Build a Rational from an integer pair; zero denominators are malformed."""
-    try:
-        return Rational(Fraction(num, den))
-    except ZeroDivisionError:
-        raise MalformedInputError(f"zero denominator in rational {num}/{den}") from None
+    if den == 0:
+        # Fraction's own error prints num, which str() refuses past the digit limit
+        shown = f"{num}/{den}" if abs(num) < 10 ** 40 else "with a numerator of over 40 digits"
+        raise MalformedInputError(f"zero denominator in rational {shown}")
+    return Rational(Fraction(num, den))
 
 
 def surd(a, b, d: int) -> ExactNumber:

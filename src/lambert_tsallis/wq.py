@@ -43,10 +43,13 @@ Inputs are checked once per public call.  wq checks that q and z are
 finite, computes the branch point once with the unchecked _branch_point,
 and hands the rest to _check_request (branch, tol, max_iter, lower-branch
 existence, domain, in that order); dwq_dz reuses the same branch point.
-_solve, which checks nothing, is the only solver: it solves checked points
-on one branch in order (one for wq and dwq_dz, the kept grid for the CLI's
-table) and yields plain (w, residual, iterations) tuples; only wq builds a
-SolveResult.
+The domain is decided by comparisons, and its Interval is built only for a
+DomainError's message.  _solve, which checks nothing, is the only solver: it
+solves checked points on one branch in order (one for wq and dwq_dz, the
+kept grid for the CLI's table) and yields plain (w, residual, iterations)
+tuples; only wq builds a SolveResult.  SolveResult and BranchPoint are named
+tuples: their fields are read-only, and they unpack, index and compare
+equal like tuples.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
@@ -86,18 +89,19 @@ class Branch(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class BranchPoint:
-    z_b: float
-    w_b: float
+class BranchPoint(namedtuple("BranchPoint", "z_b w_b")):
+    """z_b = f(w_b), the least value of f(w) = w exp_q(w), at w_b = 1/(q-2).
+    A named tuple: read-only fields; unpacks, indexes and compares as (z_b, w_b)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    w: float
-    branch: Branch
-    residual: float
-    iterations: int
+class SolveResult(namedtuple("SolveResult", "w branch residual iterations")):
+    """The root w on branch, the relative residual |h| at the last point
+    evaluated and the number of evaluations.  A named tuple: read-only fields;
+    unpacks, indexes and compares as (w, branch, residual, iterations)."""
+
+    __slots__ = ()
 
 
 def branch_point(q: float) -> BranchPoint | None:
@@ -114,7 +118,7 @@ def _branch_point(q: float) -> BranchPoint | None:
     if q >= 2.0:
         return None
     w_b = 1.0 / (q - 2.0)
-    return BranchPoint(z_b=w_b * _exp_q(q, w_b), w_b=w_b)
+    return BranchPoint(w_b * _exp_q(q, w_b), w_b)
 
 
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
@@ -123,10 +127,16 @@ def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     return _domain(q, _as_branch(branch), _branch_point(q))
 
 
+_BRANCHES = {"upper": Branch.UPPER, "lower": Branch.LOWER}
+
+
 def _as_branch(branch: Branch | str) -> Branch:
-    # a member skips Branch(branch), whose EnumMeta lookup costs ~5% of a wq call;
-    # anything else converts, and an unknown value raises ValueError as before
-    return branch if branch.__class__ is Branch else Branch(branch)
+    # members first: Enum.__hash__ is Python-level, so a dict lookup of one is
+    # slower.  Only a str reaches the dict, where an unhashable value would raise
+    # TypeError; anything else converts, and an unknown value raises ValueError
+    if branch.__class__ is Branch:
+        return branch
+    return (branch.__class__ is str and _BRANCHES.get(branch)) or Branch(branch)
 
 
 def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> Interval:
@@ -142,6 +152,13 @@ def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> Interval:
     if bp is not None:
         return Interval(bp.z_b, 0.0, True, False)
     return Interval.empty()
+
+
+def _in_domain(q: float, z: float, branch: Branch, bp: BranchPoint | None) -> bool:
+    """_domain(q, branch, bp).contains(z) for a finite z, by comparisons alone."""
+    if bp is None:
+        return branch is Branch.UPPER and (q > 2.0 or z > -1.0)
+    return z >= bp.z_b and (branch is Branch.UPPER or z < 0.0)
 
 
 def _power_tail(q: float, z: float) -> float:
@@ -286,10 +303,9 @@ def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | N
     if branch is Branch.LOWER and bp is None:
         raise NoBranchPointError(
             f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
-    dom = _domain(q, branch, bp)
-    if not dom.contains(z):
-        raise DomainError(
-            f"z = {z!r} is outside the {branch.value}-branch domain {dom} for q = {q:g}")
+    if not _in_domain(q, z, branch, bp):
+        raise DomainError(f"z = {z!r} is outside the {branch.value}-branch domain "
+                          f"{_domain(q, branch, bp)} for q = {q:g}")
     return branch
 
 
@@ -298,7 +314,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     """The solver behind wq, unchecked: every z in zs has passed
     _check_request on this branch and bp is _branch_point(q).  Solves the
     points in order and yields a (w, residual, iterations) tuple per point,
-    a sixth of a frozen SolveResult's cost.  A generator, so that a table
+    about a tenth of a SolveResult's cost.  A generator, so that a table
     frees each row at once: 10^4 live rows would pass into the garbage
     collector's older generations and be traversed there again and again.
 

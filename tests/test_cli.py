@@ -723,9 +723,10 @@ def test_table_builds_no_solve_result(monkeypatch, capsys):
     built = [0]
 
     class Counted(solver.SolveResult):
-        def __init__(self, *args):
+        # a named tuple is built in __new__; its __init__ is object's
+        def __new__(cls, *args):
             built[0] += 1
-            super().__init__(*args)
+            return super().__new__(cls, *args)
 
     monkeypatch.setattr(solver, "SolveResult", Counted)
     rows = _wq_table(capsys, 1.0, -0.3, 25.0, "upper")

@@ -28,6 +28,14 @@ def test_rational_zero_denominator():
         rational(1, 0)
 
 
+def test_rational_zero_denominator_with_a_numerator_too_long_to_print():
+    # Fraction's ZeroDivisionError printed the numerator, which str() refuses
+    # past the interpreter's int-string digit limit
+    with pytest.raises(MalformedInputError, match="^zero denominator in rational with a "
+                                                  "numerator of over 40 digits$"):
+        rational(10 ** 5000, 0)
+
+
 def test_normalize_extracts_square_factor():
     # sqrt(8) = 2 sqrt(2)
     assert surd(0, 1, 8) == QuadSurd(Fraction(0), Fraction(2), 2)

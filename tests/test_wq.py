@@ -8,6 +8,8 @@ arithmetic for the rest.
 """
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,9 @@ from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
                                     DerivativeSingularError, DomainError,
                                     MalformedInputError, NoBranchPointError)
 from lambert_tsallis.qexp import exp_q
-from lambert_tsallis.wq import (Branch, Interval, _log_residual, branch_domain,
-                                branch_point, dwq_dz, wq, wq_closed_form)
+from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, Interval,
+                                _branch_point, _check_request, _domain, _log_residual,
+                                branch_domain, branch_point, dwq_dz, wq, wq_closed_form)
 
 OMEGA = 0.5671432904097838          # W(1), classical
 DW_AT_ONE = 0.3618962566348892      # W'(1) = e^{-W(1)}/(1 + W(1))
@@ -196,6 +199,48 @@ def test_branch_domain_shapes():
     assert str(branch_domain(3.0, "lower")) == "(empty)"
 
 
+# one z outside each domain shape and its DomainError text, which the
+# Interval alone still writes; the whole line has no such z
+@pytest.mark.parametrize("q, branch, z_out, message", [
+    (0.0, Branch.UPPER, -0.25000000000000006,
+     "z = -0.25000000000000006 is outside the upper-branch domain [-0.25, inf) for q = 0"),
+    (0.5, Branch.UPPER, -0.29629629629629634,
+     "z = -0.29629629629629634 is outside the upper-branch domain [-0.296296, inf) for q = 0.5"),
+    (1.0, Branch.UPPER, -0.3678794411714424,
+     "z = -0.3678794411714424 is outside the upper-branch domain [-0.367879, inf) for q = 1"),
+    (1.5, Branch.UPPER, -0.5000000000000001,
+     "z = -0.5000000000000001 is outside the upper-branch domain [-0.5, inf) for q = 1.5"),
+    (2.0, Branch.UPPER, -1.0, "z = -1.0 is outside the upper-branch domain (-1, inf) for q = 2"),
+    (2.5, Branch.UPPER, None, None),
+    (3.0, Branch.UPPER, None, None),
+    (0.0, Branch.LOWER, 0.0, "z = 0.0 is outside the lower-branch domain [-0.25, 0) for q = 0"),
+    (0.5, Branch.LOWER, 0.0,
+     "z = 0.0 is outside the lower-branch domain [-0.296296, 0) for q = 0.5"),
+    (1.0, Branch.LOWER, 0.0,
+     "z = 0.0 is outside the lower-branch domain [-0.367879, 0) for q = 1"),
+    (1.5, Branch.LOWER, 0.0, "z = 0.0 is outside the lower-branch domain [-0.5, 0) for q = 1.5"),
+])
+def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
+    # _check_request decides the domain by comparisons; _domain's Interval
+    # is the reference, on every edge a comparison could get wrong
+    bp = _branch_point(q)
+    big = sys.float_info.max
+    edges = [0.0, -1.0] + ([] if bp is None else [bp.z_b])
+    zs = [-0.0, big, -big] + [math.nextafter(e, t) for e in edges for t in (-big, e, big)]
+    dom = _domain(q, branch, bp)
+    for z in zs:
+        try:
+            accepted = _check_request(q, z, branch, bp, DEFAULT_TOL, DEFAULT_MAX_ITER) is branch
+        except DomainError:
+            accepted = False
+        assert accepted == dom.contains(z), z
+    if z_out is None:
+        assert dom.contains(-big) and dom.contains(big)
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _check_request(q, z_out, branch, bp, DEFAULT_TOL, DEFAULT_MAX_ITER)
+
+
 def test_interval_str_and_contains():
     d = Interval(-0.25, math.inf, True, False)
     assert str(d) == "[-0.25, inf)"
@@ -244,8 +289,25 @@ def test_branch_as_a_string_or_a_member_gives_one_answer(q, z):
                                   lambda b: branch_domain(1, b),
                                   lambda b: wq_closed_form(0, 1, b)])
 def test_unknown_branch_raises_value_error(call):
-    with pytest.raises(ValueError, match="^'sideways' is not a valid Branch$"):
-        call("sideways")
+    # a str takes a dict lookup; [] must still give Branch()'s ValueError, not
+    # the TypeError of hashing it
+    for bad in ("sideways", [], None, "UPPER"):
+        text = f"^{re.escape(repr(bad))} is not a valid Branch$"
+        with pytest.raises(ValueError, match=text) as e:
+            call(bad)
+        assert type(e.value) is ValueError
+
+
+def test_records_are_read_only_named_tuples():
+    w, branch, residual, iterations = result = wq(1.5, 1.0)
+    assert (w, branch, residual, iterations) == (
+        result.w, Branch.UPPER, result.residual, result.iterations)
+    bp = branch_point(1.0)
+    assert tuple(bp) == (bp.z_b, bp.w_b) == (bp[0], -1.0)
+    for record, field in [(result, "w"), (result, "branch"), (bp, "z_b"), (bp, "w_b"),
+                          (result, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
 
 
 def test_non_finite_inputs_rejected():
