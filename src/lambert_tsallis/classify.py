@@ -103,19 +103,19 @@ _TWO = Rational(Fraction(2))
 # of the double branch_point(to_real(q)).z_b was at most 7.8e-16 over the
 # 2 222 surd q < 2 of benchmark seeds 1-5 and 7.7e-15 over values next to
 # 1, next to 2 and down to -1e16: next to 2 it grows like eps |log(2-q)|,
-# to about 1e-14 before q rounds to 2.
+# to about 1e-14 before q rounds to 2.  Below -1e16, where branch_point
+# takes exp_q(w_b) in closed form, it was at most 2.7e-16 down to -1.7e308.
 _ZB_MARGIN = Fraction(1, 10**12)
 
 
 def _double_z_b(q: QuadSurd) -> Fraction | None:
     """The double z_b of branch_point(to_real(q)) for a surd q < 2; None if q
-    rounds to 2, lies below the double range, or is below about -1e16, where
-    1 + (1-q) w_b and with it z_b round to 0."""
+    rounds to 2 or lies below the double range."""
     try:
         bp = branch_point(to_real(q))
     except MalformedInputError:  # q is beyond the double range
         return None
-    return None if bp is None or bp.z_b == 0.0 else Fraction(bp.z_b)
+    return None if bp is None else Fraction(bp.z_b)
 
 
 def _bracket_sign_algebraic(q: ExactNumber, z: ExactNumber) -> int | None:

@@ -38,8 +38,8 @@ from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
                      run_eq5_suite, run_residual_suite, run_scan_suite)
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _branch_point, _check_request,
-                 _domain, _solve, branch_point, dwq_dz, wq)
+from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _check_request, _solve,
+                 branch_domain, branch_point, dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
 
@@ -260,8 +260,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     branch = Branch(args.branch)
 
     if args.subject == "wq":
-        bp = _branch_point(q)
-        dom = _domain(q, branch, bp)
+        dom = branch_domain(q, branch)
         kept = [z for z in grid if dom.contains(z)]
         clipped = len(grid) - len(kept)
         if clipped:
@@ -274,7 +273,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return 1
         # every kept z is finite and inside the domain, so the first one
         # meets each check that wq would make on any of them
-        _check_request(q, kept[0], branch, bp, args.tol, args.max_iter)
+        _, _, _, bp = _check_request(q, kept[0], branch, args.tol, args.max_iter)
         solved = _solve(q, kept, branch, bp, args.tol, args.max_iter)
         rows = [(z, w, residual) for z, (w, residual, _) in zip(kept, solved)]
     else:

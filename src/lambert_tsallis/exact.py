@@ -3,14 +3,18 @@
 Numbers are one of three closed-form shapes:
 
 * ``Rational`` wraps a reduced ``fractions.Fraction`` (arbitrary precision).
-* ``QuadSurd`` is a + b*sqrt(d).  Canonical form has b != 0 and d a
-  squarefree integer >= 2, so a canonical surd is irrational by
-  construction and its arithmetic class needs no search.
+* ``QuadSurd`` is a + b*sqrt(d).  Canonical form has b != 0 and d >= 2,
+  not a perfect square, with no square factor p*p for p < 2**20, so a
+  canonical surd is irrational by construction and its class needs no
+  search.  A repeated prime factor p > 2**20 may stay in d: sqrt(p*p*d)
+  compares unequal to p*sqrt(d) and is another field, so mixing the two
+  raises ``UnsupportedFieldError``; ``sign``, ``classify_number`` and
+  ``to_real`` stay exact.
 * ``NamedTranscendental`` tags the constants e and pi.  They are opaque:
   no field arithmetic, no exact sign; only certified rational enclosures.
 
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
-member of every field.  Combining surds over distinct squarefree bases is
+member of every field.  Combining surds over distinct canonical radicands is
 rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
 Each public function normalizes its arguments once; the arithmetic then
 builds its canonical results directly.
@@ -84,7 +88,7 @@ class Rational:
 
 @dataclass(frozen=True)
 class QuadSurd:
-    """a + b*sqrt(d).  Canonical once b != 0 and d is squarefree >= 2."""
+    """a + b*sqrt(d).  Canonical once b != 0 and d >= 2 is as normalize leaves it."""
 
     a: Fraction
     b: Fraction
@@ -126,13 +130,13 @@ def surd(a, b, d: int) -> ExactNumber:
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s*s*f and f squarefree, for n >= 1.
-
-    Trial division stops once p**3 exceeds the cofactor m still to split:
-    m then has at most two prime factors, so it is a square or squarefree.
-    """
+    """Return (s, f) with n = s*s*f, for n >= 1, and f 1 or the canonical
+    radicand.  Trial division stops once p**3 exceeds the cofactor m still
+    to split (m then has at most two prime factors, so it is a square or
+    squarefree) or at p = 2**20, which bounds the time; m is then tested
+    for a perfect square."""
     s, f, m, p = 1, 1, n, 2
-    while p * p * p <= m:
+    while p < 2 ** 20 and p * p * p <= m:
         while m % (p * p) == 0:
             m //= p * p
             s *= p
@@ -145,8 +149,9 @@ def _square_split(n: int) -> tuple[int, int]:
 
 
 def normalize(x: ExactNumber) -> ExactNumber:
-    """Canonicalize: reduce the radicand to squarefree form, collapse b = 0
-    and perfect squares to Rational.  Idempotent."""
+    """Canonicalize: split square factors out of the radicand (see
+    _square_split), collapse b = 0 and perfect squares to Rational.
+    Idempotent."""
     match x:
         case Rational() | NamedTranscendental():
             return x
@@ -190,7 +195,7 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
 
 def _build(a: Fraction, b: Fraction, d: int | None) -> ExactNumber:
     """The canonical a + b*sqrt(d); d comes from an operand that _field_pair
-    normalized, so it is squarefree and >= 2."""
+    normalized, so it is canonical and >= 2."""
     if d is None or b == 0:
         return Rational(a)
     return QuadSurd(a, b, d)
@@ -236,7 +241,7 @@ def sign(x: ExactNumber) -> int:
         case Rational(v):
             return (v > 0) - (v < 0)
         case QuadSurd(a, b, d):
-            # canonical here: b != 0, d squarefree >= 2
+            # canonical here: b != 0, d >= 2 not a perfect square
             if a == 0:
                 return 1 if b > 0 else -1
             sa = 1 if a > 0 else -1

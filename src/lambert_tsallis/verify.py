@@ -22,9 +22,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, NoBranchPointError
-from .qexp import exp_q, positivity_domain
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain, branch_point,
-                 dwq_dz, wq)
+from .qexp import exp_q
+from .wq import Branch, branch_domain, branch_point, dwq_dz, wq
 
 __all__ = [
     "CheckResult",
@@ -85,24 +84,22 @@ class ScanReport:
     hit: bool
 
 
-def residual_defining_eq(q: float, z: float, branch: Branch = Branch.UPPER,
-                         tol: float = DEFAULT_TOL,
-                         max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """|w exp_q(w) - z| at the solver's w for this q, z, branch."""
-    w = wq(q, z, branch, tol, max_iter).w
+def residual_defining_eq(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
+    """|w exp_q(w) - z| at wq's w for this q, z, branch, solved at wq's
+    default tol and max_iter."""
+    w = wq(q, z, branch).w
     return abs(w * exp_q(q, w) - z)
 
 
-def check_derivative_fd(q: float, z: float, branch: Branch = Branch.UPPER,
-                        h: float | None = None) -> float:
+def check_derivative_fd(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
     """Relative gap between the closed-form derivative and a central
-    difference of the solver, |analytic - fd| / max(|analytic|, tiny).
+    difference of the solver, |analytic - fd| / max(|analytic|, tiny),
+    with the step h = 1e-6 * max(1, |z|) and every solve at tol 1e-13.
 
     z must sit far enough inside the branch domain for z +- h to remain in
-    it.  Default step h = 1e-6 * max(1, |z|).
+    it.
     """
-    if h is None:
-        h = 1e-6 * max(1.0, abs(z))
+    h = 1e-6 * max(1.0, abs(z))
     analytic = dwq_dz(q, z, branch, tol=_TIGHT_TOL)
     w_plus = wq(q, z + h, branch, tol=_TIGHT_TOL).w
     w_minus = wq(q, z - h, branch, tol=_TIGHT_TOL).w
@@ -110,30 +107,29 @@ def check_derivative_fd(q: float, z: float, branch: Branch = Branch.UPPER,
     return abs(analytic - fd) / max(abs(analytic), 1e-300)
 
 
-def eq5_residual(q: float, tol: float = DEFAULT_TOL) -> float:
+def eq5_residual(q: float) -> float:
     """Residual of the polynomial identity x^(q-1) - (1-q) x - 1 = 0 at
-    x = W_q(1) from the iterative solver (x > 0 always)."""
-    x = wq(q, 1.0, Branch.UPPER, tol).w
+    x = W_q(1) from wq at its default tol (x > 0 always)."""
+    x = wq(q, 1.0).w
     power = math.exp((q - 1.0) * math.log(x))
     return abs(power - (1.0 - q) * x - 1.0)
 
 
-def branch_point_check(q: float, delta: float = 1e-4) -> BranchPointReport:
+def branch_point_check(q: float) -> BranchPointReport:
     """Consistency and local geometry of the branch point.
 
     Checks that (z_b, w_b) satisfies the defining function, that w exp_q(w)
     has a local minimum at w_b (sampled at w_b +- delta), and that the
-    branch derivative grows approaching z_b from above (vertical tangent).
+    branch derivative grows approaching z_b from above (vertical tangent,
+    sampled at z_b + delta and z_b + delta/10).  delta is 1e-4, or half the
+    distance 1/((1-q)(2-q)) from w_b to the positivity wall 1/(q-1) where
+    that is smaller (q below about -69), so w_b - delta stays inside it.
     Raises NoBranchPointError for q >= 2.
     """
     bp = branch_point(q)
     if bp is None:
         raise NoBranchPointError(f"no branch point exists for q = {q:g} >= 2")
-    if not (delta > 0.0):
-        raise ConfigurationError(f"delta must be positive, got {delta!r}")
-    if not positivity_domain(q).contains(bp.w_b - delta):
-        raise ConfigurationError(
-            f"delta = {delta!r} reaches past the positivity wall for q = {q:g}")
+    delta = 1e-4 if q >= 1.0 else min(1e-4, 0.5 * (bp.w_b - 1.0 / (q - 1.0)))
     consistency = abs(bp.w_b * exp_q(q, bp.w_b) - bp.z_b)
     left = (bp.w_b - delta) * exp_q(q, bp.w_b - delta)
     right = (bp.w_b + delta) * exp_q(q, bp.w_b + delta)

@@ -39,17 +39,17 @@ dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) for every q
 from the defining relation, as the bracket 1 + (1-q) W cancels next to the
 wall.  It divides in log space where a factor leaves the normal range.
 
-Inputs are checked once per public call.  wq checks that q and z are
-finite, computes the branch point once with the unchecked _branch_point,
-and hands the rest to _check_request (branch, tol, max_iter, lower-branch
-existence, domain, in that order); dwq_dz reuses the same branch point.
-The domain is decided by comparisons, and its Interval is built only for a
-DomainError's message.  _solve, which checks nothing, is the only solver: it
-solves checked points on one branch in order (one for wq and dwq_dz, the
-kept grid for the CLI's table) and yields plain (w, residual, iterations)
-tuples; only wq builds a SolveResult.  SolveResult and BranchPoint are named
-tuples: their fields are read-only, and they unpack, index and compare
-equal like tuples.
+Inputs are checked once per public call, by _check_request (q and z
+finite, the branch point, the branch, tol, max_iter, lower-branch
+existence, the domain, in that order), which wq, dwq_dz and the CLI's table
+call.  _domain is the only case analysis of the branch domains: z is
+compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
+message wrap that in an Interval.  _solve, which checks nothing, is the only
+solver: it solves checked points on one branch in order (one for wq and
+dwq_dz, the kept grid for the CLI's table) and yields plain (w, residual,
+iterations) tuples; only wq builds a SolveResult.  SolveResult and
+BranchPoint are named tuples: their fields are read-only, and they unpack,
+index and compare equal like tuples.
 """
 
 from __future__ import annotations
@@ -118,13 +118,17 @@ def _branch_point(q: float) -> BranchPoint | None:
     if q >= 2.0:
         return None
     w_b = 1.0 / (q - 2.0)
-    return BranchPoint(w_b * _exp_q(q, w_b), w_b)
+    # the bracket 1 + (1-q) w_b is 1/(2-q), so exp_q(w_b) = (2-q)^(-1/(1-q));
+    # that form serves below about q = -1e16, where the bracket rounds to 0
+    e_b = _exp_q(q, w_b) or math.exp(-math.log(2.0 - q) / (1.0 - q))
+    return BranchPoint(w_b * e_b, w_b)
 
 
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     """Set of z for which the branch has a real value."""
     q = _require_finite("q", q)
-    return _domain(q, _as_branch(branch), _branch_point(q))
+    lo, lo_closed, hi = _domain(q, _as_branch(branch), _branch_point(q))
+    return Interval(lo, hi, lo_closed, False)
 
 
 _BRANCHES = {"upper": Branch.UPPER, "lower": Branch.LOWER}
@@ -139,26 +143,20 @@ def _as_branch(branch: Branch | str) -> Branch:
     return (branch.__class__ is str and _BRANCHES.get(branch)) or Branch(branch)
 
 
-def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> Interval:
-    """branch_domain for a finite q whose branch point bp is known."""
+def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> tuple[float, bool, float]:
+    """branch_domain as (lo, lo_closed, hi), hi open, for a finite q with
+    branch point bp; the empty domain is (inf, False, -inf)."""
     if branch is Branch.UPPER:
         if bp is not None:
-            return Interval(bp.z_b, math.inf, True, False)
+            return bp.z_b, True, math.inf
         if q == 2.0:
             # f(w) = w/(1-w) increases from the limit -1 at w -> -inf
-            return Interval(-1.0, math.inf, False, False)
+            return -1.0, False, math.inf
         # q > 2: image of the strictly increasing f is the whole line
-        return Interval(-math.inf, math.inf, False, False)
+        return -math.inf, False, math.inf
     if bp is not None:
-        return Interval(bp.z_b, 0.0, True, False)
-    return Interval.empty()
-
-
-def _in_domain(q: float, z: float, branch: Branch, bp: BranchPoint | None) -> bool:
-    """_domain(q, branch, bp).contains(z) for a finite z, by comparisons alone."""
-    if bp is None:
-        return branch is Branch.UPPER and (q > 2.0 or z > -1.0)
-    return z >= bp.z_b and (branch is Branch.UPPER or z < 0.0)
+        return bp.z_b, True, 0.0
+    return math.inf, False, -math.inf
 
 
 def _power_tail(q: float, z: float) -> float:
@@ -185,11 +183,12 @@ def _wall_tail(q: float, z: float) -> float:
     return min(w, inner) if wall > 0.0 else max(w, inner)
 
 
-def _bracket(q: float, z: float, branch: Branch, bp: BranchPoint | None):
+def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
     """Analytic bracket lo < W < hi of the root and a start in [lo, hi].
 
-    z is in the branch's domain and is neither 0 nor z_b.  The ends bound f
-    by simpler functions, so f is never evaluated: exp_q(w) >= 1 for w >= 0
+    z is in the branch's domain and is neither 0 nor z_b (nan, as w_b, for
+    q >= 2).  The ends bound f by simpler functions, so f is never
+    evaluated: exp_q(w) >= 1 for w >= 0
     and <= 1 for w < 0 give W <= z (W ~ z for small |z|); for q >= 1,
     exp_q(w) >= e^w gives W < log|z| where |W| >= 1, and s e^(-s) <
     e^(-s/2) gives W > 2 log|z| on the classical lower branch; the tails
@@ -212,27 +211,27 @@ def _bracket(q: float, z: float, branch: Branch, bp: BranchPoint | None):
         hi = z if q == 1.0 or z <= 1.0 else min(z, _power_tail(q, z))
         return 0.0, hi, hi if (1.0 - q) * hi > 4.0 else min(hi, log_end)
     if branch is Branch.UPPER:
-        if bp is None:
+        if q >= 2.0:
             # exp_q(-s) <= 1/(1+s) for q <= 2 (Bernoulli), so z/(1+z), the
             # root at q = 2, bounds W from above there
             hi = z / (1.0 + z) if q == 2.0 else min(z, _power_tail(q, z))
             return -sys.float_info.max, hi, hi
-        lo, hi = bp.w_b, z / (1.0 + z)
+        lo, hi = w_b, z / (1.0 + z)
     elif q < 1.0:
         wall = 1.0 / (q - 1.0)
-        lo, hi = _wall_tail(q, z), bp.w_b
+        lo, hi = _wall_tail(q, z), w_b
         if lo - wall < 0.25 * (hi - wall):
             # the tail puts W in the quarter of the bracket next to the wall,
             # where it is the better model and the branch-point quadratic fails
             return lo, hi, lo
     else:
         lo = 2.0 * math.log(-z) if q == 1.0 else _power_tail(q, z)
-        hi = min(bp.w_b, math.log(-z))
+        hi = min(w_b, math.log(-z))
         if (q - 1.0) * (2.0 - q) * lo < -4.0:
             # the tail's relative error is about 1/((q-1)(2-q)|W|): under 25%
             return lo, hi, lo
-    d = math.sqrt(2.0 * math.log(bp.z_b / z) / (2.0 - q) ** 3)
-    guess = bp.w_b + d if branch is Branch.UPPER else bp.w_b - d
+    d = math.sqrt(2.0 * math.log(z_b / z) / (2.0 - q) ** 3)
+    guess = w_b + d if branch is Branch.UPPER else w_b - d
     return lo, hi, min(hi, max(lo, guess))
 
 
@@ -281,20 +280,20 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     ConvergenceError (with the best iterate) when no double approximates
     the root or max_iter evaluations do not suffice.
     """
-    q = _require_finite("q", q)
-    z = _require_finite("z", z)
-    bp = _branch_point(q)
-    branch = _check_request(q, z, branch, bp, tol, max_iter)
+    q, z, branch, bp = _check_request(q, z, branch, tol, max_iter)
     # unpacking runs the generator to its end, so it need not be closed
     ((w, residual, iterations),) = _solve(q, (z,), branch, bp, tol, max_iter)
     return SolveResult(w, branch, residual, iterations)
 
 
-def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | None,
-                   tol: float, max_iter: int) -> Branch:
-    """wq's checks after q and z are known finite and bp = branch_point(q),
-    in order: the branch, tol, max_iter, the lower branch's existence and
-    the branch domain.  Returns the branch as a Branch."""
+def _check_request(q: float, z: float, branch: Branch | str, tol: float,
+                   max_iter: int) -> tuple[float, float, Branch, BranchPoint | None]:
+    """wq's checks, in order: q and z finite, the branch point, the branch,
+    tol, max_iter, the lower branch's existence and the branch domain.
+    Returns (q, z, branch, bp) as floats, a Branch and branch_point(q)."""
+    q = _require_finite("q", q)
+    z = _require_finite("z", z)
+    bp = _branch_point(q)
     branch = _as_branch(branch)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
@@ -303,10 +302,11 @@ def _check_request(q: float, z: float, branch: Branch | str, bp: BranchPoint | N
     if branch is Branch.LOWER and bp is None:
         raise NoBranchPointError(
             f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
-    if not _in_domain(q, z, branch, bp):
+    lo, lo_closed, hi = _domain(q, branch, bp)
+    if not ((z >= lo if lo_closed else z > lo) and z < hi):
         raise DomainError(f"z = {z!r} is outside the {branch.value}-branch domain "
-                          f"{_domain(q, branch, bp)} for q = {q:g}")
-    return branch
+                          f"{Interval(lo, hi, lo_closed, False)} for q = {q:g}")
+    return q, z, branch, bp
 
 
 def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None,
@@ -325,7 +325,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     point to compare on, so the first five points of a run take the
     analytic start, as wq's one-point run always does."""
     lower = branch is Branch.LOWER  # looked up once per run, not per point
-    z_b = math.nan if bp is None else bp.z_b
+    z_b, w_b = (math.nan, math.nan) if bp is None else bp
     w1 = w2 = w3 = w4 = math.nan  # the last four roots, newest first
     cubic_nearer = False
     for z in zs:
@@ -333,9 +333,9 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
             result = (0.0, 0.0, 0)
         elif z == z_b:
             # both branches meet here, where h has a double root
-            result = (bp.w_b, 0.0, 0)
+            result = (w_b, 0.0, 0)
         else:
-            lo, hi, start = _bracket(q, z, branch, bp)
+            lo, hi, start = _bracket(q, z, branch, z_b, w_b)
             inside = False
             if w4 == w4:  # four roots so far (w4 is nan before); saves a one-point run the cubic
                 cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
@@ -395,13 +395,10 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Derivative of the branch at z, 1/f'(W) (see the module notes): 1 at
     z = 0, divergent (vertical tangent) at the branch point."""
-    q = _require_finite("q", q)
-    z = _require_finite("z", z)
-    bp = _branch_point(q)
+    q, z, branch, bp = _check_request(q, z, branch, tol, max_iter)
     if bp is not None and z == bp.z_b:
         raise DerivativeSingularError(
             f"dW/dz diverges at the branch point z_b = {bp.z_b!r} for q = {q:g}")
-    branch = _check_request(q, z, branch, bp, tol, max_iter)
     if z == 0.0:
         return 1.0
     ((w, _, _),) = _solve(q, (z,), branch, bp, tol, max_iter)

@@ -199,9 +199,10 @@ def test_wq_named_inputs_unknown():
 # ------------------------------------------------------------- z_b guard
 
 @pytest.mark.parametrize("q,z", [("3-2*sqrt(2)", "-10"), ("sqrt(2)", "-100"),
-                                 ("1-sqrt(2)", "-1")])
+                                 ("1-sqrt(2)", "-1"),
+                                 (f"-{10 ** 17}+sqrt(2)", f"-1/{10 ** 16}")])
 def test_wq_below_the_branch_point_refused(q, z):
-    # z_b is about -0.264, -0.469 and -0.222: no real W_q(z) exists
+    # z_b is about -0.264, -0.469, -0.222 and -1e-17: no real W_q(z) exists
     with pytest.raises(DomainError, match="below the branch point"):
         c_wq(q, z)
 
@@ -218,11 +219,16 @@ def test_wq_band_around_the_double_branch_point_is_unknown():
 
 @pytest.mark.parametrize("q", [
     f"2-1/{10 ** 20}*sqrt(2)",       # rounds to 2: no branch point
-    f"-{10 ** 17}+sqrt(2)",          # the double z_b is 0, the true one -1e-17
     f"-{10 ** 400}+sqrt(2)",         # beyond the double range
 ])
 def test_wq_without_a_usable_double_branch_point_is_unknown(q):
     assert c_wq(q, f"-1/{10 ** 30}").rule is Rule.GUARD_FALLTHROUGH
+
+
+def test_wq_below_q_minus_1e16_is_decided_against_the_branch_point():
+    # 1 + (1-q) w_b rounds to 0 at q = -1e17 + sqrt(2), yet the double z_b
+    # is about -1e-17, and z = -1e-30 lies above it
+    assert c_wq(f"-{10 ** 17}+sqrt(2)", f"-1/{10 ** 30}").rule is Rule.THEOREM_3
 
 
 def _refuses(fn, *args) -> bool:

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 from lambert_tsallis.classify import (classify_expq, classify_lnq_derivative,
                                       classify_tower, classify_wq)
 from lambert_tsallis.cli import main, render_json
-from lambert_tsallis.errors import ConvergenceError
+from lambert_tsallis.errors import ConvergenceError, DomainError, NoBranchPointError
 from lambert_tsallis.exact import parse_exact, render_exact
 from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
 from lambert_tsallis.verify import run_branch_suite, run_eq5_suite
@@ -595,6 +596,44 @@ def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
     code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "1", "--z-to", "2",
                               "--max-iter", "1")
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+
+
+def test_dwq_at_the_branch_point_reports_a_bad_configuration_first(capsys):
+    # the request checks run before the z_b singularity check
+    z_b = branch_point(1.0).z_b
+    for flag in (["--tol", "0"], ["--max-iter", "0"]):
+        code, out, err = run_main(capsys, "eval", "dwq", "--q", "1", "--z", repr(z_b), *flag)
+        assert (code, out) == (2, "") and err.startswith("error: "), flag
+    with pytest.raises(ValueError, match="is not a valid Branch"):
+        dwq_dz(1.0, z_b, "sideways")
+
+
+@pytest.mark.parametrize("q, branch, interval", [
+    (0.0, "upper", "[-0.25, inf)"), (0.0, "lower", "[-0.25, 0)"),
+    (1.0, "upper", "[-0.367879, inf)"), (1.0, "lower", "[-0.367879, 0)"),
+    (2.0, "upper", "(-1, inf)"), (2.0, "lower", "(empty)"),
+    (2.5, "upper", "(-inf, inf)"), (2.5, "lower", "(empty)"),
+])
+def test_branch_domain_wq_and_table_name_one_interval(capsys, q, branch, interval):
+    assert str(branch_domain(q, branch)) == interval
+    z_out = -1e3 if branch == "upper" else 1.0
+    if interval == "(-inf, inf)":
+        assert wq(q, z_out, branch).w < 0.0  # no z lies outside
+    elif interval == "(empty)":
+        with pytest.raises(NoBranchPointError):
+            wq(q, z_out, branch)
+    else:
+        with pytest.raises(DomainError) as exc:
+            wq(q, z_out, branch)
+        assert re.search(r"-branch domain (.*) for q = ", str(exc.value))[1] == interval
+    # -1e3 and -499.5 lie below every lower end, 1 above every lower branch
+    code, out, err = run_main(capsys, "table", "wq", "--q", repr(q), "--z-from", "-1e3",
+                              "--z-to", "1", "--steps", "3", "--branch", branch)
+    warning = re.search(r"branch domain (.*) and were dropped", err)
+    if interval == "(-inf, inf)":
+        assert (code, warning) == (0, None)
+    else:
+        assert warning[1] == interval
 
 
 def test_table_expq_non_finite_grid_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Exact number representations: normalization, field arithmetic, signs,
 parsing, rendering."""
 
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,29 @@ def test_normalize_large_prime_radicand():
     # 10**16 + 61 is prime; trial division to its square root would not finish
     assert parse_exact("sqrt(10000000000000061)") == QuadSurd(
         Fraction(0), Fraction(1), 10 ** 16 + 61)
+
+
+def test_normalize_30_digit_prime_radicand_in_bounded_time():
+    # 10**30 + 57 is prime; trial division to its cube root would run for
+    # about 1 000 s, so the parse runs in a child process under a time bound
+    code = ("from lambert_tsallis.exact import parse_exact; "
+            "print(repr(parse_exact('sqrt(1000000000000000000000000000057)')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == repr(QuadSurd(Fraction(0), Fraction(1), 10 ** 30 + 57))
+
+
+def test_repeated_prime_factor_above_the_trial_limit_stays_unsplit():
+    # 1048583 and 1048589 are primes above 2**20: p*p*r keeps its square
+    # factor, names a field of its own, and its sign stays exact
+    p, r = 1048583, 1048589
+    x = surd(0, 1, p * p * r)
+    assert x == QuadSurd(Fraction(0), Fraction(1), p * p * r)
+    assert x != surd(0, p, r)
+    with pytest.raises(UnsupportedFieldError):
+        sub(x, surd(0, p, r))
+    assert sign(sub(x, rational(p * 1024))) == 1
+    assert sign(sub(x, rational(p * 1025))) == -1
 
 
 def test_normalize_perfect_square_collapses():

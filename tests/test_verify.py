@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+from lambert_tsallis import verify
 from lambert_tsallis.errors import ConfigurationError, NoBranchPointError
+from lambert_tsallis.qexp import exp_q, positivity_domain
 from lambert_tsallis.verify import (BRANCH_POINT_Q_GRID, EQ5_Q_GRID,
                                     RESIDUAL_Q_GRID, ScanReport,
                                     algebraicity_scan,
@@ -187,12 +189,19 @@ def test_branch_point_check_refuses_q_at_least_two():
             branch_point_check(q)
 
 
-def test_branch_point_check_delta_guard():
-    with pytest.raises(ConfigurationError):
-        branch_point_check(1.0, delta=-1e-3)
-    # q = 0: wall at -1, w_b = -0.5; delta reaching past the wall is refused
-    with pytest.raises(ConfigurationError):
-        branch_point_check(0.0, delta=0.6)
+@pytest.mark.parametrize("q", [-1000.0, -200.0, -99.0])
+def test_branch_point_check_passes_next_to_the_wall(monkeypatch, q):
+    # w_b lies within 1e-4 of the wall 1/(q-1) here; delta shrinks so that
+    # f is sampled inside the positivity domain, where exp_q is not cut off
+    sampled = []
+
+    def recording(q_, w):
+        sampled.append(w)
+        return exp_q(q_, w)
+
+    monkeypatch.setattr(verify, "exp_q", recording)
+    assert branch_point_check(q).passed
+    assert len(sampled) == 3 and all(positivity_domain(q).contains(w) for w in sampled)
 
 
 # ------------------------------------------------------------------ suites

@@ -21,8 +21,8 @@ from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
                                     MalformedInputError, NoBranchPointError)
 from lambert_tsallis.qexp import exp_q
 from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, Interval,
-                                _branch_point, _check_request, _domain, _log_residual,
-                                branch_domain, branch_point, dwq_dz, wq, wq_closed_form)
+                                _check_request, _log_residual, branch_domain, branch_point,
+                                dwq_dz, wq, wq_closed_form)
 
 OMEGA = 0.5671432904097838          # W(1), classical
 DW_AT_ONE = 0.3618962566348892      # W'(1) = e^{-W(1)}/(1 + W(1))
@@ -174,6 +174,28 @@ def test_branch_point_pinned(q, z_b, w_b):
     assert bp.w_b == pytest.approx(w_b, abs=1e-12)
 
 
+def test_branch_point_below_q_minus_1e16():
+    # 1 + (1-q) w_b = 1/(2-q) rounds to 0 here, where exp_q cuts off; the
+    # true z_b = -(2-q)^((q-2)/(1-q)) is -1e-17 to within 4e-16 relative
+    assert abs(branch_point(-1e17).z_b + 1e-17) <= 1e-15 * 1e-17
+
+
+@pytest.mark.parametrize("q", [-2e16, -1e17, -1e100, -1e300])
+def test_branch_point_below_q_minus_1e16_against_mpmath(q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        qv = mpmath.mpf(q)
+        z_b = -(2 - qv) ** ((qv - 2) / (1 - qv))
+        rel = abs((branch_point(q).z_b - z_b) / z_b)
+    assert rel <= 2e-16
+
+
+def test_wq_just_above_a_branch_point_below_q_minus_1e16():
+    # z_b is about -5e-17: z = -1e-17 lies inside the upper-branch domain
+    res = wq(-2e16, -1e-17)
+    assert res.w == pytest.approx(-1e-17, rel=1e-15)
+
+
 def test_branch_point_absent_at_two_and_beyond():
     for q in (2.0, 2.5, 3.0):
         assert branch_point(q) is None
@@ -221,16 +243,16 @@ def test_branch_domain_shapes():
     (1.5, Branch.LOWER, 0.0, "z = 0.0 is outside the lower-branch domain [-0.5, 0) for q = 1.5"),
 ])
 def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
-    # _check_request decides the domain by comparisons; _domain's Interval
-    # is the reference, on every edge a comparison could get wrong
-    bp = _branch_point(q)
+    # _check_request decides the domain by comparisons; branch_domain's
+    # Interval is the reference, on every edge a comparison could get wrong
+    bp = branch_point(q)
     big = sys.float_info.max
     edges = [0.0, -1.0] + ([] if bp is None else [bp.z_b])
     zs = [-0.0, big, -big] + [math.nextafter(e, t) for e in edges for t in (-big, e, big)]
-    dom = _domain(q, branch, bp)
+    dom = branch_domain(q, branch)
     for z in zs:
         try:
-            accepted = _check_request(q, z, branch, bp, DEFAULT_TOL, DEFAULT_MAX_ITER) is branch
+            accepted = _check_request(q, z, branch, DEFAULT_TOL, DEFAULT_MAX_ITER)[2] is branch
         except DomainError:
             accepted = False
         assert accepted == dom.contains(z), z
@@ -238,7 +260,7 @@ def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
         assert dom.contains(-big) and dom.contains(big)
     else:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            _check_request(q, z_out, branch, bp, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            _check_request(q, z_out, branch, DEFAULT_TOL, DEFAULT_MAX_ITER)
 
 
 def test_interval_str_and_contains():
@@ -337,7 +359,8 @@ def test_derivative_pinned_values():
 
 
 def test_derivative_singular_at_branch_point():
-    for q in (0.0, 1.0, 1.5):
+    # at q = 0.1, 1 + (2-q) w_b rounds to 1.1e-16, not 0: only the z_b check raises
+    for q in (0.0, 0.1, 1.0, 1.5):
         bp = branch_point(q)
         with pytest.raises(DerivativeSingularError):
             dwq_dz(q, bp.z_b)
