@@ -1,11 +1,11 @@
 """Arithmetic-nature classification for values of the deformed functions.
 
-Verdicts are produced by a guarded decision procedure over exact inputs
-(`exact.ExactNumber`).  Each classify_* normalizes its operands once and
-then tests their canonical shapes directly.  Every Transcendental verdict
-cites a rule whose hypotheses were checked on the inputs, so a verdict is
-never wrong; when no rule applies the result is the legal verdict Unknown
-with rule GuardFallthrough.
+Verdicts, named tuples Classification, come from a guarded decision
+procedure over exact inputs (`exact.ExactNumber`).  Each classify_*
+normalizes its operands once and then tests their canonical shapes
+directly.  Every Transcendental verdict cites a rule whose hypotheses were
+checked on the inputs, so a verdict is never wrong; when no rule applies
+the result is the legal verdict Unknown with rule GuardFallthrough.
 
 Floating point enters in one place, the z_b guard of classify_wq: for surd
 q < 2 and z < 0, W_q(z) is real only for z >= z_b, which has no exact form
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -75,12 +75,12 @@ class Rule(Enum):
     GUARD_FALLTHROUGH = "guard_fallthrough"
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: ArithmeticClass
-    rule: Rule
-    justification: str
-    exact_value: ExactNumber | None = None
+class Classification(namedtuple("Classification", "verdict rule justification exact_value",
+                                 defaults=(None,))):
+    """A named tuple: the verdict, the Rule that gave it, its justification
+    and, where the value is known exactly, exact_value (else None)."""
+
+    __slots__ = ()
 
     def to_record(self) -> dict:
         """Structured record for serialization (exact_value in the text grammar)."""

@@ -1,6 +1,6 @@
 """Exact arithmetic over the rationals and real quadratic fields Q(sqrt(d)).
 
-Numbers are one of three closed-form shapes:
+Numbers are one of three closed-form shapes, named tuples that do not order:
 
 * ``Rational`` wraps a reduced ``fractions.Fraction`` (arbitrary precision).
 * ``QuadSurd`` is a + b*sqrt(d).  Canonical form has b != 0 and d >= 2,
@@ -17,7 +17,7 @@ Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Combining surds over distinct canonical radicands is
 rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
 Each public function normalizes its arguments once; the arithmetic then
-builds its canonical results directly.
+builds its canonical results directly, and a radicand is split once.
 
 Sign evaluation never touches floating point: for a + b*sqrt(d) it compares
 a*a against b*b*d together with the signs of a and b.
@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import MalformedInputError, UnsupportedFieldError, UnsupportedOperandError
@@ -79,20 +80,27 @@ class ArithmeticClass(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Rational:
+class _Unordered:
+    """Exact numbers do not order: <, <=, > and >= raise TypeError."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class Rational(_Unordered, namedtuple("Rational", "value")):
     """An exact rational number (reduced by Fraction itself)."""
 
-    value: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuadSurd:
+class QuadSurd(_Unordered, namedtuple("QuadSurd", "a b d")):
     """a + b*sqrt(d).  Canonical once b != 0 and d >= 2 is as normalize leaves it."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ()
 
 
 class Constant(Enum):
@@ -100,11 +108,10 @@ class Constant(Enum):
     PI = "pi"
 
 
-@dataclass(frozen=True)
-class NamedTranscendental:
+class NamedTranscendental(_Unordered, namedtuple("NamedTranscendental", "tag")):
     """One of the tagged constants e, pi.  Opaque to field arithmetic."""
 
-    tag: Constant
+    __slots__ = ()
 
 
 ExactNumber = Rational | QuadSurd | NamedTranscendental
@@ -129,12 +136,13 @@ def surd(a, b, d: int) -> ExactNumber:
     return normalize(QuadSurd(Fraction(a), Fraction(b), d))
 
 
+@lru_cache(maxsize=256)
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, f) with n = s*s*f, for n >= 1, and f 1 or the canonical
     radicand.  Trial division stops once p**3 exceeds the cofactor m still
     to split (m then has at most two prime factors, so it is a square or
     squarefree) or at p = 2**20, which bounds the time; m is then tested
-    for a perfect square."""
+    for a perfect square.  Cached: every operation normalizes again."""
     s, f, m, p = 1, 1, n, 2
     while p < 2 ** 20 and p * p * p <= m:
         while m % (p * p) == 0:
@@ -252,7 +260,6 @@ def sign(x: ExactNumber) -> int:
             return sa if a * a > b * b * d else sb
         case NamedTranscendental():
             raise UnsupportedOperandError("exact sign of e or pi is not provided here")
-    raise MalformedInputError(f"not an exact number: {x!r}")
 
 
 def classify_number(x: ExactNumber) -> ArithmeticClass:
@@ -264,7 +271,6 @@ def classify_number(x: ExactNumber) -> ArithmeticClass:
             return ArithmeticClass.ALGEBRAIC_IRRATIONAL
         case NamedTranscendental():
             return ArithmeticClass.TRANSCENDENTAL
-    raise MalformedInputError(f"not an exact number: {x!r}")
 
 
 _SQRT_BITS = 128
@@ -290,7 +296,6 @@ def to_real(x: ExactNumber) -> float:
                 return math.e if tag is Constant.E else math.pi
     except OverflowError:  # float() of a Fraction past the largest double
         raise MalformedInputError("the exact value is beyond the double range") from None
-    raise MalformedInputError(f"not an exact number: {x!r}")
 
 
 def is_algebraic(x: ExactNumber) -> bool:
@@ -387,4 +392,3 @@ def render_exact(x: ExactNumber) -> str:
                 return tag.value
     except ValueError:
         raise MalformedInputError(f"the exact value has a term beyond {_DIGIT_LIMIT}") from None
-    raise MalformedInputError(f"not an exact number: {x!r}")

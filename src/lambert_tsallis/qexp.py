@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, MalformedInputError
 
@@ -29,14 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Real interval with individually open or closed endpoints."""
+class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
+    """Real interval with individually open or closed endpoints, a named
+    tuple (lo, hi, lo_closed, hi_closed)."""
 
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = ()
 
     @classmethod
     def empty(cls) -> "Interval":
@@ -47,8 +44,9 @@ class Interval:
         return self.lo > self.hi
 
     def contains(self, z: float) -> bool:
-        above = z >= self.lo if self.lo_closed else z > self.lo
-        below = z <= self.hi if self.hi_closed else z < self.hi
+        lo, hi, lo_closed, hi_closed = self
+        above = z >= lo if lo_closed else z > lo
+        below = z <= hi if hi_closed else z < hi
         return above and below
 
     def __str__(self) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigurationError, NoBranchPointError
 from .qexp import exp_q
@@ -55,33 +55,32 @@ BRANCH_POINT_Q_GRID = (0.0, 0.5, 1.0, 1.5)
 _TIGHT_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
+# The reports are named tuples: read-only fields; they unpack, index and
+# compare like tuples of their fields in the order given.
 
 
-@dataclass(frozen=True)
-class BranchPointReport:
-    q: float
-    z_b: float
-    w_b: float
-    consistency: float  # |w_b exp_q(w_b) - z_b|
-    is_minimum: bool    # f(w_b +- delta) > z_b on both sides
-    tangent_growth: bool  # |dW/dz| grows approaching z_b from above
-    passed: bool
+class CheckResult(namedtuple("CheckResult", "name passed measured threshold")):
+    """One named check: passed, the measured value and its threshold."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    target: float
-    degree_max: int
-    coeff_max: int
-    best_poly: tuple[int, ...]  # leading coefficient first
-    best_abs_value: float
-    hit: bool
+class BranchPointReport(namedtuple(
+        "BranchPointReport", "q z_b w_b consistency is_minimum tangent_growth passed")):
+    """branch_point_check's findings: consistency = |w_b exp_q(w_b) - z_b|;
+    is_minimum: f(w_b +- delta) > z_b on both sides; tangent_growth: |dW/dz|
+    grows approaching z_b from above; passed: all three hold."""
+
+    __slots__ = ()
+
+
+class ScanReport(namedtuple(
+        "ScanReport", "target degree_max coeff_max best_poly best_abs_value hit")):
+    """algebraicity_scan's result: best_poly (leading coefficient first)
+    minimizes |p(target)| in the box, best_abs_value is that minimum, and
+    hit means it is below eps."""
+
+    __slots__ = ()
 
 
 def residual_defining_eq(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
@@ -121,10 +120,12 @@ def branch_point_check(q: float) -> BranchPointReport:
     Checks that (z_b, w_b) satisfies the defining function, that w exp_q(w)
     has a local minimum at w_b (sampled at w_b +- delta), and that the
     branch derivative grows approaching z_b from above (vertical tangent,
-    sampled at z_b + delta and z_b + delta/10).  delta is 1e-4, or half the
+    sampled at z_b + dz and z_b + dz/10).  delta is 1e-4, or half the
     distance 1/((1-q)(2-q)) from w_b to the positivity wall 1/(q-1) where
     that is smaller (q below about -69), so w_b - delta stays inside it.
-    Raises NoBranchPointError for q >= 2.
+    dz is delta, or 20 ulp of z_b where that is larger (q below about
+    -1e14), so that z_b + dz/10 does not round to z_b.  Raises
+    NoBranchPointError for q >= 2.
     """
     bp = branch_point(q)
     if bp is None:
@@ -134,8 +135,9 @@ def branch_point_check(q: float) -> BranchPointReport:
     left = (bp.w_b - delta) * exp_q(q, bp.w_b - delta)
     right = (bp.w_b + delta) * exp_q(q, bp.w_b + delta)
     is_minimum = left > bp.z_b and right > bp.z_b
-    d_far = abs(dwq_dz(q, bp.z_b + delta, Branch.UPPER, tol=_TIGHT_TOL))
-    d_near = abs(dwq_dz(q, bp.z_b + delta / 10.0, Branch.UPPER, tol=_TIGHT_TOL))
+    dz = max(delta, 20.0 * math.ulp(bp.z_b))
+    d_far = abs(dwq_dz(q, bp.z_b + dz, Branch.UPPER, tol=_TIGHT_TOL))
+    d_near = abs(dwq_dz(q, bp.z_b + dz / 10.0, Branch.UPPER, tol=_TIGHT_TOL))
     tangent_growth = d_near > d_far
     passed = consistency <= 1e-12 and is_minimum and tangent_growth
     return BranchPointReport(q=q, z_b=bp.z_b, w_b=bp.w_b, consistency=consistency,

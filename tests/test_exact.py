@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambert_tsallis import exact
 from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
                                    NamedTranscendental, QuadSurd, Rational,
                                    add, classify_number, div, is_algebraic,
@@ -63,6 +64,31 @@ def test_normalize_30_digit_prime_radicand_in_bounded_time():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert out.strip() == repr(QuadSurd(Fraction(0), Fraction(1), 10 ** 30 + 57))
+
+
+def test_each_radicand_is_split_once():
+    # every operation normalizes its operands again; the split of a radicand
+    # is cached, so 10**16 + 61 (a prime, trial division to 2**20) and then
+    # 12 = 2*2*3 with its canonical radicand 3 are split once each
+    exact._square_split.cache_clear()
+    x = parse_exact("1+sqrt(10000000000000061)")
+    y = parse_exact("2-3*sqrt(10000000000000061)")
+    assert sign(sub(mul(x, y), add(x, div(y, x)))) == -1  # about -3d
+    assert classify_number(x) is ArithmeticClass.ALGEBRAIC_IRRATIONAL
+    assert exact._square_split.cache_info().misses == 1
+    assert sign(neg(parse_exact("sqrt(12)"))) == -1
+    info = exact._square_split.cache_info()
+    assert info.misses == 3 and info.hits >= 10
+
+
+@pytest.mark.parametrize("plain", [(1, 2, 3), (Fraction(1),), (Constant.E,)])
+@pytest.mark.parametrize("op", [normalize, sign, classify_number, to_real, render_exact,
+                                is_algebraic, lambda x: add(x, ONE), lambda x: mul(ONE, x)])
+def test_plain_tuple_is_not_an_exact_number(op, plain):
+    # the records are named tuples, but a plain tuple of the same fields is
+    # not read as a QuadSurd, Rational or NamedTranscendental
+    with pytest.raises(MalformedInputError):
+        op(plain)
 
 
 def test_repeated_prime_factor_above_the_trial_limit_stays_unsplit():

@@ -3,12 +3,14 @@ helpers, branch-point reports, suite wiring."""
 
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import lambert_tsallis
 from lambert_tsallis import verify
 from lambert_tsallis.errors import ConfigurationError, NoBranchPointError
 from lambert_tsallis.qexp import exp_q, positivity_domain
@@ -20,7 +22,7 @@ from lambert_tsallis.verify import (BRANCH_POINT_Q_GRID, EQ5_Q_GRID,
                                     run_all, run_branch_suite,
                                     run_derivative_suite, run_eq5_suite,
                                     run_residual_suite, run_scan_suite)
-from lambert_tsallis.wq import Branch, wq
+from lambert_tsallis.wq import Branch, branch_point, dwq_dz, wq
 
 OMEGA = 0.5671432904097838
 
@@ -204,6 +206,26 @@ def test_branch_point_check_passes_next_to_the_wall(monkeypatch, q):
     assert len(sampled) == 3 and all(positivity_domain(q).contains(w) for w in sampled)
 
 
+@pytest.mark.parametrize("q", [-1e15, -3e15, -2e16])
+def test_branch_point_check_below_q_minus_1e15(monkeypatch, q):
+    # z_b + delta/10 rounded to z_b here, so dwq_dz raised
+    # DerivativeSingularError; the z-side step is now at least 20 ulp of z_b.
+    # passed is not asserted: f's minimum over w_b +- delta lies within an
+    # ulp of z_b at these q
+    sampled = []
+
+    def recording(q_, z, *args, **kwargs):
+        sampled.append(z)
+        return dwq_dz(q_, z, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "dwq_dz", recording)
+    report = branch_point_check(q)
+    bp = branch_point(q)
+    assert (report.q, report.z_b, report.w_b) == (q, bp.z_b, bp.w_b)
+    assert report.consistency <= 1e-12
+    assert len(sampled) == 2 and sampled[0] > sampled[1] > bp.z_b
+
+
 # ------------------------------------------------------------------ suites
 
 def test_all_suites_pass():
@@ -254,6 +276,19 @@ def test_package_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every record is a named tuple; dataclasses, with the inspect module it
+    # imports, would add about 9 ms to each cold start.  -I ignores
+    # PYTHONPATH, so the child is pointed at this package's source
+    src = os.path.dirname(os.path.dirname(lambert_tsallis.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lambert_tsallis.cli; "
+            "print(lambert_tsallis.__file__); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == [lambert_tsallis.__file__, "[]"]
 
 
 def test_verify_runs_with_numpy_blocked():

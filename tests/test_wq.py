@@ -8,6 +8,7 @@ arithmetic for the rest.
 """
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -16,10 +17,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lambert_tsallis.classify import Classification, Rule, classify_expq
 from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
                                     DerivativeSingularError, DomainError,
                                     MalformedInputError, NoBranchPointError)
+from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
+                                   parse_exact)
 from lambert_tsallis.qexp import exp_q
+from lambert_tsallis.verify import CheckResult, algebraicity_scan, branch_point_check
 from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, Interval,
                                 _check_request, _log_residual, branch_domain, branch_point,
                                 dwq_dz, wq, wq_closed_form)
@@ -330,6 +335,50 @@ def test_records_are_read_only_named_tuples():
                           (result, "extra")]:
         with pytest.raises(AttributeError):
             setattr(record, field, 0.0)
+
+
+def test_every_record_is_a_read_only_named_tuple():
+    half, surd2 = parse_exact("1/2"), parse_exact("sqrt(8)")
+    pinned = [
+        (branch_domain(0.0), (-0.25, math.inf, True, False),
+         "Interval(lo=-0.25, hi=inf, lo_closed=True, hi_closed=False)"),
+        (half, (Fraction(1, 2),), "Rational(value=Fraction(1, 2))"),
+        (surd2, (0, 2, 2), "QuadSurd(a=Fraction(0, 1), b=Fraction(2, 1), d=2)"),
+        (parse_exact("e"), (Constant.E,), "NamedTranscendental(tag=<Constant.E: 'e'>)"),
+        (classify_expq(half, ZERO),
+         (ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
+          "exp_q(0) = 1 exactly for every deformation q.", ONE),
+         "Classification(verdict=<ArithmeticClass.RATIONAL: 'rational'>, "
+         "rule=<Rule.EXACT_VALUE: 'exact_value'>, "
+         "justification='exp_q(0) = 1 exactly for every deformation q.', "
+         "exact_value=Rational(value=Fraction(1, 1)))"),
+        (CheckResult("eq5 q=1.5", True, 0.25, 1e-10), ("eq5 q=1.5", True, 0.25, 1e-10),
+         "CheckResult(name='eq5 q=1.5', passed=True, measured=0.25, threshold=1e-10)"),
+        (branch_point_check(0.0), (0.0, -0.25, -0.5, 0.0, True, True, True),
+         "BranchPointReport(q=0.0, z_b=-0.25, w_b=-0.5, consistency=0.0, "
+         "is_minimum=True, tangent_growth=True, passed=True)"),
+        (algebraicity_scan(0.5, 1, 2), (0.5, 1, 2, (2, -1), 0.0, True),
+         "ScanReport(target=0.5, degree_max=1, coeff_max=2, best_poly=(2, -1), "
+         "best_abs_value=0.0, hit=True)"),
+    ]
+    for record, fields, text in pinned:
+        assert repr(record) == text
+        assert tuple(record) == fields
+        assert [record[i] for i in range(len(fields))] == [
+            getattr(record, name) for name in record._fields]
+        for name in (record._fields[0], record._fields[-1], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+    assert Classification(ArithmeticClass.UNKNOWN, Rule.GUARD_FALLTHROUGH, "").exact_value is None
+    # exact numbers compare equal like tuples but do not order
+    assert ONE == (Fraction(1),)
+    for x, y in [(surd2, surd2), (surd2, parse_exact("sqrt(3)")), (half, ONE),
+                 (half, surd2), (E, PI), (half, 1)]:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, y)
+    with pytest.raises(TypeError):
+        sorted([parse_exact("sqrt(3)"), surd2])
 
 
 def test_non_finite_inputs_rejected():
