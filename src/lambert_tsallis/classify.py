@@ -1,11 +1,12 @@
 """Arithmetic-nature classification for values of the deformed functions.
 
 Verdicts, named tuples Classification, come from a guarded decision
-procedure over exact inputs (`exact.ExactNumber`).  Each classify_*
-normalizes its operands once and then tests their canonical shapes
-directly.  Every Transcendental verdict cites a rule whose hypotheses were
-checked on the inputs, so a verdict is never wrong; when no rule applies
-the result is the legal verdict Unknown with rule GuardFallthrough.
+procedure over exact inputs (`exact.ExactNumber`), which are canonical
+by construction.  Each classify_* checks its operands' type once and then
+tests their shapes directly.  Every Transcendental verdict cites a rule
+whose hypotheses were checked on the inputs, so a verdict is never wrong;
+when no rule applies the result is the legal verdict Unknown with rule
+GuardFallthrough.
 
 Floating point enters in one place, the z_b guard of classify_wq: for surd
 q < 2 and z < 0, W_q(z) is real only for z >= z_b, which has no exact form

@@ -3,21 +3,21 @@
 Numbers are one of three closed-form shapes, named tuples that do not order:
 
 * ``Rational`` wraps a reduced ``fractions.Fraction`` (arbitrary precision).
-* ``QuadSurd`` is a + b*sqrt(d).  Canonical form has b != 0 and d >= 2,
-  not a perfect square, with no square factor p*p for p < 2**20, so a
-  canonical surd is irrational by construction and its class needs no
-  search.  A repeated prime factor p > 2**20 may stay in d: sqrt(p*p*d)
-  compares unequal to p*sqrt(d) and is another field, so mixing the two
-  raises ``UnsupportedFieldError``; ``sign``, ``classify_number`` and
-  ``to_real`` stay exact.
+* ``QuadSurd`` is a + b*sqrt(d), canonical by construction: b != 0 and
+  d >= 2, not a perfect square, with no square factor p*p for p < 2**20,
+  so a surd is irrational and its class needs no search.  A repeated
+  prime factor p > 2**20 may stay in d: sqrt(p*p*d) compares unequal to
+  p*sqrt(d) and is another field, so mixing the two raises
+  ``UnsupportedFieldError``; ``sign``, ``classify_number`` and ``to_real``
+  stay exact.
 * ``NamedTranscendental`` tags the constants e and pi.  They are opaque:
   no field arithmetic, no exact sign; only certified rational enclosures.
 
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Combining surds over distinct canonical radicands is
 rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
-Each public function normalizes its arguments once; the arithmetic then
-builds its canonical results directly, and a radicand is split once.
+Building a QuadSurd splits its radicand once; the arithmetic builds its
+results from canonical operands and never splits again.
 
 Sign evaluation never touches floating point: for a + b*sqrt(d) it compares
 a*a against b*b*d together with the signs of a and b.
@@ -37,7 +37,6 @@ import re
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .errors import MalformedInputError, UnsupportedFieldError, UnsupportedOperandError
@@ -98,9 +97,31 @@ class Rational(_Unordered, namedtuple("Rational", "value")):
 
 
 class QuadSurd(_Unordered, namedtuple("QuadSurd", "a b d")):
-    """a + b*sqrt(d).  Canonical once b != 0 and d >= 2 is as normalize leaves it."""
+    """a + b*sqrt(d) with the square factor of d split out; b = 0 or a
+    perfect-square d yields a Rational.  _replace, _make, unpickling and
+    copying build through here too."""
 
     __slots__ = ()
+
+    def __new__(cls, a, b, d):
+        a, b = Fraction(a), Fraction(b)
+        if not isinstance(d, int):
+            raise MalformedInputError(f"radicand must be an integer, got {d!r}")
+        if d < 0:
+            raise MalformedInputError(f"negative radicand sqrt({d}) has no real value")
+        if b == 0 or d == 0:
+            return Rational(a)
+        s, f = _square_split(d)
+        if f == 1:
+            return Rational(a + b * s)
+        return tuple.__new__(cls, (a, b * s, f))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return QuadSurd, tuple(self)
 
 
 class Constant(Enum):
@@ -132,17 +153,16 @@ def rational(num: int, den: int = 1) -> Rational:
 
 
 def surd(a, b, d: int) -> ExactNumber:
-    """Build and normalize a + b*sqrt(d); may collapse to a Rational."""
-    return normalize(QuadSurd(Fraction(a), Fraction(b), d))
+    """Build a + b*sqrt(d); may collapse to a Rational."""
+    return QuadSurd(a, b, d)
 
 
-@lru_cache(maxsize=256)
 def _square_split(n: int) -> tuple[int, int]:
     """Return (s, f) with n = s*s*f, for n >= 1, and f 1 or the canonical
     radicand.  Trial division stops once p**3 exceeds the cofactor m still
     to split (m then has at most two prime factors, so it is a square or
     squarefree) or at p = 2**20, which bounds the time; m is then tested
-    for a perfect square.  Cached: every operation normalizes again."""
+    for a perfect square.  Arithmetic results are never split again."""
     s, f, m, p = 1, 1, n, 2
     while p < 2 ** 20 and p * p * p <= m:
         while m % (p * p) == 0:
@@ -157,24 +177,10 @@ def _square_split(n: int) -> tuple[int, int]:
 
 
 def normalize(x: ExactNumber) -> ExactNumber:
-    """Canonicalize: split square factors out of the radicand (see
-    _square_split), collapse b = 0 and perfect squares to Rational.
-    Idempotent."""
-    match x:
-        case Rational() | NamedTranscendental():
-            return x
-        case QuadSurd(a, b, d):
-            a, b = Fraction(a), Fraction(b)
-            if not isinstance(d, int):
-                raise MalformedInputError(f"radicand must be an integer, got {d!r}")
-            if d < 0:
-                raise MalformedInputError(f"negative radicand sqrt({d}) has no real value")
-            if b == 0 or d == 0:
-                return Rational(a)
-            s, f = _square_split(d)
-            if f == 1:
-                return Rational(a + b * s)
-            return QuadSurd(a, b * s, f)
+    """Return an exact number unchanged, as it is canonical by construction;
+    anything else, a plain tuple included, raises MalformedInputError."""
+    if isinstance(x, (Rational, QuadSurd, NamedTranscendental)):
+        return x
     raise MalformedInputError(f"not an exact number: {x!r}")
 
 
@@ -185,7 +191,7 @@ def _lift(x: Rational | QuadSurd) -> tuple[Fraction, Fraction]:
 
 
 def _field_pair(x: ExactNumber, y: ExactNumber):
-    """Normalize both operands and place them in one field.
+    """Check both operands and place them in one field.
 
     Returns (a1, b1, a2, b2, d) where d is None when both are rational.
     """
@@ -202,11 +208,10 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
 
 
 def _build(a: Fraction, b: Fraction, d: int | None) -> ExactNumber:
-    """The canonical a + b*sqrt(d); d comes from an operand that _field_pair
-    normalized, so it is canonical and >= 2."""
+    """The canonical a + b*sqrt(d); d, from a canonical operand, is not split."""
     if d is None or b == 0:
         return Rational(a)
-    return QuadSurd(a, b, d)
+    return tuple.__new__(QuadSurd, (a, b, d))
 
 
 def add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
@@ -348,7 +353,7 @@ def _fraction_from_text(text: str) -> Fraction:
 
 
 def parse_exact(text: str) -> ExactNumber:
-    """Parse the exact-number grammar; the result is normalized."""
+    """Parse the exact-number grammar; the result is canonical."""
     s = re.sub(r"\s+", "", text).lower()
     if not s:
         raise MalformedInputError("empty exact-number text")
@@ -370,7 +375,7 @@ def parse_exact(text: str) -> ExactNumber:
     d = _int(m["d"])
     if d < 0:
         raise MalformedInputError(f"negative radicand in {text!r}")
-    return normalize(QuadSurd(a, b, d))
+    return QuadSurd(a, b, d)
 
 
 def render_exact(x: ExactNumber) -> str:

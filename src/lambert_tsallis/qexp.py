@@ -35,10 +35,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
 
     __slots__ = ()
 
-    @classmethod
-    def empty(cls) -> "Interval":
-        return cls(math.inf, -math.inf, False, False)
-
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi

@@ -67,9 +67,9 @@ class CheckResult(namedtuple("CheckResult", "name passed measured threshold")):
 
 class BranchPointReport(namedtuple(
         "BranchPointReport", "q z_b w_b consistency is_minimum tangent_growth passed")):
-    """branch_point_check's findings: consistency = |w_b exp_q(w_b) - z_b|;
-    is_minimum: f(w_b +- delta) > z_b on both sides; tangent_growth: |dW/dz|
-    grows approaching z_b from above; passed: all three hold."""
+    """branch_point_check's findings: consistency = |w_b exp_q(w_b) - z_b|
+    / |z_b|; is_minimum: f(w_b +- delta) > z_b on both sides; tangent_growth:
+    |dW/dz| grows approaching z_b from above; passed: all three hold."""
 
     __slots__ = ()
 
@@ -117,21 +117,20 @@ def eq5_residual(q: float) -> float:
 def branch_point_check(q: float) -> BranchPointReport:
     """Consistency and local geometry of the branch point.
 
-    Checks that (z_b, w_b) satisfies the defining function, that w exp_q(w)
-    has a local minimum at w_b (sampled at w_b +- delta), and that the
-    branch derivative grows approaching z_b from above (vertical tangent,
-    sampled at z_b + dz and z_b + dz/10).  delta is 1e-4, or half the
-    distance 1/((1-q)(2-q)) from w_b to the positivity wall 1/(q-1) where
-    that is smaller (q below about -69), so w_b - delta stays inside it.
-    dz is delta, or 20 ulp of z_b where that is larger (q below about
-    -1e14), so that z_b + dz/10 does not round to z_b.  Raises
-    NoBranchPointError for q >= 2.
+    Checks that w_b exp_q(w_b) lies within a relative 1e-12 of z_b (z_b != 0),
+    that w exp_q(w) has a local minimum at w_b (sampled at w_b +- delta), and
+    that the branch derivative grows approaching z_b from above (vertical
+    tangent, sampled at z_b + dz and z_b + dz/10).  delta is 1e-4, or half the
+    distance 1/((1-q)(2-q)) from w_b to the positivity wall 1/(q-1) where that
+    is smaller (q below about -69), so w_b - delta stays inside it.  dz is
+    delta, or 20 ulp of z_b where that is larger (q below about -1e14), so that
+    z_b + dz/10 does not round to z_b.  Raises NoBranchPointError for q >= 2.
     """
     bp = branch_point(q)
     if bp is None:
         raise NoBranchPointError(f"no branch point exists for q = {q:g} >= 2")
     delta = 1e-4 if q >= 1.0 else min(1e-4, 0.5 * (bp.w_b - 1.0 / (q - 1.0)))
-    consistency = abs(bp.w_b * exp_q(q, bp.w_b) - bp.z_b)
+    consistency = abs(bp.w_b * exp_q(q, bp.w_b) - bp.z_b) / abs(bp.z_b)
     left = (bp.w_b - delta) * exp_q(q, bp.w_b - delta)
     right = (bp.w_b + delta) * exp_q(q, bp.w_b + delta)
     is_minimum = left > bp.z_b and right > bp.z_b

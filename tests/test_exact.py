@@ -1,6 +1,8 @@
 """Exact number representations: normalization, field arithmetic, signs,
 parsing, rendering."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambert_tsallis import exact
+from lambert_tsallis.classify import Rule, classify_expq, classify_wq
 from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
                                    NamedTranscendental, QuadSurd, Rational,
                                    add, classify_number, div, is_algebraic,
@@ -66,24 +69,70 @@ def test_normalize_30_digit_prime_radicand_in_bounded_time():
     assert out.strip() == repr(QuadSurd(Fraction(0), Fraction(1), 10 ** 30 + 57))
 
 
-def test_each_radicand_is_split_once():
-    # every operation normalizes its operands again; the split of a radicand
-    # is cached, so 10**16 + 61 (a prime, trial division to 2**20) and then
-    # 12 = 2*2*3 with its canonical radicand 3 are split once each
-    exact._square_split.cache_clear()
+def test_each_radicand_is_split_once(monkeypatch):
+    # building a QuadSurd splits its radicand once; no operation on a built
+    # exact number splits again, and nothing caches the split.  10**16 + 61
+    # is a prime (trial division to 2**20); 12 = 2*2*3 has radicand 3
+    assert not hasattr(exact._square_split, "cache_info")
+    split, calls = exact._square_split, []
+
+    def counting(n):
+        calls.append(n)
+        return split(n)
+
+    monkeypatch.setattr(exact, "_square_split", counting)
     x = parse_exact("1+sqrt(10000000000000061)")
     y = parse_exact("2-3*sqrt(10000000000000061)")
+    r = neg(parse_exact("sqrt(12)"))
+    assert calls == [10 ** 16 + 61, 10 ** 16 + 61, 12]
     assert sign(sub(mul(x, y), add(x, div(y, x)))) == -1  # about -3d
     assert classify_number(x) is ArithmeticClass.ALGEBRAIC_IRRATIONAL
-    assert exact._square_split.cache_info().misses == 1
-    assert sign(neg(parse_exact("sqrt(12)"))) == -1
-    info = exact._square_split.cache_info()
-    assert info.misses == 3 and info.hits >= 10
+    assert normalize(x) is x and is_algebraic(x) and to_real(r) < 0
+    assert render_exact(mul(r, r)) == "12" and sign(r) == -1
+    assert classify_expq(r, ONE).verdict is ArithmeticClass.TRANSCENDENTAL
+    assert classify_wq(r, ONE).rule is Rule.THEOREM_1
+    assert len(calls) == 3
+
+
+def test_hand_built_surd_is_canonical():
+    # the constructor does what normalize used to: Fractions, the square
+    # factor split out, and a Rational where the surd part vanishes
+    x = QuadSurd(0, 1, 8)
+    assert tuple(x) == (Fraction(0), Fraction(2), 2) and type(x.a) is Fraction
+    assert x == surd(0, 2, 2) == parse_exact("sqrt(8)")
+    assert QuadSurd(a=1, b=Fraction(1, 2), d=12) == QuadSurd(1, 1, 3)
+    for built, value in [(QuadSurd(3, 5, 9), 18), (QuadSurd(7, 0, 2), 7),
+                         (QuadSurd(7, 3, 0), 7), (QuadSurd(1, 2, 1), 3)]:
+        assert type(built) is Rational and built == Rational(Fraction(value))
+    assert QuadSurd._make((3, 5, 9)) == Rational(Fraction(18))
+    assert QuadSurd(0, 1, 2)._replace(b=0) == ZERO
+
+
+@pytest.mark.parametrize("d", [-2, 2.0, "2", None])
+def test_bad_radicand_raises_at_construction(d):
+    with pytest.raises(MalformedInputError):
+        QuadSurd(0, 1, d)
+
+
+@pytest.mark.parametrize("rebuild", [
+    lambda x: x._replace(b=Fraction(1)),
+    QuadSurd._make,
+    lambda x: pickle.loads(pickle.dumps(x)),
+    lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+    copy.copy,
+    copy.deepcopy,
+])
+def test_rebuilt_surds_are_canonical(rebuild):
+    # a record holding sqrt(8) unsplit can only be made past the constructor;
+    # every way namedtuple and pickle rebuild one goes through it again
+    raw = tuple.__new__(QuadSurd, (Fraction(0), Fraction(1), 8))
+    assert rebuild(raw) == QuadSurd(0, 2, 2)
 
 
 @pytest.mark.parametrize("plain", [(1, 2, 3), (Fraction(1),), (Constant.E,)])
 @pytest.mark.parametrize("op", [normalize, sign, classify_number, to_real, render_exact,
-                                is_algebraic, lambda x: add(x, ONE), lambda x: mul(ONE, x)])
+                                is_algebraic, lambda x: add(x, ONE), lambda x: mul(ONE, x),
+                                neg, lambda x: sub(ONE, x), lambda x: div(x, ONE)])
 def test_plain_tuple_is_not_an_exact_number(op, plain):
     # the records are named tuples, but a plain tuple of the same fields is
     # not read as a QuadSurd, Rational or NamedTranscendental
@@ -329,7 +378,9 @@ def test_arithmetic_results_are_canonical(d, data):
     ops = (add, sub, mul) if y == ZERO else (add, sub, mul, div)
     for op in ops:
         z = op(x, y)
-        assert normalize(z) == z
+        # the arithmetic builds its results past the constructor, which
+        # would leave a canonical value unchanged
+        assert normalize(z) == z and type(z)._make(z) == z
 
 
 @given(d=radicands, data=st.data())
