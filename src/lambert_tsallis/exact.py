@@ -98,8 +98,8 @@ class Rational(_Unordered, namedtuple("Rational", "value")):
 
 class QuadSurd(_Unordered, namedtuple("QuadSurd", "a b d")):
     """a + b*sqrt(d) with the square factor of d split out; b = 0 or a
-    perfect-square d yields a Rational.  _replace, _make, unpickling and
-    copying build through here too."""
+    perfect-square d yields a Rational.  _replace, _make, copying and
+    unpickling (protocol 2 and above) build through here too."""
 
     __slots__ = ()
 
@@ -119,9 +119,6 @@ class QuadSurd(_Unordered, namedtuple("QuadSurd", "a b d")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def __reduce__(self):
-        return QuadSurd, tuple(self)
 
 
 class Constant(Enum):
