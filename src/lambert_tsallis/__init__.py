@@ -25,8 +25,7 @@ from .errors import (ConfigurationError, ConvergenceError,
                      UnsupportedOperandError)
 from .exact import (ArithmeticClass, Constant, NamedTranscendental, QuadSurd,
                     Rational, add, classify_number, div, is_algebraic, mul,
-                    neg, normalize, parse_exact, rational, render_exact, sign,
-                    sub, surd, to_real)
+                    neg, parse_exact, render_exact, sign, sub, to_real)
 from .qexp import dlnq_dz, exp_q, ln_q, positivity_domain
 from .verify import (BranchPointReport, CheckResult, ScanReport,
                      algebraicity_scan, branch_point_check,
@@ -42,9 +41,9 @@ __all__ = [
     "__version__",
     # exact numbers
     "ArithmeticClass", "Constant", "Rational", "QuadSurd",
-    "NamedTranscendental", "rational", "surd", "normalize", "add", "sub",
-    "neg", "mul", "div", "sign", "classify_number", "is_algebraic", "to_real",
-    "parse_exact", "render_exact",
+    "NamedTranscendental", "add", "sub", "neg", "mul", "div", "sign",
+    "classify_number", "is_algebraic", "to_real", "parse_exact",
+    "render_exact",
     # deformed exponential
     "exp_q", "ln_q", "dlnq_dz", "positivity_domain",
     # inverse function

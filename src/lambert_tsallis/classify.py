@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .errors import DomainError, MalformedInputError, UnsupportedFieldError
 from .exact import (ONE, ZERO, ArithmeticClass, ExactNumber, NamedTranscendental,
-                    QuadSurd, Rational, add, classify_number, div, mul, normalize,
+                    QuadSurd, Rational, _check, add, classify_number, div, mul,
                     rational_bounds, render_exact, sign, sub, to_real)
 from .wq import branch_point
 
@@ -98,7 +98,7 @@ def _unknown(reason: str) -> Classification:
     return Classification(ArithmeticClass.UNKNOWN, Rule.GUARD_FALLTHROUGH, reason)
 
 
-_TWO = Rational(Fraction(2))
+_TWO = Rational(2)
 # Relative half-width of the band around the double z_b in which
 # classify_wq answers Unknown.  Against 60-digit mpmath, the relative error
 # of the double branch_point(to_real(q)).z_b was at most 7.8e-16 over the
@@ -152,7 +152,7 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
     -> Theorem2; (e) q rational != 1, z in {e, pi} -> Theorem5 behind the
     same cutoff guard; (f) otherwise Unknown.
     """
-    q, z = normalize(q), normalize(z)
+    q, z = _check(q), _check(z)
     if z == ZERO:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
@@ -223,7 +223,7 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
     below the band around the double z_b, Unknown inside it or where no
     usable double z_b exists; (f) otherwise Unknown.
     """
-    q, z = normalize(q), normalize(z)
+    q, z = _check(q), _check(z)
     if z == ZERO:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
@@ -290,7 +290,7 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
     (d) otherwise Unknown.  z0 <= 0 is a domain error; an exact power with
     more digits than the interpreter converts to text is MalformedInputError.
     """
-    q, z0 = normalize(q), normalize(z0)
+    q, z0 = _check(q), _check(z0)
     if not isinstance(z0, NamedTranscendental) and sign(z0) <= 0:
         raise DomainError(
             f"the deformed logarithm needs z0 > 0, got z0 = {render_exact(z0)}")
@@ -338,7 +338,7 @@ def classify_tower(r: ExactNumber) -> Classification:
     an irrational/transcendental base) -> Unknown when positive, domain
     error when r <= 0 (the real tower is undefined for most negative bases).
     """
-    r = normalize(r)
+    r = _check(r)
     if isinstance(r, Rational):
         v = r.value
         if v.denominator == 1:

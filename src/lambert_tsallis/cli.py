@@ -29,7 +29,6 @@ import json
 import math
 import re
 import sys
-from typing import Any
 
 from .classify import (classify_expq, classify_lnq_derivative, classify_tower,
                        classify_wq)
@@ -51,7 +50,7 @@ def _json_float(x: float) -> str:
     return s if math.isfinite(x) else f'"{s}"'
 
 
-def render_json(doc: Any) -> str:
+def render_json(doc: object) -> str:
     """JSON with deterministic float formatting (17 significant digits,
     infinities as strings)."""
     if doc is None:
@@ -74,14 +73,14 @@ def render_json(doc: Any) -> str:
     raise TypeError(f"cannot render {type(doc).__name__} as JSON")
 
 
-def _cell(v: Any) -> Any:
+def _cell(v: object) -> object:
     # csv.writer itself writes None as an empty field
     if isinstance(v, bool):
         return "true" if v else "false"
     return format(v, ".17g") if isinstance(v, float) else v
 
 
-def _csv_line(row: list[Any]) -> str:
+def _csv_line(row: list[object]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(map(_cell, row))
     return buf.getvalue()
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(fmt: str, doc: dict[str, Any], records: list[dict[str, Any]],
+def _emit(fmt: str, doc: dict[str, object], records: list[dict[str, object]],
           columns: list[str], plain: list[str]) -> None:
     """Print a command's result: json as render_json(doc); csv as the
     columns header and one _csv_line per record; plain as its lines."""
@@ -171,8 +170,8 @@ def _emit(fmt: str, doc: dict[str, Any], records: list[dict[str, Any]],
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    doc: dict[str, Any] = {"command": "eval", "subject": args.subject,
-                           "q": args.q, "z": args.z}
+    doc: dict[str, object] = {"command": "eval", "subject": args.subject,
+                              "q": args.q, "z": args.z}
     plain: list[str] = []
     # built per call, so the module's names stay the binding site bench/spans.py wraps
     direct = {"expq": exp_q, "lnq": ln_q, "dlnq": dlnq_dz}
@@ -282,9 +281,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     keys = ["z", "value", "residual"][:len(rows[0])]  # only wq rows have a residual
 
     if args.format == "json":
-        doc: dict[str, Any] = {"command": "table", "subject": args.subject,
-                               "q": args.q, "branch": branch.value,
-                               "clipped": clipped}
+        doc: dict[str, object] = {"command": "table", "subject": args.subject,
+                                  "q": args.q, "branch": branch.value,
+                                  "clipped": clipped}
         if args.subject == "wq":
             doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
         template = "{%s}" % ", ".join(f'"{key}": %.17g' for key in keys)

@@ -1,23 +1,29 @@
 """Exact arithmetic over the rationals and real quadratic fields Q(sqrt(d)).
 
-Numbers are one of three closed-form shapes, named tuples that do not order:
+Numbers are one of three closed-form shapes, named tuples that do not order,
+all canonical by construction: a shape's constructor is the one place where
+its parts are checked (parts other than ints or Fractions, a radicand other
+than an int, a tag other than a Constant raise ``MalformedInputError``) and
+made canonical; _replace, _make, copying and unpickling build through it.
 
-* ``Rational`` wraps a reduced ``fractions.Fraction`` (arbitrary precision).
-* ``QuadSurd`` is a + b*sqrt(d), canonical by construction: b != 0 and
-  d >= 2, not a perfect square, with no square factor p*p for p < 2**20,
-  so a surd is irrational and its class needs no search.  A repeated
+* ``Rational(num, den=1)`` wraps the reduced ``fractions.Fraction`` num/den.
+* ``QuadSurd(a, b, d)`` is a + b*sqrt(d) with b != 0 and d >= 2, not a
+  perfect square, with no square factor p*p for p < 2**20, so a surd is
+  irrational and its class needs no search.  A repeated
   prime factor p > 2**20 may stay in d: sqrt(p*p*d) compares unequal to
   p*sqrt(d) and is another field, so mixing the two raises
   ``UnsupportedFieldError``; ``sign``, ``classify_number`` and ``to_real``
   stay exact.
-* ``NamedTranscendental`` tags the constants e and pi.  They are opaque:
-  no field arithmetic, no exact sign; only certified rational enclosures.
+* ``NamedTranscendental(tag)`` tags e and pi ("e", "pi" or a ``Constant``).
+  They are opaque: no field arithmetic, no exact sign; only certified
+  rational enclosures.
 
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Combining surds over distinct canonical radicands is
 rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
 Building a QuadSurd splits its radicand once; the arithmetic builds its
-results from canonical operands and never splits again.
+results from canonical operands past the constructors and never splits or
+checks again.
 
 Sign evaluation never touches floating point: for a + b*sqrt(d) it compares
 a*a against b*b*d together with the signs of a and b.
@@ -33,6 +39,7 @@ with a, b rationals in the same grammar and d a nonnegative integer.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from collections import namedtuple
 from enum import Enum
@@ -52,9 +59,6 @@ __all__ = [
     "PI",
     "ZERO",
     "ONE",
-    "rational",
-    "surd",
-    "normalize",
     "add",
     "sub",
     "mul",
@@ -79,8 +83,9 @@ class ArithmeticClass(Enum):
     UNKNOWN = "unknown"
 
 
-class _Unordered:
-    """Exact numbers do not order: <, <=, > and >= raise TypeError."""
+class _Exact:
+    """The shapes' base: <, <=, > and >= raise TypeError, and _make, and so
+    _replace, builds through the constructor."""
 
     __slots__ = ()
 
@@ -89,36 +94,52 @@ class _Unordered:
 
     __le__ = __gt__ = __ge__ = __lt__
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
-class Rational(_Unordered, namedtuple("Rational", "value")):
-    """An exact rational number (reduced by Fraction itself)."""
+
+def _part(x):
+    """x itself if it is an int or a Fraction (any numbers.Rational)."""
+    if isinstance(x, (int, Fraction, numbers.Rational)):  # the ABC check is the slow one
+        return x
+    raise MalformedInputError(f"exact parts are ints or Fractions, got {type(x).__name__}")
+
+
+class Rational(_Exact, namedtuple("Rational", "value")):
+    """An exact rational number, the reduced Fraction num/den."""
 
     __slots__ = ()
 
+    def __new__(cls, num, den=1):
+        if type(num) is Fraction and type(den) is int and den == 1:
+            return tuple.__new__(cls, (num,))
+        num, den = _part(num), _part(den)
+        if den == 0:  # str() of a numerator past the int-string digit limit raises
+            small = max(abs(num.numerator), num.denominator) < 10 ** 40
+            shown = f"{num}/0" if small else "with a numerator of over 40 digits"
+            raise MalformedInputError(f"zero denominator in rational {shown}")
+        return tuple.__new__(cls, (Fraction(num, den),))
 
-class QuadSurd(_Unordered, namedtuple("QuadSurd", "a b d")):
+
+class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
     """a + b*sqrt(d) with the square factor of d split out; b = 0 or a
-    perfect-square d yields a Rational.  _replace, _make, copying and
-    unpickling (protocol 2 and above) build through here too."""
+    perfect-square d yields a Rational."""
 
     __slots__ = ()
 
     def __new__(cls, a, b, d):
-        a, b = Fraction(a), Fraction(b)
+        a, b = Fraction(_part(a)), Fraction(_part(b))
         if not isinstance(d, int):
-            raise MalformedInputError(f"radicand must be an integer, got {d!r}")
+            raise MalformedInputError(f"a radicand is an int, got {type(d).__name__}")
         if d < 0:
-            raise MalformedInputError(f"negative radicand sqrt({d}) has no real value")
+            raise MalformedInputError("a negative radicand has no real square root")
         if b == 0 or d == 0:
-            return Rational(a)
+            return tuple.__new__(Rational, (a,))
         s, f = _square_split(d)
         if f == 1:
-            return Rational(a + b * s)
+            return tuple.__new__(Rational, (a + b * s,))
         return tuple.__new__(cls, (a, b * s, f))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class Constant(Enum):
@@ -126,32 +147,24 @@ class Constant(Enum):
     PI = "pi"
 
 
-class NamedTranscendental(_Unordered, namedtuple("NamedTranscendental", "tag")):
+class NamedTranscendental(_Exact, namedtuple("NamedTranscendental", "tag")):
     """One of the tagged constants e, pi.  Opaque to field arithmetic."""
 
     __slots__ = ()
+
+    def __new__(cls, tag):
+        try:
+            return tuple.__new__(cls, (Constant(tag),))
+        except ValueError:
+            raise MalformedInputError('a named constant is "e", "pi" or a Constant') from None
 
 
 ExactNumber = Rational | QuadSurd | NamedTranscendental
 
 E = NamedTranscendental(Constant.E)
 PI = NamedTranscendental(Constant.PI)
-ZERO = Rational(Fraction(0))
-ONE = Rational(Fraction(1))
-
-
-def rational(num: int, den: int = 1) -> Rational:
-    """Build a Rational from an integer pair; zero denominators are malformed."""
-    if den == 0:
-        # Fraction's own error prints num, which str() refuses past the digit limit
-        shown = f"{num}/{den}" if abs(num) < 10 ** 40 else "with a numerator of over 40 digits"
-        raise MalformedInputError(f"zero denominator in rational {shown}")
-    return Rational(Fraction(num, den))
-
-
-def surd(a, b, d: int) -> ExactNumber:
-    """Build a + b*sqrt(d); may collapse to a Rational."""
-    return QuadSurd(a, b, d)
+ZERO = Rational(0)
+ONE = Rational(1)
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -173,12 +186,11 @@ def _square_split(n: int) -> tuple[int, int]:
     return (s * r, f) if r * r == m else (s, f * m)
 
 
-def normalize(x: ExactNumber) -> ExactNumber:
-    """Return an exact number unchanged, as it is canonical by construction;
-    anything else, a plain tuple included, raises MalformedInputError."""
+def _check(x: ExactNumber) -> ExactNumber:
+    """x itself if it is an exact number; anything else, a tuple too, raises."""
     if isinstance(x, (Rational, QuadSurd, NamedTranscendental)):
         return x
-    raise MalformedInputError(f"not an exact number: {x!r}")
+    raise MalformedInputError(f"not an exact number: got {type(x).__name__}")
 
 
 def _lift(x: Rational | QuadSurd) -> tuple[Fraction, Fraction]:
@@ -192,7 +204,7 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
 
     Returns (a1, b1, a2, b2, d) where d is None when both are rational.
     """
-    x, y = normalize(x), normalize(y)
+    x, y = _check(x), _check(y)
     if isinstance(x, NamedTranscendental) or isinstance(y, NamedTranscendental):
         raise UnsupportedOperandError(
             "field arithmetic on e or pi is not supported; they are opaque tags")
@@ -207,7 +219,7 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
 def _build(a: Fraction, b: Fraction, d: int | None) -> ExactNumber:
     """The canonical a + b*sqrt(d); d, from a canonical operand, is not split."""
     if d is None or b == 0:
-        return Rational(a)
+        return tuple.__new__(Rational, (a,))
     return tuple.__new__(QuadSurd, (a, b, d))
 
 
@@ -228,7 +240,7 @@ def neg(x: ExactNumber) -> ExactNumber:
 def mul(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     a1, b1, a2, b2, d = _field_pair(x, y)
     if d is None:
-        return Rational(a1 * a2)
+        return tuple.__new__(Rational, (a1 * a2,))
     return _build(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, d)
 
 
@@ -238,7 +250,7 @@ def div(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     if a2 == 0 and b2 == 0:
         raise ZeroDivisionError("exact division by zero")
     if d is None:
-        return Rational(a1 / a2)
+        return tuple.__new__(Rational, (a1 / a2,))
     # 1/(a2 + b2 sqrt(d)) = (a2 - b2 sqrt(d)) / (a2^2 - b2^2 d)
     # nonzero: the canonical divisor is nonzero and sqrt(d) irrational
     n = a2 * a2 - b2 * b2 * d
@@ -247,7 +259,7 @@ def div(x: ExactNumber, y: ExactNumber) -> ExactNumber:
 
 def sign(x: ExactNumber) -> int:
     """Exact sign in {-1, 0, +1} by integer comparisons only."""
-    match normalize(x):
+    match _check(x):
         case Rational(v):
             return (v > 0) - (v < 0)
         case QuadSurd(a, b, d):
@@ -266,7 +278,7 @@ def sign(x: ExactNumber) -> int:
 
 def classify_number(x: ExactNumber) -> ArithmeticClass:
     """Arithmetic class of a single exact number; never Unknown."""
-    match normalize(x):
+    match _check(x):
         case Rational():
             return ArithmeticClass.RATIONAL
         case QuadSurd():
@@ -286,7 +298,7 @@ def to_real(x: ExactNumber) -> float:
     even under heavy cancellation such as 3 - 2*sqrt(2).  A value beyond the
     double range raises MalformedInputError.
     """
-    x = normalize(x)
+    x = _check(x)
     try:
         match x:
             case Rational(v):
@@ -301,7 +313,7 @@ def to_real(x: ExactNumber) -> float:
 
 
 def is_algebraic(x: ExactNumber) -> bool:
-    return not isinstance(normalize(x), NamedTranscendental)
+    return not isinstance(_check(x), NamedTranscendental)
 
 
 # Certified 50-decimal-digit enclosures.  The digit strings are truncations,
@@ -315,7 +327,7 @@ _PI_HI = Fraction("3.14159265358979323846264338327950288419716939937511")
 def rational_bounds(x: NamedTranscendental) -> tuple[Fraction, Fraction]:
     """Certified rational enclosure (lo, hi) with lo < value < hi."""
     if not isinstance(x, NamedTranscendental):
-        raise UnsupportedOperandError(f"rational_bounds expects a named constant, got {x!r}")
+        raise UnsupportedOperandError(f"rational_bounds expects e or pi, got {type(x).__name__}")
     return (_E_LO, _E_HI) if x.tag is Constant.E else (_PI_LO, _PI_HI)
 
 
@@ -341,12 +353,8 @@ def _int(text: str) -> int:
 
 
 def _fraction_from_text(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if _int(den) == 0:
-            raise MalformedInputError(f"zero denominator in {text!r}")
-        return Fraction(_int(num), _int(den))
-    return Fraction(_int(text))
+    num, _, den = text.partition("/")
+    return Rational(_int(num), _int(den)).value if den else Fraction(_int(num))
 
 
 def parse_exact(text: str) -> ExactNumber:
@@ -365,21 +373,16 @@ def parse_exact(text: str) -> ExactNumber:
         raise MalformedInputError(f"cannot parse exact number {text!r}")
     if m["op"] and m["neg"]:
         raise MalformedInputError(f"cannot parse exact number {text!r} (double sign)")
-    a = _fraction_from_text(m["a"]) if m["a"] else Fraction(0)
-    b = _fraction_from_text(m["b"]) if m["b"] else Fraction(1)
-    if m["op"] == "-" or m["neg"]:
-        b = -b
-    d = _int(m["d"])
-    if d < 0:
-        raise MalformedInputError(f"negative radicand in {text!r}")
-    return QuadSurd(a, b, d)
+    a = _fraction_from_text(m["a"]) if m["a"] else 0
+    b = _fraction_from_text(m["b"]) if m["b"] else 1
+    return QuadSurd(a, -b if m["op"] == "-" or m["neg"] else b, _int(m["d"]))
 
 
 def render_exact(x: ExactNumber) -> str:
     """Render in the same grammar parse_exact accepts; round-trips exactly.
     A term with more digits than str() of an int allows raises
     MalformedInputError."""
-    x = normalize(x)
+    x = _check(x)
     try:
         match x:
             case Rational(v):

@@ -67,6 +67,16 @@ def test_exit_two_on_bad_exact_grammar():
         assert p.returncode == 2, bad
 
 
+@pytest.mark.parametrize("q,message", [
+    ("1/0", "zero denominator in rational 1/0"),
+    ("sqrt(-2)", "a negative radicand has no real square root"),
+])
+def test_malformed_exact_operand_prints_one_error_line(capsys, q, message):
+    # Rational and QuadSurd refuse these where the parsed number is built
+    code, out, err = run_main(capsys, "classify", "expq", "--q", q, "--z", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_exit_two_on_missing_classify_operand():
     p = run_cli("classify", "wq", "--q", "2")
     assert p.returncode == 2

@@ -2,6 +2,7 @@
 parsing, rendering."""
 
 import copy
+import math
 import pickle
 import subprocess
 import sys
@@ -17,9 +18,8 @@ from lambert_tsallis.classify import Rule, classify_expq, classify_wq
 from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
                                    NamedTranscendental, QuadSurd, Rational,
                                    add, classify_number, div, is_algebraic,
-                                   mul, neg, normalize, parse_exact, rational,
-                                   rational_bounds, render_exact, sign, sub,
-                                   surd, to_real)
+                                   mul, neg, parse_exact, rational_bounds,
+                                   render_exact, sign, sub, to_real)
 from lambert_tsallis.errors import (MalformedInputError, UnsupportedFieldError,
                                     UnsupportedOperandError)
 
@@ -31,13 +31,13 @@ def record(a, b, d):
 
 
 def test_rational_constructor_reduces():
-    r = rational(6, 4)
+    r = Rational(6, 4)
     assert r == Rational(Fraction(3, 2))
 
 
 def test_rational_zero_denominator():
     with pytest.raises(MalformedInputError):
-        rational(1, 0)
+        Rational(1, 0)
 
 
 def test_rational_zero_denominator_with_a_numerator_too_long_to_print():
@@ -45,19 +45,19 @@ def test_rational_zero_denominator_with_a_numerator_too_long_to_print():
     # past the interpreter's int-string digit limit
     with pytest.raises(MalformedInputError, match="^zero denominator in rational with a "
                                                   "numerator of over 40 digits$"):
-        rational(10 ** 5000, 0)
+        Rational(10 ** 5000, 0)
 
 
 def test_normalize_extracts_square_factor():
     # sqrt(8) = 2 sqrt(2)
-    assert surd(0, 1, 8) == record(0, 2, 2)
+    assert QuadSurd(0, 1, 8) == record(0, 2, 2)
 
 
 def test_normalize_large_square_factor():
     # 1000003 and 1000033 are prime, and both exceed the cube root of d
     d = 1000003 ** 2 * 1000033
-    assert surd(0, 1, d) == record(0, 1000003, 1000033)
-    assert surd(0, 1, (1000003 * 1000033) ** 2) == Rational(Fraction(1000003 * 1000033))
+    assert QuadSurd(0, 1, d) == record(0, 1000003, 1000033)
+    assert QuadSurd(0, 1, (1000003 * 1000033) ** 2) == Rational(Fraction(1000003 * 1000033))
 
 
 def test_normalize_large_prime_radicand():
@@ -94,7 +94,7 @@ def test_each_radicand_is_split_once(monkeypatch):
     assert calls == [10 ** 16 + 61, 10 ** 16 + 61, 12]
     assert sign(sub(mul(x, y), add(x, div(y, x)))) == -1  # about -3d
     assert classify_number(x) is ArithmeticClass.ALGEBRAIC_IRRATIONAL
-    assert normalize(x) is x and is_algebraic(x) and to_real(r) < 0
+    assert exact._check(x) is x and is_algebraic(x) and to_real(r) < 0
     assert render_exact(mul(r, r)) == "12" and sign(r) == -1
     assert classify_expq(r, ONE).verdict is ArithmeticClass.TRANSCENDENTAL
     assert classify_wq(r, ONE).rule is Rule.THEOREM_1
@@ -102,11 +102,11 @@ def test_each_radicand_is_split_once(monkeypatch):
 
 
 def test_hand_built_surd_is_canonical():
-    # the constructor does what normalize used to: Fractions, the square
+    # the constructor makes the record canonical: Fractions, the square
     # factor split out, and a Rational where the surd part vanishes
     x = QuadSurd(0, 1, 8)
     assert x == record(0, 2, 2) and type(x.a) is Fraction
-    assert x == surd(0, 2, 2) == parse_exact("sqrt(8)")
+    assert x == QuadSurd(0, 2, 2) == parse_exact("sqrt(8)")
     assert QuadSurd(a=1, b=Fraction(1, 2), d=12) == record(1, 1, 3)
     for built, value in [(QuadSurd(3, 5, 9), 18), (QuadSurd(7, 0, 2), 7),
                          (QuadSurd(7, 3, 0), 7), (QuadSurd(1, 2, 1), 3)]:
@@ -134,10 +134,75 @@ def test_rebuilt_surds_are_canonical(rebuild):
     assert rebuild(record(0, 1, 8)) == record(0, 2, 2)
 
 
+def test_named_constant_by_its_text():
+    # the tag "e" is the member Constant.E, so to_real reads e, not pi
+    assert to_real(NamedTranscendental("e")) == math.e
+    assert NamedTranscendental("pi") == PI and NamedTranscendental(Constant.E) == E
+
+
+def test_rational_reduces_int_and_fraction_parts():
+    assert Rational(3, 6) == Rational(Fraction(1, 2))
+    assert Rational(Fraction(3, 2), Fraction(-3, 4)) == Rational(-2)
+    assert type(Rational(3).value) is Fraction and ZERO == Rational(0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NamedTranscendental("x"),
+    lambda: NamedTranscendental(None),
+    lambda: Rational(float("nan")),
+    lambda: Rational(0.5),
+    lambda: Rational("1/2"),
+    lambda: Rational(None),
+    lambda: Rational(1, 0.5),
+    lambda: QuadSurd("x", 1, 2),
+    lambda: QuadSurd(0.5, 1, 2),
+    lambda: QuadSurd(None, 1, 2),
+    lambda: QuadSurd(0, float("nan"), 2),
+], ids=["tag-x", "tag-None", "nan", "float", "str", "None", "float-denominator",
+        "surd-str", "surd-float", "surd-None", "surd-nan"])
+def test_malformed_parts_raise_at_construction(build):
+    with pytest.raises(MalformedInputError):
+        build()
+
+
+def test_sign_of_an_int_past_the_digit_limit_is_malformed():
+    # the message names the type: repr(10**5000) raises ValueError
+    with pytest.raises(MalformedInputError, match="^not an exact number: got int$"):
+        sign(10 ** 5000)
+
+
+def test_negative_radicand_past_the_digit_limit_is_malformed():
+    with pytest.raises(MalformedInputError, match="^a negative radicand has no real"):
+        QuadSurd(0, 1, -10 ** 5000)
+
+
+def test_rational_bounds_of_a_huge_surd_names_its_type():
+    with pytest.raises(UnsupportedOperandError, match="got QuadSurd$"):
+        rational_bounds(QuadSurd(10 ** 5000, 1, 2))
+
+
+@pytest.mark.parametrize("made,canonical", [
+    (tuple.__new__(Rational, (2,)), Rational(Fraction(2))),
+    (tuple.__new__(NamedTranscendental, ("e",)), E),
+], ids=["Rational", "NamedTranscendental"])
+@pytest.mark.parametrize("rebuild", [
+    lambda x: x._replace(),
+    lambda x: type(x)._make(x),
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["_replace", "_make", "pickle", "copy", "deepcopy"])
+def test_rebuilt_records_are_canonical(rebuild, made, canonical):
+    # as test_rebuilt_surds_are_canonical for the other two shapes: an int
+    # value and a text tag come back canonical (repr tells 2 from Fraction(2))
+    assert repr(rebuild(made)) == repr(canonical)
+
+
 @pytest.mark.parametrize("plain", [(1, 2, 3), (Fraction(1),), (Constant.E,)])
-@pytest.mark.parametrize("op", [normalize, sign, classify_number, to_real, render_exact,
+@pytest.mark.parametrize("op", [sign, classify_number, to_real, render_exact,
                                 is_algebraic, lambda x: add(x, ONE), lambda x: mul(ONE, x),
-                                neg, lambda x: sub(ONE, x), lambda x: div(x, ONE)])
+                                neg, lambda x: sub(ONE, x), lambda x: div(x, ONE),
+                                exact._check])
 def test_plain_tuple_is_not_an_exact_number(op, plain):
     # the records are named tuples, but a plain tuple of the same fields is
     # not read as a QuadSurd, Rational or NamedTranscendental
@@ -149,39 +214,39 @@ def test_repeated_prime_factor_above_the_trial_limit_stays_unsplit():
     # 1048583 and 1048589 are primes above 2**20: p*p*r keeps its square
     # factor, names a field of its own, and its sign stays exact
     p, r = 1048583, 1048589
-    x = surd(0, 1, p * p * r)
+    x = QuadSurd(0, 1, p * p * r)
     assert x == record(0, 1, p * p * r)
-    assert x != surd(0, p, r)
+    assert x != QuadSurd(0, p, r)
     with pytest.raises(UnsupportedFieldError):
-        sub(x, surd(0, p, r))
-    assert sign(sub(x, rational(p * 1024))) == 1
-    assert sign(sub(x, rational(p * 1025))) == -1
+        sub(x, QuadSurd(0, p, r))
+    assert sign(sub(x, Rational(p * 1024))) == 1
+    assert sign(sub(x, Rational(p * 1025))) == -1
 
 
 def test_normalize_perfect_square_collapses():
     # 3 + 5 sqrt(9) = 18
-    assert surd(3, 5, 9) == Rational(Fraction(18))
+    assert QuadSurd(3, 5, 9) == Rational(Fraction(18))
 
 
 def test_normalize_zero_surd_part():
-    assert surd(7, 0, 2) == Rational(Fraction(7))
-    assert surd(7, 3, 0) == Rational(Fraction(7))
+    assert QuadSurd(7, 0, 2) == Rational(Fraction(7))
+    assert QuadSurd(7, 3, 0) == Rational(Fraction(7))
 
 
 def test_normalize_negative_radicand():
     with pytest.raises(MalformedInputError):
-        surd(0, 1, -2)
+        QuadSurd(0, 1, -2)
 
 
 def test_conjugate_product_is_rational():
-    x = surd(3, 2, 2)
-    y = surd(3, -2, 2)
+    x = QuadSurd(3, 2, 2)
+    y = QuadSurd(3, -2, 2)
     assert mul(x, y) == Rational(Fraction(1))
 
 
 def test_division_by_pure_surd():
     # 1 / sqrt(2) = (1/2) sqrt(2)
-    assert div(ONE, surd(0, 1, 2)) == record(0, Fraction(1, 2), 2)
+    assert div(ONE, QuadSurd(0, 1, 2)) == record(0, Fraction(1, 2), 2)
 
 
 def test_division_by_zero():
@@ -191,12 +256,12 @@ def test_division_by_zero():
 
 def test_mixed_radicands_rejected():
     with pytest.raises(UnsupportedFieldError):
-        add(surd(0, 1, 2), surd(0, 1, 3))
+        add(QuadSurd(0, 1, 2), QuadSurd(0, 1, 3))
 
 
 def test_rational_and_surd_mix_freely():
-    assert add(rational(1, 2), surd(0, 1, 2)) == record(Fraction(1, 2), 1, 2)
-    assert mul(rational(2), surd(1, 1, 5)) == record(2, 2, 5)
+    assert add(Rational(1, 2), QuadSurd(0, 1, 2)) == record(Fraction(1, 2), 1, 2)
+    assert mul(Rational(2), QuadSurd(1, 1, 5)) == record(2, 2, 5)
 
 
 def test_named_constants_refuse_arithmetic():
@@ -210,24 +275,24 @@ def test_named_constants_refuse_arithmetic():
 
 @pytest.mark.parametrize("x,expected", [
     (ZERO, 0),
-    (rational(-3, 7), -1),
-    (rational(5), 1),
-    (surd(0, 1, 2), 1),
-    (surd(0, -1, 2), -1),
+    (Rational(-3, 7), -1),
+    (Rational(5), 1),
+    (QuadSurd(0, 1, 2), 1),
+    (QuadSurd(0, -1, 2), -1),
     # 3 - 2 sqrt(2) > 0 since 9 > 8
-    (surd(3, -2, 2), 1),
+    (QuadSurd(3, -2, 2), 1),
     # 2 - 2 sqrt(2) < 0 since 4 < 8
-    (surd(2, -2, 2), -1),
-    (surd(-3, 2, 2), -1),
-    (surd(-2, 2, 2), 1),
+    (QuadSurd(2, -2, 2), -1),
+    (QuadSurd(-3, 2, 2), -1),
+    (QuadSurd(-2, 2, 2), 1),
 ])
 def test_sign_exact(x, expected):
     assert sign(x) == expected
 
 
 @pytest.mark.parametrize("x,expected", [
-    (rational(3, 4), ArithmeticClass.RATIONAL),
-    (surd(1, 1, 2), ArithmeticClass.ALGEBRAIC_IRRATIONAL),
+    (Rational(3, 4), ArithmeticClass.RATIONAL),
+    (QuadSurd(1, 1, 2), ArithmeticClass.ALGEBRAIC_IRRATIONAL),
     (E, ArithmeticClass.TRANSCENDENTAL),
     (PI, ArithmeticClass.TRANSCENDENTAL),
 ])
@@ -237,10 +302,10 @@ def test_classify_number(x, expected):
 
 
 def test_to_real_matches_float():
-    assert to_real(rational(1, 3)) == 1 / 3
-    assert to_real(surd(0, 1, 2)) == 2 ** 0.5
+    assert to_real(Rational(1, 3)) == 1 / 3
+    assert to_real(QuadSurd(0, 1, 2)) == 2 ** 0.5
     # the float-route reference has its own ~2 ulp cancellation error
-    assert abs(to_real(surd(3, -2, 2)) - (3 - 2 * 2 ** 0.5)) < 5e-16
+    assert abs(to_real(QuadSurd(3, -2, 2)) - (3 - 2 * 2 ** 0.5)) < 5e-16
     assert to_real(E) == pytest.approx(2.718281828459045, abs=1e-15)
     assert to_real(PI) == pytest.approx(3.141592653589793, abs=1e-15)
 
@@ -248,7 +313,7 @@ def test_to_real_matches_float():
 def test_to_real_survives_cancellation():
     # 665857/470832 is a convergent of sqrt(2) from above: 665857^2 = 2 * 470832^2 + 1,
     # so sqrt(2) - 665857/470832 = -1/(470832^2 (sqrt(2) + 665857/470832)) ~ -1.5949e-12
-    x = add(rational(-665857, 470832), surd(0, 1, 2))
+    x = add(Rational(-665857, 470832), QuadSurd(0, 1, 2))
     assert to_real(x) == pytest.approx(-1.5949e-12, rel=1e-3)
 
 
@@ -280,7 +345,7 @@ def test_parse_exact_past_the_digit_limit_is_malformed(text):
 @needs_digit_limit
 def test_render_exact_past_the_digit_limit_is_malformed():
     big = 10 ** (DIGIT_LIMIT + 1)
-    for x in (Rational(Fraction(big, 3)), surd(1, Fraction(1, big), 2)):
+    for x in (Rational(Fraction(big, 3)), QuadSurd(1, Fraction(1, big), 2)):
         with pytest.raises(MalformedInputError, match="limit"):
             render_exact(x)
 
@@ -294,17 +359,17 @@ def test_rational_bounds_enclose():
 
 
 @pytest.mark.parametrize("text,expected", [
-    ("3", rational(3)),
-    ("-2/5", rational(-2, 5)),
-    ("  1/3 ", rational(1, 3)),
-    ("sqrt(2)", surd(0, 1, 2)),
-    ("-sqrt(5)", surd(0, -1, 5)),
-    ("2*sqrt(3)", surd(0, 2, 3)),
-    ("1+sqrt(2)", surd(1, 1, 2)),
-    ("3-2*sqrt(2)", surd(3, -2, 2)),
-    ("1/2+1/3*sqrt(5)", surd(Fraction(1, 2), Fraction(1, 3), 5)),
-    ("sqrt(8)", surd(0, 2, 2)),
-    ("sqrt(4)", rational(2)),
+    ("3", Rational(3)),
+    ("-2/5", Rational(-2, 5)),
+    ("  1/3 ", Rational(1, 3)),
+    ("sqrt(2)", QuadSurd(0, 1, 2)),
+    ("-sqrt(5)", QuadSurd(0, -1, 5)),
+    ("2*sqrt(3)", QuadSurd(0, 2, 3)),
+    ("1+sqrt(2)", QuadSurd(1, 1, 2)),
+    ("3-2*sqrt(2)", QuadSurd(3, -2, 2)),
+    ("1/2+1/3*sqrt(5)", QuadSurd(Fraction(1, 2), Fraction(1, 3), 5)),
+    ("sqrt(8)", QuadSurd(0, 2, 2)),
+    ("sqrt(4)", Rational(2)),
     ("e", E),
     ("PI", PI),
     ("pi", PI),
@@ -332,10 +397,10 @@ def test_render_round_trips(text):
 
 
 def test_render_canonical_forms():
-    assert render_exact(rational(-3, 7)) == "-3/7"
-    assert render_exact(surd(0, 1, 2)) == "sqrt(2)"
-    assert render_exact(surd(0, -2, 3)) == "-2*sqrt(3)"
-    assert render_exact(surd(1, -1, 2)) == "1-sqrt(2)"
+    assert render_exact(Rational(-3, 7)) == "-3/7"
+    assert render_exact(QuadSurd(0, 1, 2)) == "sqrt(2)"
+    assert render_exact(QuadSurd(0, -2, 3)) == "-2*sqrt(3)"
+    assert render_exact(QuadSurd(1, -1, 2)) == "1-sqrt(2)"
     assert render_exact(E) == "e"
     assert render_exact(PI) == "pi"
     assert render_exact(NamedTranscendental(Constant.E)) == "e"
@@ -353,7 +418,7 @@ def surds(draw, d=None):
     a = draw(fractions_st)
     b = draw(fractions_st)
     dd = d if d is not None else draw(radicands)
-    return normalize(QuadSurd(a, b, dd))
+    return QuadSurd(a, b, dd)
 
 
 @given(a=fractions_st, b=fractions_st, d=st.integers(min_value=0, max_value=400))
@@ -361,7 +426,7 @@ def test_normalize_is_idempotent(a, b, d):
     # the constructor's output is checked by trial division, independent of
     # the split; building again from a canonical record leaves it unchanged
     x = QuadSurd(a, b, d)
-    assert normalize(x) is x
+    assert type(x)._make(x) == x
     if isinstance(x, Rational):
         assert b == 0 or isqrt(d) ** 2 == d
         assert x.value == a + b * isqrt(d)
@@ -394,7 +459,7 @@ def test_arithmetic_results_are_canonical(d, data):
         z = op(x, y)
         # the arithmetic builds its results past the constructor, which
         # would leave a canonical value unchanged
-        assert normalize(z) == z and type(z)._make(z) == z
+        assert type(z)._make(z) == z and type(z[0]) is Fraction
 
 
 @given(d=radicands, data=st.data())
