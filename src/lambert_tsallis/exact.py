@@ -129,7 +129,9 @@ class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
     __slots__ = ()
 
     def __new__(cls, a, b, d):
-        a, b = Fraction(_part(a)), Fraction(_part(b))
+        # a Fraction is kept as it is: Fraction(f) copies it at about 1 us
+        a = a if type(a) is Fraction else Fraction(_part(a))
+        b = b if type(b) is Fraction else Fraction(_part(b))
         if not isinstance(d, int):
             raise MalformedInputError(f"a radicand is an int, got {type(d).__name__}")
         if d < 0:

@@ -26,9 +26,14 @@ The solver runs Newton on the log residual
 
 which is zero at the root (w and z share a sign on every branch) and is the
 relative residual f(w)/z - 1 to first order.  It starts inside an analytic
-bracket and falls back to bisection over the ordered doubles, arithmetic
-on a narrow bracket and geometric across decades, whenever a step leaves
-the bracket or |h| fails to halve in two evaluations.  It stops when
+bracket, which _bracket builds by tightening the fixed ends of _ends (0 or
+z, w_b, the wall, z/(1+z) and the double range).  On a table, a row after
+one that the cubic through the last four roots started and finished at its
+first evaluation starts from that cubic again, inside the fixed ends alone:
+on a 10^4-step grid that is most rows, and they skip _bracket's tails and
+analytic start.  The loop falls back to bisection over the ordered doubles,
+arithmetic on a narrow bracket and geometric across decades, whenever a step
+leaves the bracket or |h| fails to halve in two evaluations.  It stops when
 |h| <= tol or a step is under 4 ulp of w, and returns the point after that
 step.  A bracket closed on adjacent doubles returns its better end, or
 raises ConvergenceError when one end is the wall or the end of the double
@@ -44,12 +49,13 @@ finite, the branch point, the branch, tol, max_iter, lower-branch
 existence, the domain, in that order), which wq, dwq_dz and the CLI's table
 call.  _domain is the only case analysis of the branch domains: z is
 compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
-message wrap that in an Interval.  _solve, which checks nothing, is the only
-solver: it solves checked points on one branch in order (one for wq and
-dwq_dz, the kept grid for the CLI's table) and yields plain (w, residual,
-iterations) tuples; only wq builds a SolveResult.  SolveResult and
-BranchPoint are named tuples: their fields are read-only, and they unpack,
-index and compare equal like tuples.
+message wrap that in an Interval.  Likewise _ends alone says which fixed
+bounds hold a root, and _bracket only tightens them.  _solve, which checks
+nothing, is the only solver: it solves checked points on one branch in
+order (one for wq and dwq_dz, the kept grid for the CLI's table) and yields
+plain (w, residual, iterations) tuples; only wq builds a SolveResult.
+SolveResult and BranchPoint are named tuples: their fields are read-only,
+and they unpack, index and compare equal like tuples.
 """
 
 from __future__ import annotations
@@ -87,6 +93,10 @@ DEFAULT_MAX_ITER = 200
 class Branch(Enum):
     UPPER = "upper"
     LOWER = "lower"
+
+
+# a global costs a tenth of an Enum member lookup, and one wq call makes four or five
+_UPPER, _LOWER = Branch.UPPER, Branch.LOWER
 
 
 class BranchPoint(namedtuple("BranchPoint", "z_b w_b")):
@@ -131,7 +141,7 @@ def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
     return Interval(lo, hi, lo_closed, False)
 
 
-_BRANCHES = {"upper": Branch.UPPER, "lower": Branch.LOWER}
+_BRANCHES = {"upper": _UPPER, "lower": _LOWER}
 
 
 def _as_branch(branch: Branch | str) -> Branch:
@@ -146,7 +156,7 @@ def _as_branch(branch: Branch | str) -> Branch:
 def _domain(q: float, branch: Branch, bp: BranchPoint | None) -> tuple[float, bool, float]:
     """branch_domain as (lo, lo_closed, hi), hi open, for a finite q with
     branch point bp; the empty domain is (inf, False, -inf)."""
-    if branch is Branch.UPPER:
+    if branch is _UPPER:
         if bp is not None:
             return bp.z_b, True, math.inf
         if q == 2.0:
@@ -183,55 +193,69 @@ def _wall_tail(q: float, z: float) -> float:
     return min(w, inner) if wall > 0.0 else max(w, inner)
 
 
+def _ends(q: float, z: float, branch: Branch, w_b: float) -> tuple[float, float]:
+    """Fixed ends lo < W < hi of the root, each a comparison or one division
+    away: 0 or z, w_b, the wall 1/(q-1), z/(1+z) and the double range.
+
+    z is in the branch's domain and is neither 0 nor z_b (w_b is nan for
+    q >= 2).  exp_q(w) > 1 for w > 0 puts W below z, and inside the wall for
+    q > 1; exp_q(-s) <= 1/(1+s) for q <= 2 (Bernoulli), so z/(1+z), the root
+    at q = 2, bounds W from above for z < 0, and exp_q(w) <= 1 for w < 0
+    gives W < z for q > 2.  The lower branch lies below w_b and, for q < 1,
+    above the wall.  Every end of _bracket lies inside these."""
+    if branch is _UPPER:
+        if z > 0.0:
+            return 0.0, min(z, 1.0 / (q - 1.0)) if q > 1.0 else z
+        if q < 2.0:
+            return w_b, z / (1.0 + z)
+        return -sys.float_info.max, z / (1.0 + z) if q == 2.0 else z
+    return 1.0 / (q - 1.0) if q < 1.0 else -sys.float_info.max, w_b
+
+
 def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
     """Analytic bracket lo < W < hi of the root and a start in [lo, hi].
 
-    z is in the branch's domain and is neither 0 nor z_b (nan, as w_b, for
-    q >= 2).  The ends bound f by simpler functions, so f is never
-    evaluated: exp_q(w) >= 1 for w >= 0
-    and <= 1 for w < 0 give W <= z (W ~ z for small |z|); for q >= 1,
-    exp_q(w) >= e^w gives W < log|z| where |W| >= 1, and s e^(-s) <
-    e^(-s/2) gives W > 2 log|z| on the classical lower branch; the tails
-    bound the far ends.  Near z_b the start is the root of h's quadratic
-    model h(w_b) = log(z_b/z), h''(w_b) = -(2-q)^3.
+    Starts from _ends (same requirements on z) and tightens them; f is never
+    evaluated.  For q >= 1, exp_q(w) >= e^w gives W < log|z| where
+    |W| >= 1, and s e^(-s) < e^(-s/2) gives W > 2 log|z| on the classical
+    lower branch; the tails bound the far ends.  Near z_b the start is the
+    root of h's quadratic model h(w_b) = log(z_b/z), h''(w_b) = -(2-q)^3.
     """
-    if branch is Branch.UPPER and z > 0.0:
+    lo, hi = _ends(q, z, branch, w_b)
+    if z > 0.0:  # upper branch
         # for q >= 1, exp_q(w) >= e^w bounds W by the classical root, which
         # is below log z once z >= e and below 1 before that
         log_end = max(1.0, math.log(z))
         if q > 1.0:
-            wall = 1.0 / (q - 1.0)
-            if z > wall:
+            if hi < z:  # z is past the wall, which is hi
                 lo = _wall_tail(q, z)
-                return lo, min(wall, log_end), lo
+                return lo, min(hi, log_end), lo
             # z / (1 + (q-1) z) is the root at q = 2 and stays inside the wall
-            hi = min(z, log_end)
-            return 0.0, hi, min(hi, z / (1.0 + (q - 1.0) * z))
+            hi = min(hi, log_end)
+            return lo, hi, min(hi, z / (1.0 + (q - 1.0) * z))
         # the tail is within 25% of W once (1-q) W > 4; nearer q = 1, W ~ log z
-        hi = z if q == 1.0 or z <= 1.0 else min(z, _power_tail(q, z))
-        return 0.0, hi, hi if (1.0 - q) * hi > 4.0 else min(hi, log_end)
-    if branch is Branch.UPPER:
+        if q != 1.0 and z > 1.0:
+            hi = min(hi, _power_tail(q, z))
+        return lo, hi, hi if (1.0 - q) * hi > 4.0 else min(hi, log_end)
+    if branch is _UPPER:
         if q >= 2.0:
-            # exp_q(-s) <= 1/(1+s) for q <= 2 (Bernoulli), so z/(1+z), the
-            # root at q = 2, bounds W from above there
-            hi = z / (1.0 + z) if q == 2.0 else min(z, _power_tail(q, z))
-            return -sys.float_info.max, hi, hi
-        lo, hi = w_b, z / (1.0 + z)
+            if q > 2.0:
+                hi = min(hi, _power_tail(q, z))
+            return lo, hi, hi
     elif q < 1.0:
-        wall = 1.0 / (q - 1.0)
-        lo, hi = _wall_tail(q, z), w_b
+        wall, lo = lo, _wall_tail(q, z)
         if lo - wall < 0.25 * (hi - wall):
             # the tail puts W in the quarter of the bracket next to the wall,
             # where it is the better model and the branch-point quadratic fails
             return lo, hi, lo
     else:
         lo = 2.0 * math.log(-z) if q == 1.0 else _power_tail(q, z)
-        hi = min(w_b, math.log(-z))
+        hi = min(hi, math.log(-z))
         if (q - 1.0) * (2.0 - q) * lo < -4.0:
             # the tail's relative error is about 1/((q-1)(2-q)|W|): under 25%
             return lo, hi, lo
     d = math.sqrt(2.0 * math.log(z_b / z) / (2.0 - q) ** 3)
-    guess = w_b + d if branch is Branch.UPPER else w_b - d
+    guess = w_b + d if branch is _UPPER else w_b - d
     return lo, hi, min(hi, max(lo, guess))
 
 
@@ -299,7 +323,7 @@ def _check_request(q: float, z: float, branch: Branch | str, tol: float,
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter!r}")
-    if branch is Branch.LOWER and bp is None:
+    if branch is _LOWER and bp is None:
         raise NoBranchPointError(
             f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
     lo, lo_closed, hi = _domain(q, branch, bp)
@@ -318,16 +342,24 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     frees each row at once: 10^4 live rows would pass into the garbage
     collector's older generations and be traversed there again and again.
 
-    A point starts its Newton loop from the analytic start of its bracket
-    or from the cubic through the last four roots, 4 w1 - 6 w2 + 4 w3 - w4,
-    whichever landed nearer the root on the previous point; the cubic only
-    from strictly inside the bracket.  The cubic needs four roots and one
-    point to compare on, so the first five points of a run take the
-    analytic start, as wq's one-point run always does."""
-    lower = branch is Branch.LOWER  # looked up once per run, not per point
+    A point starts its Newton loop from the cubic through the last four
+    roots, 4 w1 - 6 w2 + 4 w3 - w4, when the cubic started the previous
+    point and that point stopped at its first evaluation.  It is then
+    bounded by _ends alone: a comparison or a division per end, and no
+    _bracket, whose tails and analytic start cost about as much as the
+    evaluation itself.  Every other point calls _bracket and starts from its
+    analytic start or from the cubic, whichever landed nearer the root on
+    the last point that computed both; the cubic only from strictly inside
+    the bracket, and a cubic outside the fixed ends goes to _bracket too.
+    On a 10^4-step table most rows skip _bracket; where the analytic start
+    is all but exact, as at q = 2 on [-0.999, 1], it keeps winning and
+    every row calls it.  The cubic needs four roots and one point to
+    compare on, so the first five points of a run take the analytic start,
+    as wq's one-point run always does."""
+    lower = branch is _LOWER  # looked up once per run, not per point
     z_b, w_b = (math.nan, math.nan) if bp is None else bp
     w1 = w2 = w3 = w4 = math.nan  # the last four roots, newest first
-    cubic_nearer = False
+    cubic_nearer = from_cubic = False
     for z in zs:
         if z == 0.0:  # the lower branch's domain excludes 0
             result = (0.0, 0.0, 0)
@@ -335,12 +367,22 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
             # both branches meet here, where h has a double root
             result = (w_b, 0.0, 0)
         else:
-            lo, hi, start = _bracket(q, z, branch, z_b, w_b)
-            inside = False
-            if w4 == w4:  # four roots so far (w4 is nan before); saves a one-point run the cubic
+            # from_cubic: the cubic started the last point and stopped at its
+            # first evaluation, so it starts this one too, inside the fixed ends
+            if from_cubic:
                 cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
-                inside = lo < cubic < hi
-            w = cubic if inside and cubic_nearer else start
+                lo, hi = _ends(q, z, branch, w_b)
+                from_cubic = lo < cubic < hi
+            bracketed = not from_cubic
+            if bracketed:
+                lo, hi, start = _bracket(q, z, branch, z_b, w_b)
+                inside = False
+                # four roots so far (w4 is nan before); saves a one-point run the cubic
+                if w4 == w4:
+                    cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
+                    inside = lo < cubic < hi
+                from_cubic = inside and cubic_nearer
+            w = cubic if from_cubic else start
             rising = lower or z > 0.0  # h increases through the root
             best_w, best_h = w, math.inf
             back1 = back2 = math.inf  # |h| one and two evaluations ago
@@ -386,7 +428,9 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                     f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
                     f"relative residual = {best_h:.3e}",
                     best_w=best_w, residual=best_h, iterations=iters)
-            cubic_nearer = inside and abs(cubic - result[0]) < abs(start - result[0])
+            if bracketed:
+                cubic_nearer = inside and abs(cubic - result[0]) < abs(start - result[0])
+        from_cubic = from_cubic and result[2] == 1
         w1, w2, w3, w4 = result[0], w1, w2, w3
         yield result
 
@@ -435,7 +479,7 @@ def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float |
     z = _require_finite("z", z)
     branch = _as_branch(branch)
     if q == 2.0:
-        if branch is Branch.UPPER and z > -1.0:
+        if branch is _UPPER and z > -1.0:
             return z / (1.0 + z)
         return None
     if q == 0.0:
@@ -443,7 +487,7 @@ def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float |
         if disc < 0.0:
             return None
         root = math.sqrt(disc)
-        if branch is Branch.UPPER:
+        if branch is _UPPER:
             return 0.5 * (-1.0 + root)
         if z < 0.0:
             return 0.5 * (-1.0 - root)

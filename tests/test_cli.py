@@ -694,10 +694,10 @@ def test_table_ending_at_the_largest_double(capsys):
 
 # ------------------------------------------------ wq tables by continuation
 
-def _wq_table(capsys, q, z_from, z_to, branch):
-    """(z, value, residual) rows of a 1000-step csv table."""
+def _wq_table(capsys, q, z_from, z_to, branch, steps=1000):
+    """(z, value, residual) rows of a csv table, 1000 steps by default."""
     code, out, err = run_main(capsys, "table", "wq", "--q", repr(q), f"--z-from={z_from!r}",
-                              f"--z-to={z_to!r}", "--steps", "1000", "--branch", branch)
+                              f"--z-to={z_to!r}", "--steps", str(steps), "--branch", branch)
     assert code == 0, err
     return _parse_table(out, "csv")
 
@@ -736,18 +736,25 @@ def test_table_row_at_zero_is_exact(capsys, q):
     assert out.splitlines()[2] == "0,0,0"
 
 
-def _evaluations(monkeypatch, capsys, q, z_from, z_to, branch):
-    """Residual evaluations of a 1000-step table and of a per-point wq on
-    each of its rows."""
+def _counted(monkeypatch, name):
+    """A one-item list that counts the calls of the solver module's
+    function name, which the solver looks up through the module."""
     solver = importlib.import_module("lambert_tsallis.wq")
     count = [0]
-    log_residual = solver._log_residual
+    original = getattr(solver, name)
 
     def counted(*args):
         count[0] += 1
-        return log_residual(*args)
+        return original(*args)
 
-    monkeypatch.setattr(solver, "_log_residual", counted)
+    monkeypatch.setattr(solver, name, counted)
+    return count
+
+
+def _evaluations(monkeypatch, capsys, q, z_from, z_to, branch):
+    """Residual evaluations of a 1000-step table and of a per-point wq on
+    each of its rows."""
+    count = _counted(monkeypatch, "_log_residual")
     rows = _wq_table(capsys, q, z_from, z_to, branch)
     table, count[0] = count[0], 0
     for z, _, _ in rows:
@@ -764,6 +771,23 @@ def test_table_continuation_saves_evaluations_on_smooth_tables(
         monkeypatch, capsys, q, z_from, z_to, branch):
     table, per_point = _evaluations(monkeypatch, capsys, q, z_from, z_to, branch)
     assert table <= 0.6 * per_point, (table, per_point)
+
+
+@pytest.mark.parametrize("q, z_from, z_to, branch", [
+    (1.0, -0.3, 25.0, "upper"),
+    (0.5, -0.5, -1e-3, "lower"),
+    (3.0, -20.0, 25.0, "upper"),
+])
+def test_table_continuation_rows_skip_the_bracket(monkeypatch, capsys, q, z_from, z_to, branch):
+    # a row after one that the cubic started and finished at its first
+    # evaluation starts from the cubic inside the fixed ends, with no
+    # _bracket; at 10^4 steps that is most rows (a per-point wq makes 1.0)
+    brackets = _counted(monkeypatch, "_bracket")
+    rows = _wq_table(capsys, q, z_from, z_to, branch, steps=10_000)
+    # the lower branch keeps the 5 918 grid points above z_b
+    assert len(rows) > 5000 and brackets[0] <= 0.5 * len(rows), (brackets[0], len(rows))
+    for z, v, _ in rows[::7]:
+        _assert_near_wq(q, z, branch, v)
 
 
 def test_table_builds_no_solve_result(monkeypatch, capsys):

@@ -146,6 +146,21 @@ def test_rational_reduces_int_and_fraction_parts():
     assert type(Rational(3).value) is Fraction and ZERO == Rational(0)
 
 
+def test_surd_keeps_a_fraction_part_as_it_is():
+    # a Fraction is stored, not copied; an int, a bool or a Fraction subclass
+    # is converted to a plain Fraction
+    f = Fraction(1, 3)
+    assert QuadSurd(f, Fraction(2), 5).a is f
+
+    class Third(Fraction):
+        pass
+
+    for a, b in [(Third(1, 3), 2), (1, Third(2)), (True, 2)]:
+        x = QuadSurd(a, b, 5)
+        assert (type(x.a), type(x.b)) == (Fraction, Fraction)
+        assert x == record(a, b, 5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: NamedTranscendental("x"),
     lambda: NamedTranscendental(None),

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambert_tsallis.classify import Classification, Rule, classify_expq
@@ -26,8 +26,8 @@ from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
 from lambert_tsallis.qexp import exp_q
 from lambert_tsallis.verify import CheckResult, algebraicity_scan, branch_point_check
 from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, Interval,
-                                _check_request, _log_residual, branch_domain, branch_point,
-                                dwq_dz, wq, wq_closed_form)
+                                _bracket, _check_request, _ends, _log_residual,
+                                branch_domain, branch_point, dwq_dz, wq, wq_closed_form)
 
 OMEGA = 0.5671432904097838          # W(1), classical
 DW_AT_ONE = 0.3618962566348892      # W'(1) = e^{-W(1)}/(1 + W(1))
@@ -566,6 +566,48 @@ def test_lower_branch_residual_property(q, t):
     res = wq(q, z, Branch.LOWER)
     assert abs(res.w * exp_q(q, res.w) - z) <= 1e-10 * max(1.0, abs(z))
     assert res.w <= bp.w_b + 1e-9
+
+
+@settings(max_examples=400)
+@given(q=st.floats(min_value=-5.0, max_value=5.0),
+       exponent=st.floats(min_value=-300.0, max_value=300.0),
+       sign=st.sampled_from([-1.0, 1.0]), branch=st.sampled_from(list(Branch)),
+       gap=st.one_of(st.none(), st.floats(min_value=1e-16, max_value=0.5)))
+def test_bracket_lies_inside_the_fixed_ends(q, exponent, sign, branch, gap):
+    # _bracket only tightens _ends, and a table row that skips _bracket is
+    # bounded by _ends alone, so they must hold the root too
+    z = sign * 10.0 ** exponent
+    bp = branch_point(q)
+    if gap is not None and bp is not None:  # a relative gap inside z_b
+        z = bp.z_b * (1.0 - gap)
+    if ((branch is Branch.LOWER and bp is None) or not branch_domain(q, branch).contains(z)
+            or (bp is not None and z == bp.z_b)):
+        return
+    z_b, w_b = (math.nan, math.nan) if bp is None else bp
+    lo, hi = _ends(q, z, branch, w_b)
+    b_lo, b_hi, start = _bracket(q, z, branch, z_b, w_b)
+    assert lo <= b_lo <= start <= b_hi <= hi
+    # f is monotone on the branch, so z lies between f at the two ends.  An
+    # end at the wall or at the end of the double range stands for f's limit
+    # there, as a root beyond the double range needs: at the wall inf for
+    # q > 1 and 0 for q < 1; as w -> -inf, 0 on the lower branch, -1 at q = 2
+    # and -inf for q > 2
+    wall = 1.0 / (q - 1.0) if q != 1.0 else math.nan
+
+    def f(w):
+        if w == wall:
+            return math.inf if q > 1.0 else 0.0
+        if w == -sys.float_info.max:
+            return 0.0 if branch is Branch.LOWER else -1.0 if q == 2.0 else -math.inf
+        return w * exp_q(q, w)
+
+    f_lo, f_hi = f(lo), f(hi)
+    assert min(f_lo, f_hi) <= z <= max(f_lo, f_hi), (lo, hi, f_lo, f_hi)
+    try:
+        w = wq(q, z, branch).w
+    except ConvergenceError:  # no double next to the wall or past the double range
+        return
+    assert lo <= w <= hi
 
 
 def test_q_continuity_at_classical_point():
