@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import re
@@ -78,12 +77,6 @@ def _cell(v: object) -> object:
     if isinstance(v, bool):
         return "true" if v else "false"
     return format(v, ".17g") if isinstance(v, float) else v
-
-
-def _csv_line(row: list[object]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(map(_cell, row))
-    return buf.getvalue()
 
 
 # Negative float literals that argparse must read as values, not options:
@@ -158,13 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(fmt: str, doc: dict[str, object], records: list[dict[str, object]],
           columns: list[str], plain: list[str]) -> None:
     """Print a command's result: json as render_json(doc); csv as the
-    columns header and one _csv_line per record; plain as its lines."""
+    columns header and one row of _cell values per record; plain as its
+    lines."""
     if fmt == "json":
         print(render_json(doc))
     elif fmt == "csv":
-        print(_csv_line(columns))
-        for record in records:
-            print(_csv_line([record[c] for c in columns]))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(record[c]) for c in columns] for record in records)
     else:
         print("\n".join(plain))
 

@@ -22,8 +22,10 @@ Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Combining surds over distinct canonical radicands is
 rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
 Building a QuadSurd splits its radicand once; the arithmetic builds its
-results from canonical operands past the constructors and never splits or
-checks again.
+results past the constructors and never splits again.  _parts, which reads
+an operand as (a, b, d), is an operation's one type test of it: anything
+not an exact number raises ``MalformedInputError`` there, before e or pi
+is refused.  The classifiers check their operands once, at their entry.
 
 Sign evaluation never touches floating point: for a + b*sqrt(d) it compares
 a*a against b*b*d together with the signs of a and b.
@@ -188,39 +190,41 @@ def _square_split(n: int) -> tuple[int, int]:
     return (s * r, f) if r * r == m else (s, f * m)
 
 
-def _check(x: ExactNumber) -> ExactNumber:
-    """x itself if it is an exact number; anything else, a tuple too, raises."""
-    if isinstance(x, (Rational, QuadSurd, NamedTranscendental)):
+def _parts(x: ExactNumber) -> tuple[Fraction, Fraction | int, int] | None:
+    """(a, b, d) with x = a + b*sqrt(d), d = 0 for a Rational; None for e or
+    pi.  Anything else, a tuple of the same fields too, raises."""
+    # isinstance, not a match: the class pattern Rational(v) costs three times as much
+    if isinstance(x, QuadSurd):
         return x
+    if isinstance(x, Rational):
+        return x.value, 0, 0
+    if isinstance(x, NamedTranscendental):
+        return None
     raise MalformedInputError(f"not an exact number: got {type(x).__name__}")
 
 
-def _lift(x: Rational | QuadSurd) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Rational):
-        return x.value, Fraction(0)
-    return x.a, x.b
+def _check(x: ExactNumber) -> ExactNumber:
+    """x itself if it is an exact number; anything else, a tuple too, raises."""
+    _parts(x)
+    return x
 
 
 def _field_pair(x: ExactNumber, y: ExactNumber):
-    """Check both operands and place them in one field.
-
-    Returns (a1, b1, a2, b2, d) where d is None when both are rational.
-    """
-    x, y = _check(x), _check(y)
-    if isinstance(x, NamedTranscendental) or isinstance(y, NamedTranscendental):
+    """(a1, b1, a2, b2, d), both operands in one field; d = 0 if both are rational."""
+    px, py = _parts(x), _parts(y)
+    if px is None or py is None:
         raise UnsupportedOperandError(
             "field arithmetic on e or pi is not supported; they are opaque tags")
-    if isinstance(x, QuadSurd) and isinstance(y, QuadSurd) and x.d != y.d:
+    (a1, b1, d1), (a2, b2, d2) = px, py
+    if d1 and d2 and d1 != d2:
         raise UnsupportedFieldError(
-            f"cannot combine sqrt({x.d}) and sqrt({y.d}) in a single operation")
-    d = x.d if isinstance(x, QuadSurd) else (y.d if isinstance(y, QuadSurd) else None)
-    (a1, b1), (a2, b2) = _lift(x), _lift(y)
-    return a1, b1, a2, b2, d
+            f"cannot combine sqrt({d1}) and sqrt({d2}) in a single operation")
+    return a1, b1, a2, b2, d1 or d2
 
 
-def _build(a: Fraction, b: Fraction, d: int | None) -> ExactNumber:
+def _build(a: Fraction, b: Fraction | int, d: int) -> ExactNumber:
     """The canonical a + b*sqrt(d); d, from a canonical operand, is not split."""
-    if d is None or b == 0:
+    if b == 0:
         return tuple.__new__(Rational, (a,))
     return tuple.__new__(QuadSurd, (a, b, d))
 
@@ -241,7 +245,7 @@ def neg(x: ExactNumber) -> ExactNumber:
 
 def mul(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     a1, b1, a2, b2, d = _field_pair(x, y)
-    if d is None:
+    if not d:  # each zero surd term would still cost a Fraction operation
         return tuple.__new__(Rational, (a1 * a2,))
     return _build(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, d)
 
@@ -251,7 +255,7 @@ def div(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     a1, b1, a2, b2, d = _field_pair(x, y)
     if a2 == 0 and b2 == 0:
         raise ZeroDivisionError("exact division by zero")
-    if d is None:
+    if not d:
         return tuple.__new__(Rational, (a1 / a2,))
     # 1/(a2 + b2 sqrt(d)) = (a2 - b2 sqrt(d)) / (a2^2 - b2^2 d)
     # nonzero: the canonical divisor is nonzero and sqrt(d) irrational
@@ -261,32 +265,23 @@ def div(x: ExactNumber, y: ExactNumber) -> ExactNumber:
 
 def sign(x: ExactNumber) -> int:
     """Exact sign in {-1, 0, +1} by integer comparisons only."""
-    match _check(x):
-        case Rational(v):
-            return (v > 0) - (v < 0)
-        case QuadSurd(a, b, d):
-            # canonical here: b != 0, d >= 2 not a perfect square
-            if a == 0:
-                return 1 if b > 0 else -1
-            sa = 1 if a > 0 else -1
-            sb = 1 if b > 0 else -1
-            if sa == sb:
-                return sa
-            # a*a != b*b*d, as sqrt(d) is irrational
-            return sa if a * a > b * b * d else sb
-        case NamedTranscendental():
-            raise UnsupportedOperandError("exact sign of e or pi is not provided here")
+    parts = _parts(x)
+    if parts is None:
+        raise UnsupportedOperandError("exact sign of e or pi is not provided here")
+    a, b, d = parts
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:  # b = 0 (a Rational), a = 0, or a and b share a sign
+        return sa or sb
+    # a surd, canonical: d >= 2 is not a perfect square, so a*a != b*b*d
+    return sa if a * a > b * b * d else sb
 
 
 def classify_number(x: ExactNumber) -> ArithmeticClass:
     """Arithmetic class of a single exact number; never Unknown."""
-    match _check(x):
-        case Rational():
-            return ArithmeticClass.RATIONAL
-        case QuadSurd():
-            return ArithmeticClass.ALGEBRAIC_IRRATIONAL
-        case NamedTranscendental():
-            return ArithmeticClass.TRANSCENDENTAL
+    parts = _parts(x)
+    if parts is None:
+        return ArithmeticClass.TRANSCENDENTAL
+    return ArithmeticClass.ALGEBRAIC_IRRATIONAL if parts[2] else ArithmeticClass.RATIONAL
 
 
 _SQRT_BITS = 128
@@ -300,7 +295,6 @@ def to_real(x: ExactNumber) -> float:
     even under heavy cancellation such as 3 - 2*sqrt(2).  A value beyond the
     double range raises MalformedInputError.
     """
-    x = _check(x)
     try:
         match x:
             case Rational(v):
@@ -312,10 +306,11 @@ def to_real(x: ExactNumber) -> float:
                 return math.e if tag is Constant.E else math.pi
     except OverflowError:  # float() of a Fraction past the largest double
         raise MalformedInputError("the exact value is beyond the double range") from None
+    _check(x)  # no case fit: x is not an exact number, and this raises
 
 
 def is_algebraic(x: ExactNumber) -> bool:
-    return not isinstance(_check(x), NamedTranscendental)
+    return _parts(x) is not None
 
 
 # Certified 50-decimal-digit enclosures.  The digit strings are truncations,
@@ -384,7 +379,6 @@ def render_exact(x: ExactNumber) -> str:
     """Render in the same grammar parse_exact accepts; round-trips exactly.
     A term with more digits than str() of an int allows raises
     MalformedInputError."""
-    x = _check(x)
     try:
         match x:
             case Rational(v):
@@ -399,3 +393,4 @@ def render_exact(x: ExactNumber) -> str:
                 return tag.value
     except ValueError:
         raise MalformedInputError(f"the exact value has a term beyond {_DIGIT_LIMIT}") from None
+    _check(x)  # no case fit: x is not an exact number, and this raises

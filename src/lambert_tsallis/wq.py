@@ -175,8 +175,14 @@ def _power_tail(q: float, z: float) -> float:
     above that model for q < 1 and below it for q > 1, so the result bounds
     W on the side _bracket uses it for.  Saturates at the double range."""
     p = q - 1.0
+    log_z, log_p = math.log(abs(z)), math.log(abs(p))
+    e = p * log_z
+    if e < math.inf:
+        e = (e + log_p) / (p - 1.0)
+    else:  # p log|z| overflowed, for q past about 1.8e308/log|z|
+        e = p / (p - 1.0) * log_z + log_p / (p - 1.0)
     try:
-        m = math.exp((p * math.log(abs(z)) + math.log(abs(p))) / (p - 1.0))
+        m = math.exp(e)
     except OverflowError:
         m = sys.float_info.max
     return math.copysign(m, z)
@@ -254,7 +260,10 @@ def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
         if (q - 1.0) * (2.0 - q) * lo < -4.0:
             # the tail's relative error is about 1/((q-1)(2-q)|W|): under 25%
             return lo, hi, lo
-    d = math.sqrt(2.0 * math.log(z_b / z) / (2.0 - q) ** 3)
+    try:
+        d = math.sqrt(2.0 * math.log(z_b / z) / (2.0 - q) ** 3)
+    except OverflowError:  # q < -5.6e102: d is under an ulp of w_b, about 1/|q|
+        d = 0.0
     guess = w_b + d if branch is _UPPER else w_b - d
     return lo, hi, min(hi, max(lo, guess))
 

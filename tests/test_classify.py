@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lambert_tsallis import classify, exact
 from lambert_tsallis.classify import (_ZB_MARGIN, Rule, classify_expq,
                                       classify_lnq_derivative, classify_tower,
                                       classify_wq)
@@ -398,3 +399,22 @@ def test_justifications_name_the_inputs():
     assert "sqrt(3)" in res.justification
     assert "5/7" in res.justification
     assert render_exact(parse_exact("sqrt(3)")) == "sqrt(3)"
+
+
+def test_classify_checks_each_operand_once(monkeypatch):
+    # a classify_* checks its two operands at its entry; the field
+    # operations, sign, render_exact and to_real it calls check nothing again
+    check, calls = exact._check, []
+
+    def counting(x):
+        calls.append(x)
+        return check(x)
+
+    monkeypatch.setattr(exact, "_check", counting)
+    monkeypatch.setattr(classify, "_check", counting)
+    q = parse_exact("sqrt(2)")
+    for fn, z, rule in ((classify_expq, Rational(3, 7), Rule.THEOREM_2),
+                        (classify_wq, Rational(-1, 4), Rule.THEOREM_3)):
+        calls.clear()
+        assert fn(q, z).rule is rule
+        assert calls == [q, z]

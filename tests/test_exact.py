@@ -225,6 +225,16 @@ def test_plain_tuple_is_not_an_exact_number(op, plain):
         op(plain)
 
 
+@pytest.mark.parametrize("plain", [(1, 2, 3), (Fraction(1),), (Constant.E,)])
+@pytest.mark.parametrize("op", [add, sub, mul, div])
+def test_plain_tuple_beside_e_is_malformed(op, plain):
+    # each operand is type-tested before either is refused as opaque, so a
+    # non-number beside e is malformed, on either side
+    for x, y in ((E, plain), (plain, E)):
+        with pytest.raises(MalformedInputError):
+            op(x, y)
+
+
 def test_repeated_prime_factor_above_the_trial_limit_stays_unsplit():
     # 1048583 and 1048589 are primes above 2**20: p*p*r keeps its square
     # factor, names a field of its own, and its sign stays exact

@@ -201,6 +201,25 @@ def test_wq_just_above_a_branch_point_below_q_minus_1e16():
     assert res.w == pytest.approx(-1e-17, rel=1e-15)
 
 
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+@pytest.mark.parametrize("solver", [wq, dwq_dz])
+def test_branch_point_start_below_q_minus_5e102_does_not_overflow(solver, branch):
+    # (2-q)^3 in the branch-point start overflowed past q = -5.6e102 and
+    # escaped as a builtin OverflowError; the start's offset from w_b is far
+    # under an ulp of w_b there, so the start is w_b.  The lower branch has
+    # no double between the wall and w_b; the upper branch's root, about z,
+    # is a double, but 1 + (1-q) w_b rounds to 0 and the loop closes on w_b
+    with pytest.raises(ConvergenceError, match="no double approximates the root"):
+        solver(-1e200, -5e-201, branch)
+
+
+def test_power_tail_past_the_double_range():
+    # (q-1) log|z| overflows to inf for q = 1.7e308 and z = -1e300; the
+    # upper branch's far end saturates instead of reaching -inf
+    res = wq(1.7e308, -1e300)
+    assert res.w == -1e300 and res.iterations == 1
+
+
 def test_branch_point_absent_at_two_and_beyond():
     for q in (2.0, 2.5, 3.0):
         assert branch_point(q) is None
