@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -31,7 +32,8 @@ import sys
 
 from .classify import (classify_expq, classify_lnq_derivative, classify_tower,
                        classify_wq)
-from .errors import (ConfigurationError, LambertTsallisError, MalformedInputError)
+from .errors import (ConfigurationError, DomainError, LambertTsallisError,
+                     MalformedInputError, NoBranchPointError)
 from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
@@ -86,6 +88,9 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity
                               re.IGNORECASE)
 
 
+# built once per process: parse_args leaves the parser as it found it, and
+# building it costs about as much as a short command
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambert-tsallis",
@@ -230,7 +235,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     functions would, then evaluates the rows with the unchecked kernels:
     _exp_q per row, or one wq._solve over the kept grid, which may start a
     row from the roots before it.  Each wq row meets wq's stopping rule,
-    but from the sixth row on may differ from a per-point wq in the last
+    but from the eighth row on may differ from a per-point wq in the last
     bits.  Every row renders through one %.17g template, and only a JSON
     body holding inf or nan is rendered again, through render_json."""
     if args.steps < 2:
@@ -254,19 +259,27 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     if args.subject == "wq":
         dom = branch_domain(q, branch)
-        kept = [z for z in grid if dom.contains(z)]
+        # dom.contains inline, with no call per point; hi is open on every branch
+        lo, hi, lo_closed, _ = dom
+        kept = ([z for z in grid if lo <= z < hi] if lo_closed
+                else [z for z in grid if lo < z < hi])
         clipped = len(grid) - len(kept)
         if clipped:
             print(f"warning: {clipped} of {len(grid)} grid points fall outside "
                   f"the {branch.value} branch domain {dom} and were dropped",
                   file=sys.stderr)
-        if not kept:
-            print("error: no grid points inside the branch domain",
-                  file=sys.stderr)
-            return 1
         # every kept z is finite and inside the domain, so the first one
-        # meets each check that wq would make on any of them
-        _, _, _, bp = _check_request(q, kept[0], branch, args.tol, args.max_iter)
+        # meets each check that wq would make on any of them.  With none kept,
+        # grid[0] meets wq's checks of tol, max_iter and the lower branch's
+        # existence first, and fails the domain check, wq's last, only then
+        try:
+            _, _, _, bp = _check_request(q, kept[0] if kept else grid[0], branch,
+                                         args.tol, args.max_iter)
+        except NoBranchPointError:  # a DomainError, but wq's, not the grid's
+            raise
+        except DomainError:
+            print("error: no grid points inside the branch domain", file=sys.stderr)
+            return 1
         solved = _solve(q, kept, branch, bp, args.tol, args.max_iter)
         rows = [(z, w, residual) for z, (w, residual, _) in zip(kept, solved)]
     else:

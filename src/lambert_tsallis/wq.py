@@ -28,11 +28,11 @@ which is zero at the root (w and z share a sign on every branch) and is the
 relative residual f(w)/z - 1 to first order.  It starts inside an analytic
 bracket, which _bracket builds by tightening the fixed ends of _ends (0 or
 z, w_b, the wall, z/(1+z) and the double range).  On a table, a row after
-one that the cubic through the last four roots started and finished at its
-first evaluation starts from that cubic again, inside the fixed ends alone:
-on a 10^4-step grid that is most rows, and they skip _bracket's tails and
-analytic start.  The loop falls back to bisection over the ordered doubles,
-arithmetic on a narrow bracket and geometric across decades, whenever a step
+one that the degree-5 extrapolant through the last six roots started and
+finished at its first evaluation starts from that extrapolant again, inside
+the fixed ends alone: on a 10^4-step grid that is nearly every row, and
+they skip _bracket's tails and analytic start.  The loop falls back to
+bisection over the ordered doubles, arithmetic on a narrow bracket and geometric across decades, whenever a step
 leaves the bracket or |h| fails to halve in two evaluations.  It stops when
 |h| <= tol or a step is under 4 ulp of w, and returns the point after that
 step.  A bracket closed on adjacent doubles returns its better end, or
@@ -351,24 +351,28 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     frees each row at once: 10^4 live rows would pass into the garbage
     collector's older generations and be traversed there again and again.
 
-    A point starts its Newton loop from the cubic through the last four
-    roots, 4 w1 - 6 w2 + 4 w3 - w4, when the cubic started the previous
-    point and that point stopped at its first evaluation.  It is then
+    A point starts its Newton loop from the degree-5 extrapolant through
+    the last six roots, 6 w1 - 15 w2 + 20 w3 - 15 w4 + 6 w5 - w6, when the
+    extrapolant started the previous point and that point stopped at its
+    first evaluation.  Its error is O(step^6 W^(6)), and its rounding (the
+    coefficients sum to 63 in magnitude) stays far below tol; a lower
+    degree misses more often, a higher one gains nothing.  The point is then
     bounded by _ends alone: a comparison or a division per end, and no
     _bracket, whose tails and analytic start cost about as much as the
     evaluation itself.  Every other point calls _bracket and starts from its
-    analytic start or from the cubic, whichever landed nearer the root on
-    the last point that computed both; the cubic only from strictly inside
-    the bracket, and a cubic outside the fixed ends goes to _bracket too.
-    On a 10^4-step table most rows skip _bracket; where the analytic start
-    is all but exact, as at q = 2 on [-0.999, 1], it keeps winning and
-    every row calls it.  The cubic needs four roots and one point to
-    compare on, so the first five points of a run take the analytic start,
+    analytic start or from the extrapolant, whichever landed nearer the root
+    on the last point that computed both; the extrapolant only from strictly
+    inside the bracket, and one outside the fixed ends goes to _bracket too.
+    On a 10^4-step table nearly every row skips _bracket; where the analytic
+    start is all but exact, as at q = 2 on [-0.999, 1], it keeps winning
+    and about half the rows call it.  The extrapolant needs six roots and one point to
+    compare on, so the first seven points of a run take the analytic start,
     as wq's one-point run always does."""
     lower = branch is _LOWER  # looked up once per run, not per point
     z_b, w_b = (math.nan, math.nan) if bp is None else bp
-    w1 = w2 = w3 = w4 = math.nan  # the last four roots, newest first
-    cubic_nearer = from_cubic = False
+    w1 = w2 = w3 = w4 = w5 = w6 = math.nan  # the last six roots, newest first
+    extrap = math.nan
+    extrap_nearer = from_extrap = False
     for z in zs:
         if z == 0.0:  # the lower branch's domain excludes 0
             result = (0.0, 0.0, 0)
@@ -376,22 +380,20 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
             # both branches meet here, where h has a double root
             result = (w_b, 0.0, 0)
         else:
-            # from_cubic: the cubic started the last point and stopped at its
-            # first evaluation, so it starts this one too, inside the fixed ends
-            if from_cubic:
-                cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
+            # six roots so far (w6 is nan before); saves a one-point run the sum
+            if w6 == w6:
+                extrap = 6.0 * w1 - 15.0 * w2 + 20.0 * w3 - 15.0 * w4 + 6.0 * w5 - w6
+            # from_extrap: the extrapolant started the last point and stopped at
+            # its first evaluation, so it starts this one too, inside the fixed ends
+            if from_extrap:
                 lo, hi = _ends(q, z, branch, w_b)
-                from_cubic = lo < cubic < hi
-            bracketed = not from_cubic
+                from_extrap = lo < extrap < hi
+            bracketed = not from_extrap
             if bracketed:
                 lo, hi, start = _bracket(q, z, branch, z_b, w_b)
-                inside = False
-                # four roots so far (w4 is nan before); saves a one-point run the cubic
-                if w4 == w4:
-                    cubic = 4.0 * w1 - 6.0 * w2 + 4.0 * w3 - w4
-                    inside = lo < cubic < hi
-                from_cubic = inside and cubic_nearer
-            w = cubic if from_cubic else start
+                inside = lo < extrap < hi  # False while extrap is nan
+                from_extrap = inside and extrap_nearer
+            w = extrap if from_extrap else start
             rising = lower or z > 0.0  # h increases through the root
             best_w, best_h = w, math.inf
             back1 = back2 = math.inf  # |h| one and two evaluations ago
@@ -438,9 +440,9 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                     f"relative residual = {best_h:.3e}",
                     best_w=best_w, residual=best_h, iterations=iters)
             if bracketed:
-                cubic_nearer = inside and abs(cubic - result[0]) < abs(start - result[0])
-        from_cubic = from_cubic and result[2] == 1
-        w1, w2, w3, w4 = result[0], w1, w2, w3
+                extrap_nearer = inside and abs(extrap - result[0]) < abs(start - result[0])
+        from_extrap = from_extrap and result[2] == 1
+        w1, w2, w3, w4, w5, w6 = result[0], w1, w2, w3, w4, w5
         yield result
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from lambert_tsallis.classify import (classify_expq, classify_lnq_derivative,
                                       classify_tower, classify_wq)
-from lambert_tsallis.cli import main, render_json
+from lambert_tsallis.cli import build_parser, main, render_json
 from lambert_tsallis.errors import ConvergenceError, DomainError, NoBranchPointError
 from lambert_tsallis.exact import parse_exact, render_exact
 from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
@@ -280,6 +280,19 @@ def test_main_callable_in_process(capsys):
 def test_main_returns_two_without_exiting(capsys):
     assert main(["eval", "wq", "--q", "bad", "--z", "1"]) == 2
     assert main([]) == 2
+
+
+def test_the_parser_is_built_once_and_carries_nothing_between_calls(capsys):
+    assert build_parser() is build_parser()
+    assert main(["eval", "wq", "--q", "1", "--z", "1", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lambert-tsallis")
+    docs = [json.loads(run_main(capsys, "eval", "wq", "--q", "1", "--z=-0.1",
+                                "--format", "json", *flags)[1])
+            for flags in (["--branch", "lower"], [])]
+    assert [doc["branch"] for doc in docs] == ["lower", "upper"]
+    assert [doc["value"] for doc in docs] == [wq(1.0, -0.1, b).w for b in ("lower", "upper")]
 
 
 def test_render_json_primitives():
@@ -593,11 +606,34 @@ def test_table_bad_tol_with_points_kept_exits_two(capsys):
         "error: tol must be a positive finite real, got 0.0"]
 
 
-def test_table_bad_tol_with_every_point_clipped_exits_one(capsys):
+def test_table_bad_tol_with_every_point_clipped_exits_two(capsys):
+    # wq checks tol before the domain, so an empty grid does too
     code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "1", "--z-to", "2",
                               "--branch", "lower", "--tol", "0")
-    assert (code, out) == (1, "")
-    assert err.endswith("error: no grid points inside the branch domain\n")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: tol must be a positive finite real, got 0.0\n")
+
+
+@pytest.mark.parametrize("q, flags", [
+    ("1", ["--tol", "-1"]),
+    ("1", ["--max-iter", "0"]),
+    ("2.5", ["--branch", "lower"]),
+    ("1", []),
+])
+def test_table_with_every_point_clipped_reports_wq_checks_first(capsys, q, flags):
+    # every grid point lies outside the domain: below z_b = -1/e at q = 1, and
+    # there is no lower branch at q = 2.5.  A bad configuration or a missing
+    # branch reads as a per-point wq reads; a valid one keeps the table's message
+    code, out, err = run_main(capsys, "table", "wq", "--q", q, "--z-from=-5", "--z-to=-4",
+                              "--steps", "3", *flags)
+    point = run_main(capsys, "eval", "wq", "--q", q, "--z=-5", *flags)
+    assert out == "" and err.startswith("warning: 3 of 3 grid points fall outside")
+    last = err.splitlines()[-1]
+    if flags:
+        assert (code, f"{last}\n") == (point[0], point[2])
+    else:
+        assert point[0] == 1 and "outside the upper-branch domain" in point[2]
+        assert (code, last) == (1, "error: no grid points inside the branch domain")
 
 
 def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
@@ -644,6 +680,29 @@ def test_branch_domain_wq_and_table_name_one_interval(capsys, q, branch, interva
         assert (code, warning) == (0, None)
     else:
         assert warning[1] == interval
+
+
+@pytest.mark.parametrize("q, z_from, z_to, steps, branch, clipped", [
+    (0.0, -0.25, 0.25, 3, "upper", 0),  # z_b = -0.25 is a closed end: kept
+    (0.0, -0.25, 0.25, 3, "lower", 2),  # and 0 an open one: dropped
+    (2.0, -2.0, 1.0, 4, "upper", 2),  # the open end -1 is dropped
+    (1.0, -1e308, 1e308, 5, "upper", 2),  # z_to - z_from overflows: the other grid
+    (2.5, -1e3, 1e3, 5, "upper", 0),  # the whole line: nothing dropped
+])
+def test_table_keeps_exactly_the_points_its_domain_contains(
+        capsys, q, z_from, z_to, steps, branch, clipped):
+    ends = [f"--z-from={z_from!r}", f"--z-to={z_to!r}", "--steps", str(steps)]
+    # an expq table prints the whole grid
+    grid = [z for z, _ in (map(float, line.split(",")) for line in
+                           run_main(capsys, "table", "expq", "--q", repr(q), *ends)[1]
+                           .splitlines()[1:])]
+    dom = branch_domain(q, branch)
+    kept = [z for z in grid if dom.contains(z)]
+    code, out, err = run_main(capsys, "table", "wq", "--q", repr(q), *ends, "--branch", branch)
+    assert code == 0 and [row[0] for row in _parse_table(out, "csv")] == kept
+    assert len(grid) - len(kept) == clipped
+    assert err == (f"warning: {clipped} of {len(grid)} grid points fall outside the "
+                   f"{branch} branch domain {dom} and were dropped\n" if clipped else "")
 
 
 def test_table_expq_non_finite_grid_exits_two(capsys):
@@ -721,7 +780,7 @@ def test_table_rows_by_continuation_are_accurate(capsys, q, z_from, z_to, branch
         # a step under 4 ulp also stops the loop, where conditioning puts
         # tol out of reach: at q = 0 next to the wall, wq's residual is 1.3e-10
         assert residual <= max(DEFAULT_TOL, point.residual), (q, z, residual)
-        if i < 5:  # the cubic start needs four roots and a row to compare on
+        if i < 7:  # the extrapolant needs six roots and a row to compare on
             assert (repr(v), repr(residual)) == (repr(point.w), repr(point.residual)), (q, z)
     bp = branch_point(q)
     if bp is not None:  # the table starts at z_b, where wq returns w_b unsolved
@@ -734,6 +793,18 @@ def test_table_row_at_zero_is_exact(capsys, q):
                               "--z-to=0.25", "--steps", "3")
     assert (code, err) == (0, "")
     assert out.splitlines()[2] == "0,0,0"
+
+
+@pytest.mark.parametrize("q, z_from, z_to, branch", list(_continuation_tables()))
+def test_table_extrapolation_saves_brackets_on_coarse_grids(
+        monkeypatch, capsys, q, z_from, z_to, branch):
+    # the degree-5 start pays off at 1000 steps too: 1.15-1.55 evaluations per
+    # row here, and 14-54% of rows build the bracket
+    evaluations = _counted(monkeypatch, "_log_residual")
+    brackets = _counted(monkeypatch, "_bracket")
+    rows = len(_wq_table(capsys, q, z_from, z_to, branch))
+    assert evaluations[0] <= 1.7 * rows, (evaluations[0], rows)
+    assert brackets[0] <= 0.65 * rows, (brackets[0], rows)
 
 
 def _counted(monkeypatch, name):
@@ -779,9 +850,9 @@ def test_table_continuation_saves_evaluations_on_smooth_tables(
     (3.0, -20.0, 25.0, "upper"),
 ])
 def test_table_continuation_rows_skip_the_bracket(monkeypatch, capsys, q, z_from, z_to, branch):
-    # a row after one that the cubic started and finished at its first
-    # evaluation starts from the cubic inside the fixed ends, with no
-    # _bracket; at 10^4 steps that is most rows (a per-point wq makes 1.0)
+    # a row after one that the extrapolant started and finished at its first
+    # evaluation starts from the extrapolant inside the fixed ends, with no
+    # _bracket; at 10^4 steps that is nearly every row (a per-point wq makes 1.0)
     brackets = _counted(monkeypatch, "_bracket")
     rows = _wq_table(capsys, q, z_from, z_to, branch, steps=10_000)
     # the lower branch keeps the 5 918 grid points above z_b
