@@ -109,19 +109,26 @@ _TWO = Rational(2)
 _ZB_MARGIN = Fraction(1, 10**12)
 
 
-def _double_z_b(q: QuadSurd) -> Fraction | None:
+def _double_z_b(q: QuadSurd) -> float | None:
     """The double z_b of branch_point(to_real(q)) for a surd q < 2; None if q
     rounds to 2 or lies below the double range."""
     try:
         bp = branch_point(to_real(q))
     except MalformedInputError:  # q is beyond the double range
         return None
-    return None if bp is None else Fraction(bp.z_b)
+    return None if bp is None else bp.z_b
+
+
+def _widened(z_b: float, side: int) -> Rational:
+    """z_b * (1 + side * _ZB_MARGIN) for side +-1, built from ints."""
+    (n, m), (u, v) = z_b.as_integer_ratio(), _ZB_MARGIN.as_integer_ratio()
+    return Rational(n * (v + side * u), m * v)
 
 
 def _bracket_sign_algebraic(q: ExactNumber, z: ExactNumber) -> int | None:
-    """Exact sign of 1 + (1-q) z for algebraic q, z; None if the two surd
-    bases differ (single-surd arithmetic cannot place them in one field)."""
+    """Exact sign of 1 + (1-q) z for algebraic q, z; None if q and z lie in
+    two different quadratic fields (single-surd arithmetic cannot combine
+    them)."""
     try:
         return sign(add(ONE, mul(sub(ONE, q), z)))
     except UnsupportedFieldError:
@@ -132,9 +139,9 @@ def _bracket_sign_named(q: Rational, z: NamedTranscendental) -> int | None:
     """Exact sign of 1 + (1-q) z for rational q and z in {e, pi}, decided by
     interval arithmetic over a certified rational enclosure of z.  None in
     the (practically unreachable) case that the enclosure straddles zero."""
-    lo, hi = rational_bounds(z)
-    coeff = 1 - q.value
-    ends = (1 + coeff * lo, 1 + coeff * hi)
+    n, m = q.value.numerator, q.value.denominator
+    # each end 1 + (1-q) e times m * e.denominator > 0, in ints
+    ends = [m * e.denominator + (m - n) * e.numerator for e in rational_bounds(z)]
     if min(ends) > 0:
         return 1
     if max(ends) < 0:
@@ -257,11 +264,11 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
         if sign(z) < 0 and sign(sub(q, _TWO)) < 0:
             # W_q(z) is real only for z >= z_b
             z_b = _double_z_b(q)
-            if z_b is not None and sign(sub(z, Rational(z_b * (1 + _ZB_MARGIN)))) < 0:
+            if z_b is not None and sign(sub(z, _widened(z_b, 1))) < 0:
                 raise DomainError(
                     f"W_q(z) has no real value below the branch point z_b = "
-                    f"{float(z_b)!r} of q = {render_exact(q)}; got z = {render_exact(z)}")
-            if z_b is None or sign(sub(z, Rational(z_b * (1 - _ZB_MARGIN)))) <= 0:
+                    f"{z_b!r} of q = {render_exact(q)}; got z = {render_exact(z)}")
+            if z_b is None or sign(sub(z, _widened(z_b, -1))) <= 0:
                 return _unknown(
                     f"z = {render_exact(z)} is not clear of the branch point z_b of "
                     f"q = {render_exact(q)}: it lies within a relative 1e-12 of the "
@@ -342,7 +349,7 @@ def classify_tower(r: ExactNumber) -> Classification:
     if isinstance(r, Rational):
         v = r.value
         if v.denominator == 1:
-            if v >= 0:
+            if v.numerator >= 0:
                 return _unknown(
                     f"r = {v} is an integer: the tower rule requires a positive "
                     "non-integer rational (for integer r the tower is a plain "
@@ -350,7 +357,7 @@ def classify_tower(r: ExactNumber) -> Classification:
             raise DomainError(
                 f"unsupported base r = {v}: the real-valued tower is undefined "
                 "for negative bases in general")
-        if v < 0:
+        if v.numerator < 0:
             raise DomainError(
                 f"unsupported base r = {v}: a negative non-integer base has no "
                 "real-valued tower (irrational exponent on a negative number)")

@@ -81,11 +81,14 @@ def _cell(v: object) -> object:
     return format(v, ".17g") if isinstance(v, float) else v
 
 
-# Negative float literals that argparse must read as values, not options:
-# its own pattern (3.10 to 3.13) has no exponent and no inf or nan, so
-# "--z -1e-3" failed with "expected one argument".
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
-                              re.IGNORECASE)
+# Negative values that argparse must read as values, not options: its own
+# pattern (3.10 to 3.13) takes only -N and -N.N, so "--z -1e-3", "--z -inf"
+# and the exact "--z -1/2" or "--r -sqrt(2)" failed with "expected one
+# argument".  No option here starts with a digit, a point, inf, nan or sqrt,
+# so a minus before one of them begins a value: every negative float literal
+# and every negative exact-number text.  A malformed one then fails where it
+# is converted, with that conversion's message.
+_NEGATIVE_NUMBER = re.compile(r"^-\s*(\d|\.\d|inf|nan|sqrt)", re.IGNORECASE)
 
 
 # built once per process: parse_args leaves the parser as it found it, and

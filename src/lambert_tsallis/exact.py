@@ -10,25 +10,29 @@ made canonical; _replace, _make, copying and unpickling build through it.
 * ``QuadSurd(a, b, d)`` is a + b*sqrt(d) with b != 0 and d >= 2, not a
   perfect square, with no square factor p*p for p < 2**20, so a surd is
   irrational and its class needs no search.  A repeated
-  prime factor p > 2**20 may stay in d: sqrt(p*p*d) compares unequal to
-  p*sqrt(d) and is another field, so mixing the two raises
-  ``UnsupportedFieldError``; ``sign``, ``classify_number`` and ``to_real``
-  stay exact.
+  prime factor p > 2**20 may stay in d: the record sqrt(p*p*d) compares
+  unequal to p*sqrt(d), but it names the same field, so the arithmetic
+  combines the two and finds them equal; ``sign``, ``classify_number`` and
+  ``to_real`` stay exact.
 * ``NamedTranscendental(tag)`` tags e and pi ("e", "pi" or a ``Constant``).
   They are opaque: no field arithmetic, no exact sign; only certified
   rational enclosures.
 
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
-member of every field.  Combining surds over distinct canonical radicands is
-rejected (``UnsupportedFieldError``) rather than embedded in a bigger field.
-Building a QuadSurd splits its radicand once; the arithmetic builds its
-results past the constructors and never splits again.  _parts, which reads
-an operand as (a, b, d), is an operation's one type test of it: anything
-not an exact number raises ``MalformedInputError`` there, before e or pi
-is refused.  The classifiers check their operands once, at their entry.
+member of every field.  Radicands d1, d2 name one field when d1*d2 = r*r,
+and sqrt(d_large) = r/d_small * sqrt(d_small); surds over different fields
+are rejected (``UnsupportedFieldError``) rather than embedded in a bigger
+field.  Building a QuadSurd splits its radicand once; the arithmetic builds
+its results past the constructors and never splits again.  _ints, which
+reads an operand as ints (A, B, D, d) with x = (A + B*sqrt(d))/D, is an
+operation's one type test of it: anything not an exact number raises
+``MalformedInputError`` there, before e or pi is refused.  The classifiers
+check their operands once, at their entry.  No Fraction operator runs in
+the arithmetic, sign, to_real, parsing or rendering: a Fraction is built
+only for each part of a result.
 
-Sign evaluation never touches floating point: for a + b*sqrt(d) it compares
-a*a against b*b*d together with the signs of a and b.
+Sign evaluation never touches floating point: for a = an/ad and b = bn/bd
+of opposite signs it compares (an*bd)**2 with (bn*ad)**2*d, else it is b's.
 
 The text grammar (case-insensitive, whitespace ignored) accepted by
 ``parse_exact`` and emitted by ``render_exact``::
@@ -138,12 +142,14 @@ class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
             raise MalformedInputError(f"a radicand is an int, got {type(d).__name__}")
         if d < 0:
             raise MalformedInputError("a negative radicand has no real square root")
-        if b == 0 or d == 0:
+        if not b.numerator or d == 0:
             return tuple.__new__(Rational, (a,))
         s, f = _square_split(d)
-        if f == 1:
-            return tuple.__new__(Rational, (a + b * s,))
-        return tuple.__new__(cls, (a, b * s, f))
+        if f == 1:  # a + b*s
+            return _build(a.numerator * b.denominator + b.numerator * s * a.denominator, 0,
+                          a.denominator * b.denominator, 0)
+        b = b if s == 1 else Fraction(b.numerator * s, b.denominator)
+        return tuple.__new__(cls, (a, b, f))
 
 
 class Constant(Enum):
@@ -190,53 +196,63 @@ def _square_split(n: int) -> tuple[int, int]:
     return (s * r, f) if r * r == m else (s, f * m)
 
 
-def _parts(x: ExactNumber) -> tuple[Fraction, Fraction | int, int] | None:
-    """(a, b, d) with x = a + b*sqrt(d), d = 0 for a Rational; None for e or
-    pi.  Anything else, a tuple of the same fields too, raises."""
-    # isinstance, not a match: the class pattern Rational(v) costs three times as much
-    if isinstance(x, QuadSurd):
+def _check(x: ExactNumber) -> ExactNumber:
+    """x itself if it is an exact number; anything else, a tuple too, raises."""
+    if isinstance(x, (QuadSurd, Rational, NamedTranscendental)):
         return x
-    if isinstance(x, Rational):
-        return x.value, 0, 0
-    if isinstance(x, NamedTranscendental):
-        return None
     raise MalformedInputError(f"not an exact number: got {type(x).__name__}")
 
 
-def _check(x: ExactNumber) -> ExactNumber:
-    """x itself if it is an exact number; anything else, a tuple too, raises."""
-    _parts(x)
-    return x
+def _ints(x: ExactNumber) -> tuple[int, int, int, int] | None:
+    """(A, B, D, d) in ints with x = (A + B*sqrt(d))/D, D > 0 and d = 0 for
+    a Rational; None for e or pi."""
+    # isinstance, not a match: the class pattern Rational(v) costs three times as much
+    if isinstance(x, QuadSurd):
+        a, b, d = x
+        ad, bd = a.denominator, b.denominator
+        return a.numerator * bd, b.numerator * ad, ad * bd, d
+    if isinstance(x, Rational):
+        v = x.value
+        return v.numerator, 0, v.denominator, 0
+    _check(x)  # raises unless x is e or pi
+    return None
 
 
 def _field_pair(x: ExactNumber, y: ExactNumber):
-    """(a1, b1, a2, b2, d), both operands in one field; d = 0 if both are rational."""
-    px, py = _parts(x), _parts(y)
+    """Ints (A1, B1, D1, A2, B2, D2, d): x = (A1 + B1*sqrt(d))/D1, y likewise."""
+    px, py = _ints(x), _ints(y)
     if px is None or py is None:
         raise UnsupportedOperandError(
             "field arithmetic on e or pi is not supported; they are opaque tags")
-    (a1, b1, d1), (a2, b2, d2) = px, py
-    if d1 and d2 and d1 != d2:
-        raise UnsupportedFieldError(
-            f"cannot combine sqrt({d1}) and sqrt({d2}) in a single operation")
-    return a1, b1, a2, b2, d1 or d2
+    (a1, b1, e1, d1), (a2, b2, e2, d2) = px, py
+    if d1 != d2 and d1 and d2:
+        r = isqrt(d1 * d2)
+        if r * r != d1 * d2:
+            raise UnsupportedFieldError(
+                f"cannot combine sqrt({d1}) and sqrt({d2}) in a single operation")
+        # one field: sqrt(d_large) = r/d_small * sqrt(d_small)
+        if d1 > d2:
+            a1, b1, e1, d1 = a1 * d2, b1 * r, e1 * d2, d2
+        else:
+            a2, b2, e2 = a2 * d1, b2 * r, e2 * d1
+    return a1, b1, e1, a2, b2, e2, d1 or d2
 
 
-def _build(a: Fraction, b: Fraction | int, d: int) -> ExactNumber:
-    """The canonical a + b*sqrt(d); d, from a canonical operand, is not split."""
-    if b == 0:
-        return tuple.__new__(Rational, (a,))
-    return tuple.__new__(QuadSurd, (a, b, d))
+def _build(a: int, b: int, e: int, d: int) -> ExactNumber:
+    """The canonical (a + b*sqrt(d))/e from ints; d, canonical already, is not split."""
+    if not b:
+        return tuple.__new__(Rational, (Fraction(a, e),))
+    return tuple.__new__(QuadSurd, (Fraction(a, e), Fraction(b, e), d))
 
 
 def add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
-    a1, b1, a2, b2, d = _field_pair(x, y)
-    return _build(a1 + a2, b1 + b2, d)
+    a1, b1, e1, a2, b2, e2, d = _field_pair(x, y)
+    return _build(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1, e1 * e2, d)
 
 
 def sub(x: ExactNumber, y: ExactNumber) -> ExactNumber:
-    a1, b1, a2, b2, d = _field_pair(x, y)
-    return _build(a1 - a2, b1 - b2, d)
+    a1, b1, e1, a2, b2, e2, d = _field_pair(x, y)
+    return _build(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1, e1 * e2, d)
 
 
 def neg(x: ExactNumber) -> ExactNumber:
@@ -244,31 +260,27 @@ def neg(x: ExactNumber) -> ExactNumber:
 
 
 def mul(x: ExactNumber, y: ExactNumber) -> ExactNumber:
-    a1, b1, a2, b2, d = _field_pair(x, y)
-    if not d:  # each zero surd term would still cost a Fraction operation
-        return tuple.__new__(Rational, (a1 * a2,))
-    return _build(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, d)
+    a1, b1, e1, a2, b2, e2, d = _field_pair(x, y)
+    return _build(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, e1 * e2, d)
 
 
 def div(x: ExactNumber, y: ExactNumber) -> ExactNumber:
     """Exact division; rationalizes by the conjugate for surd divisors."""
-    a1, b1, a2, b2, d = _field_pair(x, y)
-    if a2 == 0 and b2 == 0:
+    a1, b1, e1, a2, b2, e2, d = _field_pair(x, y)
+    if not a2 and not b2:
         raise ZeroDivisionError("exact division by zero")
-    if not d:
-        return tuple.__new__(Rational, (a1 / a2,))
-    # 1/(a2 + b2 sqrt(d)) = (a2 - b2 sqrt(d)) / (a2^2 - b2^2 d)
+    # 1/(a2 + b2 sqrt(d)) = (a2 - b2 sqrt(d)) / (a2^2 - b2^2 d), the norm
     # nonzero: the canonical divisor is nonzero and sqrt(d) irrational
-    n = a2 * a2 - b2 * b2 * d
-    return _build((a1 * a2 - b1 * b2 * d) / n, (b1 * a2 - a1 * b2) / n, d)
+    n = e1 * (a2 * a2 - b2 * b2 * d)
+    return _build(e2 * (a1 * a2 - b1 * b2 * d), e2 * (b1 * a2 - a1 * b2), n, d)
 
 
 def sign(x: ExactNumber) -> int:
     """Exact sign in {-1, 0, +1} by integer comparisons only."""
-    parts = _parts(x)
+    parts = _ints(x)
     if parts is None:
         raise UnsupportedOperandError("exact sign of e or pi is not provided here")
-    a, b, d = parts
+    a, b, _, d = parts  # the sign of (a + b*sqrt(d))/D, D > 0
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:  # b = 0 (a Rational), a = 0, or a and b share a sign
         return sa or sb
@@ -278,39 +290,47 @@ def sign(x: ExactNumber) -> int:
 
 def classify_number(x: ExactNumber) -> ArithmeticClass:
     """Arithmetic class of a single exact number; never Unknown."""
-    parts = _parts(x)
+    parts = _ints(x)
     if parts is None:
         return ArithmeticClass.TRANSCENDENTAL
-    return ArithmeticClass.ALGEBRAIC_IRRATIONAL if parts[2] else ArithmeticClass.RATIONAL
+    return ArithmeticClass.ALGEBRAIC_IRRATIONAL if parts[3] else ArithmeticClass.RATIONAL
 
 
-_SQRT_BITS = 128
+def _quotient(n: int, m: int) -> float:
+    """n/m for ints, m > 0, correctly rounded; +-inf past the double range."""
+    try:
+        return n / m
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def to_real(x: ExactNumber) -> float:
-    """Round to the nearest double.
+    """Round to the nearest double, correctly rounded.
 
-    Surds go through a 128-bit rational enclosure of sqrt(d) so the final
-    rounding happens once, on the exact sum; the result is correct to 1 ulp
-    even under heavy cancellation such as 3 - 2*sqrt(2).  A value beyond the
-    double range raises MalformedInputError.
+    A surd (A + B*sqrt(d))/D lies strictly between (A*2^k + B*s)/(D*2^k) and
+    (A*2^k + B*(s+1))/(D*2^k), s = isqrt(d*4^k).  From k = 128, k doubles
+    until both ends round to one double, the rounded value even under heavy
+    cancellation such as 3 - 2*sqrt(2); the value is irrational, so this
+    ends.  A value beyond the double range raises MalformedInputError.
     """
-    try:
-        match x:
-            case Rational(v):
-                return float(v)
-            case QuadSurd(a, b, d):
-                approx = Fraction(isqrt(d << (2 * _SQRT_BITS)), 1 << _SQRT_BITS)
-                return float(a + b * approx)
-            case NamedTranscendental(tag):
-                return math.e if tag is Constant.E else math.pi
-    except OverflowError:  # float() of a Fraction past the largest double
-        raise MalformedInputError("the exact value is beyond the double range") from None
-    _check(x)  # no case fit: x is not an exact number, and this raises
+    if isinstance(x, NamedTranscendental):
+        return math.e if x.tag is Constant.E else math.pi
+    A, B, D, d = _ints(x)  # anything not an exact number raises here
+    r, k = _quotient(A, D), 128  # a Rational's value; a surd's comes from the loop
+    while B:
+        n, m = (A << k) + B * isqrt(d << 2 * k), D << k
+        r = _quotient(n, m)
+        # a zero r needs the ends of one sign, to tell -0.0 from 0.0
+        if r == _quotient(n + B, m) and (r or n * (n + B) > 0):
+            break
+        k *= 2
+    if math.isinf(r):
+        raise MalformedInputError("the exact value is beyond the double range")
+    return r
 
 
 def is_algebraic(x: ExactNumber) -> bool:
-    return _parts(x) is not None
+    return not isinstance(_check(x), NamedTranscendental)
 
 
 # Certified 50-decimal-digit enclosures.  The digit strings are truncations,
@@ -349,14 +369,18 @@ def _int(text: str) -> int:
             f"a {len(text)}-digit integer is beyond {_DIGIT_LIMIT}") from None
 
 
-def _fraction_from_text(text: str) -> Fraction:
+_SPACE_RE = re.compile(r"\s+")
+
+
+def _fraction_from_text(text: str, sign: int = 1) -> Fraction:
     num, _, den = text.partition("/")
-    return Rational(_int(num), _int(den)).value if den else Fraction(_int(num))
+    n, d = _int(num), _int(den) if den else 1
+    return Fraction(sign * n, d) if d else Rational(n, 0).value  # Rational refuses the zero
 
 
 def parse_exact(text: str) -> ExactNumber:
     """Parse the exact-number grammar; the result is canonical."""
-    s = re.sub(r"\s+", "", text).lower()
+    s = _SPACE_RE.sub("", text).lower()
     if not s:
         raise MalformedInputError("empty exact-number text")
     if s == "e":
@@ -364,15 +388,15 @@ def parse_exact(text: str) -> ExactNumber:
     if s == "pi":
         return PI
     if _RAT_RE.match(s):
-        return Rational(_fraction_from_text(s))
+        return tuple.__new__(Rational, (_fraction_from_text(s),))
     m = _SURD_RE.match(s)
     if not m:
         raise MalformedInputError(f"cannot parse exact number {text!r}")
     if m["op"] and m["neg"]:
         raise MalformedInputError(f"cannot parse exact number {text!r} (double sign)")
     a = _fraction_from_text(m["a"]) if m["a"] else 0
-    b = _fraction_from_text(m["b"]) if m["b"] else 1
-    return QuadSurd(a, -b if m["op"] == "-" or m["neg"] else b, _int(m["d"]))
+    b = _fraction_from_text(m["b"] or "1", -1 if m["op"] == "-" or m["neg"] else 1)
+    return QuadSurd(a, b, _int(m["d"]))
 
 
 def render_exact(x: ExactNumber) -> str:
@@ -380,17 +404,18 @@ def render_exact(x: ExactNumber) -> str:
     A term with more digits than str() of an int allows raises
     MalformedInputError."""
     try:
-        match x:
-            case Rational(v):
-                return str(v)
-            case QuadSurd(a, b, d):
-                root = f"sqrt({d})"
-                mag = root if abs(b) == 1 else f"{abs(b)}*{root}"
-                if a == 0:
-                    return mag if b > 0 else f"-{mag}"
-                return f"{a}{'+' if b > 0 else '-'}{mag}"
-            case NamedTranscendental(tag):
-                return tag.value
+        if isinstance(x, Rational):
+            return str(x.value)
+        if isinstance(x, QuadSurd):
+            a, b, d = x
+            bn, bd = b.numerator, b.denominator
+            coeff = str(abs(bn)) if bd == 1 else f"{abs(bn)}/{bd}"  # str(abs(b))
+            mag = f"sqrt({d})" if coeff == "1" else f"{coeff}*sqrt({d})"
+            if not a.numerator:
+                return mag if bn > 0 else f"-{mag}"
+            return f"{a!s}{'+' if bn > 0 else '-'}{mag}"
+        if isinstance(x, NamedTranscendental):
+            return x.tag.value
     except ValueError:
         raise MalformedInputError(f"the exact value has a term beyond {_DIGIT_LIMIT}") from None
     _check(x)  # no case fit: x is not an exact number, and this raises

@@ -418,3 +418,21 @@ def test_classify_checks_each_operand_once(monkeypatch):
         calls.clear()
         assert fn(q, z).rule is rule
         assert calls == [q, z]
+
+
+def test_wq_below_the_branch_point_of_a_deeply_cancelling_q_is_a_domain_error():
+    # q = a - b*sqrt(2) = 1.39e-30 with a*a - 2*b*b = 1: its z_b is about
+    # -0.25 - 1.1e-31, so z = -0.25 - 1e-11 has no real W_q(z); a to_real(q)
+    # of 1.7e-10 put the double z_b below z and gave Theorem 3
+    q = parse_exact("359313438791966819268004696899-254072969141257218722003304910*sqrt(2)")
+    with pytest.raises(DomainError, match="below the branch point z_b = -0.25 "):
+        classify_wq(q, parse_exact("-25000000001/100000000000"))
+
+
+def test_expq_operands_whose_radicands_name_one_field_classify():
+    # sqrt(1048583**2 * 10000019) stays unsplit (1048583 is a prime above
+    # 2**20) yet is 1048583*sqrt(10000019): one field, so the bracket
+    # 1 + (1 - sqrt(r)) sqrt(r) = 1 + sqrt(r) - r < 0 is decided exactly
+    res = classify_expq(parse_exact("sqrt(10000019)"),
+                        parse_exact("1/1048583*sqrt(10995283969889849891)"))
+    assert (res.verdict, res.rule) == (ArithmeticClass.RATIONAL, Rule.CUTOFF_ZERO)

@@ -320,6 +320,23 @@ def test_negative_exponent_value_after_a_space(capsys):
         run_main(capsys, *table, "--z-from=-1e308")
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "wq", "--q", "sqrt(2)", "--z", "-1/4"),
+    ("classify", "expq", "--q", "sqrt(2)", "--z", "-sqrt(2)"),
+    ("classify", "expq", "--q", "sqrt(2)", "--z", "-1-sqrt(2)"),
+    ("classify", "expq", "--q", "3", "--z", "-2/5*SQRT(7)"),
+    ("classify", "tower", "--r", "-1/2"),
+], ids=["fraction", "surd", "rational-minus-surd", "coefficient", "tower"])
+def test_negative_exact_value_after_a_space(capsys, argv):
+    # argparse's own pattern took only -N and -N.N as a value: these exited
+    # 2 with "expected one argument"
+    spaced = run_main(capsys, *argv)
+    joined = run_main(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert spaced == joined
+    code, out, err = spaced
+    assert code in (0, 1) and argv[-1].lower() in out + err
+
+
 def test_negative_infinity_value_after_a_space(capsys):
     code, out, err = run_main(capsys, "eval", "wq", "--q", "1", "--z", "-inf")
     assert code == 2

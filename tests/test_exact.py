@@ -237,13 +237,13 @@ def test_plain_tuple_beside_e_is_malformed(op, plain):
 
 def test_repeated_prime_factor_above_the_trial_limit_stays_unsplit():
     # 1048583 and 1048589 are primes above 2**20: p*p*r keeps its square
-    # factor, names a field of its own, and its sign stays exact
+    # factor, so the record differs from p*sqrt(r), but it names the same
+    # field, the arithmetic finds it equal, and its sign stays exact
     p, r = 1048583, 1048589
     x = QuadSurd(0, 1, p * p * r)
     assert x == record(0, 1, p * p * r)
     assert x != QuadSurd(0, p, r)
-    with pytest.raises(UnsupportedFieldError):
-        sub(x, QuadSurd(0, p, r))
+    assert sub(x, QuadSurd(0, p, r)) == ZERO
     assert sign(sub(x, Rational(p * 1024))) == 1
     assert sign(sub(x, Rational(p * 1025))) == -1
 
@@ -346,7 +346,7 @@ def test_to_real_survives_cancellation():
                                   f"-1/{10 ** 400}+{10 ** 400}*sqrt(3)"],
                          ids=["rational", "surd", "surd-coefficient"])
 def test_to_real_beyond_the_double_range_is_malformed(text):
-    # float() of such a Fraction raises OverflowError
+    # both ends of the enclosure round past the largest double
     with pytest.raises(MalformedInputError, match="double range"):
         to_real(parse_exact(text))
 
@@ -365,6 +365,22 @@ needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT,
 def test_parse_exact_past_the_digit_limit_is_malformed(text):
     with pytest.raises(MalformedInputError, match="limit"):
         parse_exact(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1-3/0*sqrt(2)", "zero denominator in rational 3/0"),
+    ("-3/0*sqrt(2)", "zero denominator in rational 3/0"),
+    ("1+3/0*sqrt(2)", "zero denominator in rational 3/0"),
+    (f"1-{'3' * (DIGIT_LIMIT + 1)}*sqrt(2)",
+     f"a {DIGIT_LIMIT + 1}-digit integer is beyond the interpreter's limit"),
+], ids=["minus", "leading-minus", "plus", "digit-limit"])
+def test_parse_errors_quote_a_surd_coefficient_without_its_sign(text, message):
+    # the sign before a coefficient is the operator's, not the coefficient's
+    if not DIGIT_LIMIT and "limit" in message:
+        pytest.skip("no int-string digit limit")
+    with pytest.raises(MalformedInputError) as info:
+        parse_exact(text)
+    assert str(info.value).startswith(message)
 
 
 @needs_digit_limit
@@ -513,3 +529,160 @@ def test_parse_render_round_trip_property(x):
 def test_neg_is_involutive(x):
     assert neg(neg(x)) == x
     assert add(x, neg(x)) == ZERO
+
+
+# ------------------------------------------------------- the integer kernels
+
+# Pell pairs, a*a - 2*b*b = 1, so a - b*sqrt(2) = 1/(a + b*sqrt(2)) is tiny
+PELL_30 = (359313438791966819268004696899, 254072969141257218722003304910)
+PELL_41 = (18758264276891285681250881852014625703843,
+           13264095873479197467931567359068050319018)
+
+
+@pytest.mark.parametrize("a, b", [PELL_30, PELL_41], ids=["30-digit", "41-digit"])
+def test_to_real_is_correctly_rounded_under_deep_cancellation(a, b):
+    # a single 128-bit enclosure of sqrt(2) gave 1.717e-10 and 8.96 here
+    assert a * a - 2 * b * b == 1
+    # 1/(a + b*sqrt(2)) has no cancellation: 256 bits of sqrt(2) give it to
+    # a relative 1e-70, so its rounding is the correct one
+    reference = float(1 / (a + b * Fraction(isqrt(2 << 512), 1 << 256)))
+    assert to_real(parse_exact(f"{a}-{b}*sqrt(2)")) == reference
+    assert reference in (1.3915427201415838e-30, 2.6654918206689354e-41)
+
+
+def test_to_real_refines_an_end_past_the_double_range(monkeypatch):
+    # values from T = 2**1024 - 2**970 up round past the largest double;
+    # T -+ (a/b - sqrt(2)) lies within 1e-81 of T, so a 128-bit enclosure
+    # has one end on each side and only a refined one decides
+    a, b = PELL_41
+    t = 2 ** 1024 - 2 ** 970
+    ends, quotient = [], exact._quotient
+
+    def recording(n, m):
+        ends.append(quotient(n, m))
+        return ends[-1]
+
+    monkeypatch.setattr(exact, "_quotient", recording)
+    assert to_real(QuadSurd(Fraction(t * b - a, b), 1, 2)) == sys.float_info.max
+    assert math.inf in ends and sys.float_info.max in ends
+    with pytest.raises(MalformedInputError, match="double range"):
+        to_real(QuadSurd(Fraction(t * b + a, b), -1, 2))
+
+
+# 1048583 and 10000019 are primes above 2**20: the split leaves p*p*r whole
+P, R = 1048583, 10000019
+
+
+def test_radicands_naming_one_field_combine():
+    # sqrt(p*p*r) = p*sqrt(r): p*p*r * r is a square, so the two are one field
+    x, y = parse_exact(f"sqrt({P * P * R})"), parse_exact(f"sqrt({R})")
+    assert x.d == P * P * R
+    assert render_exact(add(x, y)) == render_exact(add(y, x)) == "1048584*sqrt(10000019)"
+    assert render_exact(sub(x, y)) == "1048582*sqrt(10000019)"
+    assert render_exact(sub(y, x)) == "-1048582*sqrt(10000019)"
+    assert mul(x, y) == Rational(P * R)
+    assert div(x, y) == Rational(P) and div(y, x) == Rational(1, P)
+    assert sub(x, QuadSurd(0, P, R)) == ZERO
+    assert add(x, QuadSurd(1, -P, R)) == ONE
+    with pytest.raises(UnsupportedFieldError):
+        add(x, QuadSurd(0, 1, 2))
+
+
+small_ints = st.integers(min_value=-20, max_value=20)
+big_ints = st.integers(min_value=-10 ** 50, max_value=10 ** 50)
+rational_parts = st.builds(Fraction, small_ints | big_ints,
+                           st.integers(1, 12) | st.integers(1, 10 ** 50))
+
+
+@st.composite
+def field_operands(draw, d):
+    """A Rational or a surd over d, its parts small or 50-digit."""
+    a = draw(rational_parts)
+    b = draw(rational_parts) if draw(st.booleans()) else Fraction(0)
+    return QuadSurd(a, b, d)
+
+
+def reference_record(a, b, d):
+    return tuple.__new__(Rational, (a,)) if b == 0 else tuple.__new__(QuadSurd, (a, b, d))
+
+
+def reference_parts(x):
+    return (x.value, Fraction(0)) if isinstance(x, Rational) else (x.a, x.b)
+
+
+def reference_sign(a, b, d):
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if a * a > b * b * d else sb
+
+
+def reference_render(a, b, d):
+    if b == 0:
+        return str(a)
+    mag = f"sqrt({d})" if abs(b) == 1 else f"{abs(b)}*sqrt({d})"
+    if a == 0:
+        return mag if b > 0 else f"-{mag}"
+    return f"{a}{'+' if b > 0 else '-'}{mag}"
+
+
+@given(d=st.sampled_from([2, 3, 5, 6, 7]), data=st.data())
+def test_integer_kernels_equal_the_fraction_formulas(d, data):
+    x, y = data.draw(field_operands(d)), data.draw(field_operands(d))
+    (a1, b1), (a2, b2) = reference_parts(x), reference_parts(y)
+    expected = [(add, a1 + a2, b1 + b2), (sub, a1 - a2, b1 - b2),
+                (mul, a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1)]
+    norm = a2 * a2 - b2 * b2 * d
+    if norm:
+        expected.append((div, (a1 * a2 - b1 * b2 * d) / norm, (b1 * a2 - a1 * b2) / norm))
+    for op, a, b in expected:
+        assert repr(op(x, y)) == repr(reference_record(a, b, d)), op.__name__
+    root = Fraction(isqrt(d << 1024), 1 << 512)
+    for v, (a, b) in ((x, (a1, b1)), (y, (a2, b2))):
+        assert sign(v) == reference_sign(a, b, d)
+        assert render_exact(v) == reference_render(a, b, d)
+        assert to_real(v) == float(a + b * root)
+
+
+FRACTION_OPERATORS = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+    "__pos__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__bool__", "__float__", "__int__", "__trunc__", "__floor__", "__ceil__",
+    "__round__"]
+
+
+def test_exact_kernels_run_no_fraction_operator(monkeypatch):
+    # a Fraction operator costs 1-3 us of dispatch and gcd; the kernels
+    # compute on the parts' numerators and denominators instead
+    texts = ["3/7", "-2", "0", "1/2-3/5*sqrt(7)", "-sqrt(7)", "2+sqrt(28)",
+             "sqrt(9)", f"{10 ** 50}/3+7/{10 ** 49}*sqrt(7)", f"sqrt({P * P * R})",
+             f"-1/3*sqrt({R})"]
+
+    def outcomes():
+        out = []
+        xs = [parse_exact(t) for t in texts]
+        for x in xs:
+            out += [repr(x), sign(x), to_real(x), render_exact(x)]
+            for y in xs:
+                for op in (add, sub, mul, div):
+                    try:
+                        out.append(repr(op(x, y)))
+                    except (UnsupportedFieldError, ZeroDivisionError) as exc:
+                        out.append(type(exc).__name__)
+        return out
+
+    expected = outcomes()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction operator ran")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    try:
+        got = outcomes()
+    finally:
+        monkeypatch.undo()
+    assert got == expected
+    assert "UnsupportedFieldError" in got and "ZeroDivisionError" in got
