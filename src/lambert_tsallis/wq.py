@@ -404,11 +404,16 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 ah = abs(h)
                 if ah < best_h:
                     best_w, best_h = w, ah
-                if (h < 0.0) == rising:
+                # a point at the q < 1 cutoff (h = -inf) lies below the root on
+                # either branch, as the wall is the least w of the domain
+                if (h < 0.0) == rising or h == -math.inf:
                     lo = w
                 else:
                     hi = w
                 newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
+                if newton == w and abs(slope) == math.inf:
+                    # 1/w in h' overflowed, |w| < 1/DBL_MAX: h/h' is h w to first order
+                    newton = w - h * w
                 step_inside = lo < newton < hi
                 if ((ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w))
                         and (step_inside or newton == w)):

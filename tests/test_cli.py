@@ -343,6 +343,83 @@ def test_negative_infinity_value_after_a_space(capsys):
     assert err == "error: z must be a finite real, got -inf\n"
 
 
+# ------------------------------------------- classify JSON, pinned byte for byte
+
+_BIG = "12345678901234567890123456789012345678901234567891"
+
+# a fractional negative surd coefficient, a surd q with negative z, a
+# 50-digit rational, e, an exact power and a tower: every record,
+# justification and rendered value as the exact layer prints it
+_PINNED_CLASSIFY_JSON = [
+    pytest.param(("wq", "--q", "2", "--z", "1/3-2/5*sqrt(7)"),
+                 '{"command": "classify", "subject": "wq", "inputs": {"q": "2", '
+                 '"z": "1/3-2/5*sqrt(7)"}, "verdict": "algebraic_irrational", '
+                 '"rule": "closed_form_q2", "justification": "q = 2 has the closed '
+                 'form W_2(z) = z/(1+z) = -38/37-45/74*sqrt(7); its arithmetic '
+                 'class is read off the exact value.", "exact_value": '
+                 '"-38/37-45/74*sqrt(7)"}\n',
+                 id="negative-surd-coefficient"),
+    pytest.param(("wq", "--q", "1/2-3/7*sqrt(5)", "--z=-1/10"),
+                 '{"command": "classify", "subject": "wq", "inputs": {"q": '
+                 '"1/2-3/7*sqrt(5)", "z": "-1/10"}, "verdict": "transcendental", '
+                 '"rule": "theorem3", "justification": "q = 1/2-3/7*sqrt(5) is '
+                 'algebraic irrational and z = -1/10 is nonzero algebraic; were '
+                 'W_q(z) algebraic, exp_q(W_q(z)) = z/W_q(z) would be algebraic, '
+                 'contradicting the Theorem-2 argument at the nonzero algebraic '
+                 'argument W_q(z) (the bracket 1 + (1-q) W is positive wherever the '
+                 'branch value exists).", "exact_value": null}\n',
+                 id="surd-q-negative-z"),
+    pytest.param(("expq", "--q", "sqrt(2)", f"--z=-{_BIG}/7"),
+                 '{"command": "classify", "subject": "expq", "inputs": {"q": '
+                 '"sqrt(2)", "z": "-123456789012345678901234567890123456789012345678'
+                 '91/7"}, "verdict": "transcendental", "rule": "theorem2", '
+                 '"justification": "q = sqrt(2) is algebraic irrational and z = '
+                 '-12345678901234567890123456789012345678901234567891/7 is nonzero '
+                 'algebraic with 1 + (1-q) z > 0; the base 1 + (1-q) z is '
+                 'algebraic, neither 0 nor 1, and the exponent 1/(1-q) is algebraic '
+                 'irrational, so Gelfond-Schneider makes exp_q(z) transcendental.", '
+                 '"exact_value": null}\n',
+                 id="50-digit-rational"),
+    pytest.param(("expq", "--q", "1/2", "--z", "e"),
+                 '{"command": "classify", "subject": "expq", "inputs": {"q": "1/2", '
+                 '"z": "e"}, "verdict": "transcendental", "rule": "theorem5", '
+                 '"justification": "z = e is transcendental and q is rational with '
+                 'q != 1, and 1 + (1-q) z > 0 (certified enclosure): the base 1 + '
+                 '(1-q) z is transcendental and the exponent 1/(1-q) is a nonzero '
+                 'rational, so exp_q(z) is transcendental.", "exact_value": null}\n',
+                 id="e"),
+    pytest.param(("lnq-deriv", "--q", "3", "--z0", f"7/{_BIG}"),
+                 '{"command": "classify", "subject": "lnq-deriv", "inputs": {"q": '
+                 '"3", "z0": "7/12345678901234567890123456789012345678901234567891"}'
+                 ', "verdict": "rational", "rule": "exact_value", "justification": '
+                 '"integer q = 3 gives the exact rational power z0^(-q) = '
+                 '188167637235365777254671604059528675537453820316745037140090056832'
+                 '854371392670354749955565340039416176565063740470416567276445174145'
+                 '3861189657928971/343.", "exact_value": '
+                 '"18816763723536577725467160405952867553745382031674503714009005683'
+                 '285437139267035474995556534003941617656506374047041656727644517414'
+                 '53861189657928971/343"}\n',
+                 id="exact-power"),
+    pytest.param(("tower", "--r", f"{_BIG}/2"),
+                 '{"command": "classify", "subject": "tower", "inputs": {"r": '
+                 '"12345678901234567890123456789012345678901234567891/2"}, '
+                 '"verdict": "transcendental", "rule": "theorem6", "justification": '
+                 '"r = 12345678901234567890123456789012345678901234567891/2 is a '
+                 'positive non-integer rational, so r^r is algebraic irrational '
+                 '(irrationality of rational powers of non-integer rationals, taken '
+                 'as given); Gelfond-Schneider with algebraic base r not 0 or 1 and '
+                 'algebraic irrational exponent r^r then makes the '
+                 'right-associative tower r^(r^r) transcendental.", "exact_value": '
+                 'null}\n',
+                 id="tower"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PINNED_CLASSIFY_JSON)
+def test_classify_json_is_pinned(capsys, argv, expected):
+    assert run_main(capsys, "classify", *argv, "--format", "json") == (0, expected, "")
+
+
 # ------------------------- record commands, pinned to the library's results
 
 def _csv_text(*rows):

@@ -45,7 +45,8 @@ def test_the_readme_has_examples():
         in _commands()
 
 
-@pytest.mark.parametrize("line, shown", _commands())
+# ids are the command lines, so an example added to the README renames no other test
+@pytest.mark.parametrize("line, shown", _commands(), ids=[line for line, _ in _commands()])
 def test_readme_command(capsys, line, shown):
     argv = shlex.split(line, comments=True)[1:]
     code = main(argv)

@@ -206,10 +206,12 @@ def test_branch_point_check_passes_next_to_the_wall(monkeypatch, q):
     assert len(sampled) == 3 and all(positivity_domain(q).contains(w) for w in sampled)
 
 
-@pytest.mark.parametrize("q", [-1e15, -3e15, -2e16])
+@pytest.mark.parametrize("q", [-1e15, -3e15, -2e16, -1e17, -1e100, -1.7e308])
 def test_branch_point_check_below_q_minus_1e15(monkeypatch, q):
     # z_b + delta/10 rounded to z_b here, so dwq_dz raised
     # DerivativeSingularError; the z-side step is now at least 20 ulp of z_b.
+    # From q = -1e17 on, 1 + (1-q) w_b rounds to the cutoff, and the tangent
+    # solves, which start at w_b, raised ConvergenceError.
     # passed is not asserted: f's minimum over w_b +- delta lies within an
     # ulp of z_b at these q.  Consistency is relative to |z_b|, about 1/|q|: at
     # -2e16 exp_q(w_b) cuts off to 0.0 and misses all of z_b, which the

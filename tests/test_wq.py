@@ -207,10 +207,46 @@ def test_branch_point_start_below_q_minus_5e102_does_not_overflow(solver, branch
     # (2-q)^3 in the branch-point start overflowed past q = -5.6e102 and
     # escaped as a builtin OverflowError; the start's offset from w_b is far
     # under an ulp of w_b there, so the start is w_b.  The lower branch has
-    # no double between the wall and w_b; the upper branch's root, about z,
-    # is a double, but 1 + (1-q) w_b rounds to 0 and the loop closes on w_b
-    with pytest.raises(ConvergenceError, match="no double approximates the root"):
-        solver(-1e200, -5e-201, branch)
+    # no double between the wall and w_b; the upper branch's root is -5e-201
+    if branch == "lower":
+        with pytest.raises(ConvergenceError, match="no double approximates the root"):
+            solver(-1e200, -5e-201, branch)
+    elif solver is wq:
+        assert wq(-1e200, -5e-201).w == -5e-201
+    else:  # its value: test_derivative_next_to_the_branch_point_below_q_minus_1e13
+        assert math.isfinite(dwq_dz(-1e200, -5e-201))
+
+
+@pytest.mark.parametrize("q", [-3.2e32, -1e33, -1e50, -1e100, -5e102, -1e200, -1.7e308])
+def test_upper_branch_start_at_the_cutoff(q):
+    # 1 + (1-q) w_b rounds to the cutoff here, so h(w_b) is -inf; the loop
+    # took w_b for the upper end on the upper branch, closed the bracket on
+    # [w_b, w_b] and refused.  At z = z_b/2 the root is z to a relative 1/|q|
+    z = branch_point(q).z_b / 2.0
+    res = wq(q, z)
+    assert res.w == z and res.residual <= DEFAULT_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: (W/z)^q multiplies the "
+                   "relative rounding error of W/z by |q|")
+@pytest.mark.parametrize("q, z", [(-1e14, -5e-15), (-2e16, -1e-17), (-1e20, -5e-21),
+                                  (-1e200, -5e-201)])
+def test_derivative_next_to_the_branch_point_below_q_minus_1e13(q, z):
+    # z is z_b/2 (z_b/5 at q = -2e16); 500-digit mpmath gives 1 + 1.7e-14,
+    # 1 + 2.4e-17, 1 + 1.7e-20 and 1, where dwq_dz gives 1.0048, 1.25, 2.0 and 2.0
+    assert dwq_dz(q, z) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, z", [(-1e10, -3e-309), (-1e10, -1e-315), (0.0, 5e-324)])
+def test_subnormal_root_is_not_a_false_convergence(q, z):
+    # below |w| = 1/DBL_MAX, 1/w in h' overflows, so the Newton step w - h/h'
+    # rounded to w and passed the step-floor test: wq(-1e10, -3e-309) gave
+    # -4.34e-309 with |h| = 0.37.  The root is z to within 1e-298.  Skipping
+    # the step there instead bisects wq(0, 5e-324) down to w = 0, where
+    # log(0) raises
+    res = wq(q, z)
+    assert res.w == z and res.residual <= DEFAULT_TOL
+    assert dwq_dz(q, z) == 1.0
 
 
 def test_power_tail_past_the_double_range():
