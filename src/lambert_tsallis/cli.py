@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--z0", type=str, default=None,
                        help="evaluation point for the lnq derivative")
     p_cls.add_argument("--r", type=str, default=None,
-                       help="rational height of the infinite power tower")
+                       help="exact base r of the finite tower r^(r^r), e.g. 3/2")
     p_cls.add_argument("--format", choices=["plain", "json", "csv"],
                        default="plain")
 

@@ -6,10 +6,11 @@ nonnegative, and a hard cutoff of exactly 0.0 once the bracket goes
 negative.  At a bracket of exactly zero the power degenerates: 0 for
 q < 1 (positive exponent), +inf for q > 1 (negative exponent).
 
-Powers of a positive base are computed as exp(log1p(u) / (1-q)) with
-u = (1-q) z, which keeps accuracy near q = 1 and large |z|, so only
-q == 1.0 itself takes the classical formulas.  Floating overflow saturates
-to +inf, the same sentinel as the boundary divergence.
+_ln_exp_q is the one owner of ln exp_q, its cutoff and its overflow branch.
+It computes log1p(u) / (1-q) with u = (1-q) z, which keeps accuracy near
+q = 1 and large |z|, so only q == 1.0 itself takes the classical formulas.
+exp_q is exp of it, and floating overflow saturates to +inf, the same
+sentinel as the boundary divergence.
 """
 
 from __future__ import annotations
@@ -103,22 +104,24 @@ def exp_q(q: float, z: float) -> float:
 
 
 def _exp_q(q: float, z: float) -> float:
-    """exp_q on finite floats, unchecked: the kernel behind exp_q."""
+    """exp_q on finite floats, unchecked: exp of the kernel _ln_exp_q."""
+    return _safe_exp(_ln_exp_q(q, z))
+
+
+def _ln_exp_q(q: float, z: float) -> float:
+    """ln exp_q(z) on finite floats, unchecked.  Outside the domain it is the
+    log of exp_q's values: -inf past the cutoff, -inf or +inf at a zero bracket."""
     if q == 1.0:
-        return _safe_exp(z)
+        return z
     u = (1.0 - q) * z
-    bracket = 1.0 + u
-    if bracket > 0.0:
-        # u overflows only where log1p(u) = log(u) to double precision
-        lg = math.log1p(u) if u < math.inf else math.log(abs(1.0 - q)) + math.log(abs(z))
-        try:
-            return math.exp(lg / (1.0 - q))
-        except OverflowError:
-            return math.inf
-    if bracket < 0.0:
-        return 0.0
-    # bracket exactly zero: positive exponent collapses, negative diverges
-    return 0.0 if q < 1.0 else math.inf
+    if u > -1.0:
+        if u < math.inf:
+            return math.log1p(u) / (1.0 - q)
+        # u overflowed, and only there log1p(u) = log(u) to double precision
+        return (math.log(abs(1.0 - q)) + math.log(abs(z))) / (1.0 - q)
+    # past the cutoff exp_q is 0; at a zero bracket (u = -1) a positive
+    # exponent collapses (q < 1) and a negative one diverges (q > 1)
+    return -math.inf if u < -1.0 or q < 1.0 else math.inf
 
 
 def ln_q(q: float, z: float) -> float:

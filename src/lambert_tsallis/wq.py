@@ -25,19 +25,21 @@ The solver runs Newton on the log residual
     h(w) = log(w/z) + ln exp_q(w),      h'(w) = 1/w + 1/(1 + (1-q) w),
 
 which is zero at the root (w and z share a sign on every branch) and is the
-relative residual f(w)/z - 1 to first order.  It starts inside an analytic
-bracket, which _bracket builds by tightening the fixed ends of _ends (0 or
-z, w_b, the wall, z/(1+z) and the double range).  On a table, a row after
-one that the degree-5 extrapolant through the last six roots started and
-finished at its first evaluation starts from that extrapolant again, inside
-the fixed ends alone: on a 10^4-step grid that is nearly every row, and
-they skip _bracket's tails and analytic start.  The loop falls back to
-bisection over the ordered doubles, arithmetic on a narrow bracket and geometric across decades, whenever a step
-leaves the bracket or |h| fails to halve in two evaluations.  It stops when
-|h| <= tol or a step is under 4 ulp of w, and returns the point after that
-step.  A bracket closed on adjacent doubles returns its better end, or
-raises ConvergenceError when one end is the wall or the end of the double
-range: no double approximates the root there.
+relative residual f(w)/z - 1 to first order.  Its ln exp_q(w) is
+qexp._ln_exp_q, the one owner of ln exp_q, its cutoff and its overflow
+branch.  The solver starts inside an analytic bracket, which _bracket
+builds by tightening the fixed ends of _ends (0 or z, w_b, the wall,
+z/(1+z) and the double range).  On a table, a row after one that the
+degree-5 extrapolant through the last six roots started and finished at its
+first evaluation starts from that extrapolant again, inside the fixed ends
+alone: on a 10^4-step grid that is nearly every row, and they skip
+_bracket's tails and analytic start.  The loop falls back to bisection over
+the ordered doubles, arithmetic on a narrow bracket and geometric across
+decades, whenever a step leaves the bracket or |h| fails to halve in two
+evaluations.  It stops when |h| <= tol or a step is under 4 ulp of w, and
+returns the point after that step.  A bracket closed on adjacent doubles
+returns its better end, or raises ConvergenceError when one end is the wall
+or the end of the double range: no double approximates the root there.
 
 dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) for every q
 (Corless et al., Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W
@@ -70,7 +72,7 @@ from enum import Enum
 from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
                      DomainError, NoBranchPointError)
 # Interval is re-exported; exp_q is unused here, but bench/spans.py wraps it at this name
-from .qexp import Interval, _exp_q, _require_finite, _safe_exp, exp_q  # noqa: F401
+from .qexp import Interval, _exp_q, _ln_exp_q, _require_finite, _safe_exp, exp_q  # noqa: F401
 
 __all__ = [
     "DEFAULT_TOL",
@@ -273,7 +275,8 @@ def _log_residual(q: float, z: float, w: float) -> tuple[float, float]:
     sign.  h is zero at the root and equals f(w)/z - 1 to first order."""
     u = (1.0 - q) * w
     if u <= -1.0:
-        # at or past the cutoff: exp_q is 0 for q < 1 and +inf for q > 1
+        # at or past the cutoff: -inf where exp_q is 0 for q < 1, and +inf at
+        # and past the q > 1 wall, the side where f grows without bound
         return math.copysign(math.inf, q - 1.0), math.nan
     ratio = w / z
     if 0.0 < ratio < math.inf:
@@ -281,13 +284,7 @@ def _log_residual(q: float, z: float, w: float) -> tuple[float, float]:
     else:
         # w/z over- or underflowed: only far from the root, mid-bisection
         log_ratio = math.log(abs(w)) - math.log(abs(z))
-    if q == 1.0:
-        ln_exp = w
-    elif u < math.inf:
-        ln_exp = math.log1p(u) / (1.0 - q)
-    else:  # (1-q) w overflowed; the 1 in 1 + (1-q) w is lost anyway
-        ln_exp = (math.log(abs(1.0 - q)) + math.log(abs(w))) / (1.0 - q)
-    return log_ratio + ln_exp, 1.0 / w + 1.0 / (1.0 + u)
+    return log_ratio + _ln_exp_q(q, w), 1.0 / w + 1.0 / (1.0 + u)
 
 
 def _ordinal(x: float) -> int:

@@ -553,6 +553,28 @@ def test_log_residual_where_w_over_z_overflows():
         assert abs((wq(q, z, Branch.LOWER).w - ref) / ref) <= 1e-12
 
 
+@pytest.mark.parametrize("q, z, w, sentinel", [
+    # (1-q) w = -1 exactly, then one double past it: the q < 1 cutoff
+    (0.5, -0.1, -2.0, -math.inf),
+    (0.5, -0.1, math.nextafter(-2.0, -3.0), -math.inf),
+    # the same two places at the q > 1 wall
+    (3.0, 1.0, 0.5, math.inf),
+    (3.0, 1.0, math.nextafter(0.5, 1.0), math.inf),
+])
+def test_log_residual_sentinels_at_and_past_the_cutoff(q, z, w, sentinel):
+    h, slope = _log_residual(q, z, w)
+    assert h == sentinel and math.isnan(slope)
+
+
+def test_log_residual_where_the_bracket_overflows():
+    # (1-q) w = 2e308 overflows; h takes exp_q's own overflow branch
+    q, z, w = 3.0, -1e10, -1e308
+    assert math.isinf((1.0 - q) * w)
+    h, slope = _log_residual(q, z, w)
+    assert h == math.log(w / z) + math.log(exp_q(q, w))
+    assert math.isfinite(slope)
+
+
 @pytest.mark.parametrize("q, z, rel", [
     # (W/z)^q ~ 2e310 and 1 + (2-q) W ~ 5e310 both overflow
     (-1000.0, 1e308, 1e-13),
