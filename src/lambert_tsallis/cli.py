@@ -274,7 +274,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # every kept z is finite and inside the domain, so the first one
         # meets each check that wq would make on any of them.  With none kept,
         # grid[0] meets wq's checks of tol, max_iter and the lower branch's
-        # existence first, and fails the domain check, wq's last, only then
+        # existence first, and fails the domain check, wq's last, only then.
+        # bp is None where kept[0] >= 0 on the upper branch: the grid
+        # ascends, so no row of it needs the branch point
         try:
             _, _, _, bp = _check_request(q, kept[0] if kept else grid[0], branch,
                                          args.tol, args.max_iter)

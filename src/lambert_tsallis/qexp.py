@@ -82,7 +82,10 @@ def _positive_real(name: str, z) -> float:
     """z as a float when it is a finite real number > 0 (int, float,
     Fraction, ...), decided on z itself: DomainError for z <= 0, non-finite
     or non-real z, MalformedInputError for a z > 0 beyond the double range."""
-    if isinstance(z, numbers.Real) and 0 < z < math.inf:
+    if type(z) is float:  # the common case, without the numbers.Real ABC test's cost
+        if 0.0 < z < math.inf:
+            return z
+    elif isinstance(z, numbers.Real) and 0 < z < math.inf:
         x = _require_finite("z", z)
         if x > 0.0:
             return x

@@ -27,12 +27,12 @@ The solver runs Newton on the log residual
 which is zero at the root (w and z share a sign on every branch) and is the
 relative residual f(w)/z - 1 to first order.  Its ln exp_q(w) is
 qexp._ln_exp_q, the one owner of ln exp_q, its cutoff and its overflow
-branch.  The solver starts inside an analytic bracket, which _bracket
-builds by tightening the fixed ends of _ends (0 or z, w_b, the wall,
-z/(1+z) and the double range).  On a table, a row after one that the
-degree-5 extrapolant through the last six roots started and finished at its
-first evaluation starts from that extrapolant again, inside the fixed ends
-alone: on a 10^4-step grid that is nearly every row, and they skip
+branch.  _root, the solver's one loop, starts inside an analytic bracket,
+which _bracket builds by tightening the fixed ends of _ends (0 or z, w_b,
+the wall, z/(1+z) and the double range).  On a table, a row after one that
+the degree-5 extrapolant through the last six roots started and finished at
+its first evaluation starts from that extrapolant again, inside the fixed
+ends alone: on a 10^4-step grid that is nearly every row, and they skip
 _bracket's tails and analytic start.  The loop falls back to bisection over
 the ordered doubles, arithmetic on a narrow bracket and geometric across
 decades, whenever a step leaves the bracket or |h| fails to halve in two
@@ -47,17 +47,18 @@ from the defining relation, as the bracket 1 + (1-q) W cancels next to the
 wall.  It divides in log space where a factor leaves the normal range.
 
 Inputs are checked once per public call, by _check_request (q and z
-finite, the branch point, the branch, tol, max_iter, lower-branch
-existence, the domain, in that order), which wq, dwq_dz and the CLI's table
-call.  _domain is the only case analysis of the branch domains: z is
+finite, the branch, tol, max_iter, lower-branch existence, the domain, in
+that order), which wq, dwq_dz and the CLI's table call; it computes the
+branch point only where z may need it, so not for z >= 0 on the upper
+branch.  _domain is the only case analysis of the branch domains: z is
 compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
 message wrap that in an Interval.  Likewise _ends alone says which fixed
-bounds hold a root, and _bracket only tightens them.  _solve, which checks
-nothing, is the only solver: it solves checked points on one branch in
-order (one for wq and dwq_dz, the kept grid for the CLI's table) and yields
-plain (w, residual, iterations) tuples; only wq builds a SolveResult.
-SolveResult and BranchPoint are named tuples: their fields are read-only,
-and they unpack, index and compare equal like tuples.
+bounds hold a root, and _bracket only tightens them.  _root, which checks
+nothing, is the only loop: wq and dwq_dz call it once on _bracket's start,
+with no generator, and _solve, the CLI table's driver, calls it per row of
+the kept grid and yields plain (w, residual, iterations) tuples; only wq
+builds a SolveResult.  SolveResult and BranchPoint are named tuples: their
+fields are read-only, and they unpack, index and compare equal like tuples.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class Branch(Enum):
 
 # a global costs a tenth of an Enum member lookup, and one wq call makes four or five
 _UPPER, _LOWER = Branch.UPPER, Branch.LOWER
+# (z_b, w_b) where bp is None: no z equals nan, and nothing reads w_b there
+_NO_BRANCH_POINT = (math.nan, math.nan)
 
 
 class BranchPoint(namedtuple("BranchPoint", "z_b w_b")):
@@ -133,7 +136,7 @@ def _branch_point(q: float) -> BranchPoint | None:
     # the bracket 1 + (1-q) w_b is 1/(2-q), so exp_q(w_b) = (2-q)^(-1/(1-q));
     # that form serves below about q = -1e16, where the bracket rounds to 0
     e_b = _exp_q(q, w_b) or math.exp(-math.log(2.0 - q) / (1.0 - q))
-    return BranchPoint(w_b * e_b, w_b)
+    return tuple.__new__(BranchPoint, (w_b * e_b, w_b))  # in C, with no Python __new__
 
 
 def branch_domain(q: float, branch: Branch = Branch.UPPER) -> Interval:
@@ -311,20 +314,32 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     the root or max_iter evaluations do not suffice.
     """
     q, z, branch, bp = _check_request(q, z, branch, tol, max_iter)
-    # unpacking runs the generator to its end, so it need not be closed
-    ((w, residual, iterations),) = _solve(q, (z,), branch, bp, tol, max_iter)
-    return SolveResult(w, branch, residual, iterations)
+    z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
+    # as a one-point _solve run: its shortcuts, then _bracket's start
+    if z == 0.0:  # the lower branch's domain excludes 0
+        w, residual, iterations = 0.0, 0.0, 0
+    elif z == z_b:  # both branches meet here, where h has a double root
+        w, residual, iterations = w_b, 0.0, 0
+    else:
+        lo, hi, start = _bracket(q, z, branch, z_b, w_b)
+        w, residual, iterations = _root(q, z, branch, lo, hi, start, tol, max_iter)
+    # tuple.__new__ builds the record in C; SolveResult(...) runs a Python __new__
+    return tuple.__new__(SolveResult, (w, branch, residual, iterations))
 
 
 def _check_request(q: float, z: float, branch: Branch | str, tol: float,
                    max_iter: int) -> tuple[float, float, Branch, BranchPoint | None]:
-    """wq's checks, in order: q and z finite, the branch point, the branch,
-    tol, max_iter, the lower branch's existence and the branch domain.
-    Returns (q, z, branch, bp) as floats, a Branch and branch_point(q)."""
+    """wq's checks, in order: q and z finite, the branch, tol, max_iter, the
+    lower branch's existence and the branch domain.  Returns (q, z, branch,
+    bp) as floats, a Branch and branch_point(q), except that bp is None for
+    z >= 0 on the upper branch, where no caller needs it."""
     q = _require_finite("q", q)
     z = _require_finite("z", z)
-    bp = _branch_point(q)
     branch = _as_branch(branch)
+    # z_b < 0, so every upper-branch domain holds z >= 0, and there neither the
+    # shortcuts nor _bracket and _ends read z_b or w_b.  A table's grid ascends:
+    # a first kept z >= 0 puts every row of it there
+    bp = None if z >= 0.0 and branch is _UPPER else _branch_point(q)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
     if max_iter < 1:
@@ -341,32 +356,31 @@ def _check_request(q: float, z: float, branch: Branch | str, tol: float,
 
 def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None,
            tol: float, max_iter: int) -> Iterator[tuple[float, float, int]]:
-    """The solver behind wq, unchecked: every z in zs has passed
-    _check_request on this branch and bp is _branch_point(q).  Solves the
-    points in order and yields a (w, residual, iterations) tuple per point,
-    about a tenth of a SolveResult's cost.  A generator, so that a table
-    frees each row at once: 10^4 live rows would pass into the garbage
-    collector's older generations and be traversed there again and again.
+    """The CLI table's driver of _root, unchecked: every z in zs has passed
+    _check_request on this branch and bp is what it returned for the first
+    one.  Solves the points in order and yields a (w, residual, iterations)
+    tuple per point, about a tenth of a SolveResult's cost.  A generator, so
+    that a table frees each row at once: 10^4 live rows would pass into the
+    garbage collector's older generations and be traversed there again and
+    again.  wq and dwq_dz solve their one point without it.
 
-    A point starts its Newton loop from the degree-5 extrapolant through
-    the last six roots, 6 w1 - 15 w2 + 20 w3 - 15 w4 + 6 w5 - w6, when the
-    extrapolant started the previous point and that point stopped at its
-    first evaluation.  Its error is O(step^6 W^(6)), and its rounding (the
-    coefficients sum to 63 in magnitude) stays far below tol; a lower
-    degree misses more often, a higher one gains nothing.  The point is then
-    bounded by _ends alone: a comparison or a division per end, and no
-    _bracket, whose tails and analytic start cost about as much as the
-    evaluation itself.  Every other point calls _bracket and starts from its
-    analytic start or from the extrapolant, whichever landed nearer the root
-    on the last point that computed both; the extrapolant only from strictly
-    inside the bracket, and one outside the fixed ends goes to _bracket too.
-    On a 10^4-step table nearly every row skips _bracket; where the analytic
-    start is all but exact, as at q = 2 on [-0.999, 1], it keeps winning
-    and about half the rows call it.  The extrapolant needs six roots and one point to
-    compare on, so the first seven points of a run take the analytic start,
-    as wq's one-point run always does."""
-    lower = branch is _LOWER  # looked up once per run, not per point
-    z_b, w_b = (math.nan, math.nan) if bp is None else bp
+    A point starts _root from the degree-5 extrapolant through the last six
+    roots, 6 w1 - 15 w2 + 20 w3 - 15 w4 + 6 w5 - w6, when the extrapolant
+    started the previous point and that point stopped at its first evaluation.
+    Its error is O(step^6 W^(6)), and its rounding (the coefficients sum to 63
+    in magnitude) stays far below tol; a lower degree misses more often, a
+    higher one gains nothing.  The point is then bounded by _ends alone: a
+    comparison or a division per end, and no _bracket, whose tails and analytic
+    start cost about as much as the evaluation itself.  Every other point calls
+    _bracket and starts from its analytic start or from the extrapolant,
+    whichever landed nearer the root on the last point that computed both; the
+    extrapolant only from strictly inside the bracket, and one outside the
+    fixed ends goes to _bracket too.  On a 10^4-step table nearly every row
+    skips _bracket; where the analytic start is all but exact, as at q = 2 on
+    [-0.999, 1], it keeps winning and about half the rows call it.  The
+    extrapolant needs six roots and one point to compare on, so the first seven
+    points of a run take the analytic start, as wq does."""
+    z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
     w1 = w2 = w3 = w4 = w5 = w6 = math.nan  # the last six roots, newest first
     extrap = math.nan
     extrap_nearer = from_extrap = False
@@ -377,7 +391,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
             # both branches meet here, where h has a double root
             result = (w_b, 0.0, 0)
         else:
-            # six roots so far (w6 is nan before); saves a one-point run the sum
+            # six roots so far (w6 is nan before); the first six points skip the sum
             if w6 == w6:
                 extrap = 6.0 * w1 - 15.0 * w2 + 20.0 * w3 - 15.0 * w4 + 6.0 * w5 - w6
             # from_extrap: the extrapolant started the last point and stopped at
@@ -390,57 +404,8 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 lo, hi, start = _bracket(q, z, branch, z_b, w_b)
                 inside = lo < extrap < hi  # False while extrap is nan
                 from_extrap = inside and extrap_nearer
-            w = extrap if from_extrap else start
-            rising = lower or z > 0.0  # h increases through the root
-            best_w, best_h = w, math.inf
-            back1 = back2 = math.inf  # |h| one and two evaluations ago
-            iters = 0
-            while iters < max_iter:
-                h, slope = _log_residual(q, z, w)
-                iters += 1
-                ah = abs(h)
-                if ah < best_h:
-                    best_w, best_h = w, ah
-                # a point at the q < 1 cutoff (h = -inf) lies below the root on
-                # either branch, as the wall is the least w of the domain
-                if (h < 0.0) == rising or h == -math.inf:
-                    lo = w
-                else:
-                    hi = w
-                newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
-                if newton == w and abs(slope) == math.inf:
-                    # 1/w in h' overflowed, |w| < 1/DBL_MAX: h/h' is h w to first order
-                    newton = w - h * w
-                step_inside = lo < newton < hi
-                if ((ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w))
-                        and (step_inside or newton == w)):
-                    result = (newton, ah, iters)
-                    break
-                halved = ah <= 0.5 * back2
-                back1, back2 = ah, back1
-                if step_inside and halved:
-                    w = newton
-                    continue
-                a, b = _ordinal(lo), _ordinal(hi)
-                if b - a > 1:
-                    w = _from_ordinal((a + b) // 2)
-                    continue
-                # closed on adjacent doubles; an analytic end, never evaluated, may be the root
-                h_lo, h_hi = (abs(_log_residual(q, z, e)[0]) for e in (lo, hi))
-                if math.isinf(h_lo + h_hi) or max(-lo, hi) == sys.float_info.max:
-                    raise ConvergenceError(
-                        f"no double approximates the root for q = {q:g}, z = {z!r} "
-                        f"({branch.value} branch): it lies next to the wall or beyond the "
-                        f"double range; best w = {best_w!r}",
-                        best_w=best_w, residual=best_h, iterations=iters)
-                result = (lo if h_lo <= h_hi else hi, min(h_lo, h_hi), iters)
-                break
-            else:
-                raise ConvergenceError(
-                    f"no convergence to tol {tol:g} within {max_iter} iterations for "
-                    f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
-                    f"relative residual = {best_h:.3e}",
-                    best_w=best_w, residual=best_h, iterations=iters)
+            result = _root(q, z, branch, lo, hi, extrap if from_extrap else start,
+                           tol, max_iter)
             if bracketed:
                 extrap_nearer = inside and abs(extrap - result[0]) < abs(start - result[0])
         from_extrap = from_extrap and result[2] == 1
@@ -448,17 +413,75 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
         yield result
 
 
+def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
+          tol: float, max_iter: int) -> tuple[float, float, int]:
+    """The solver's one loop, unchecked: z has passed _check_request on
+    branch and is neither 0 nor z_b, lo < W < hi brackets its root and the
+    loop starts at w in [lo, hi].  Newton on h, with bisection over the
+    ordered doubles as the fallback (see the module notes).  Returns (w,
+    residual, iterations), or raises ConvergenceError with the best iterate."""
+    rising = branch is _LOWER or z > 0.0  # h increases through the root
+    best_w, best_h = w, math.inf
+    back1 = back2 = math.inf  # |h| one and two evaluations ago
+    iters = 0
+    while iters < max_iter:
+        h, slope = _log_residual(q, z, w)
+        iters += 1
+        ah = abs(h)
+        if ah < best_h:
+            best_w, best_h = w, ah
+        # a point at the q < 1 cutoff (h = -inf) lies below the root on
+        # either branch, as the wall is the least w of the domain
+        if (h < 0.0) == rising or h == -math.inf:
+            lo = w
+        else:
+            hi = w
+        newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
+        if newton == w and abs(slope) == math.inf:
+            # 1/w in h' overflowed, |w| < 1/DBL_MAX: h/h' is h w to first order
+            newton = w - h * w
+        step_inside = lo < newton < hi
+        if ((ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w))
+                and (step_inside or newton == w)):
+            return newton, ah, iters
+        halved = ah <= 0.5 * back2
+        back1, back2 = ah, back1
+        if step_inside and halved:
+            w = newton
+            continue
+        a, b = _ordinal(lo), _ordinal(hi)
+        if b - a > 1:
+            w = _from_ordinal((a + b) // 2)
+            continue
+        # closed on adjacent doubles; an analytic end, never evaluated, may be the root
+        h_lo, h_hi = (abs(_log_residual(q, z, e)[0]) for e in (lo, hi))
+        if math.isinf(h_lo + h_hi) or max(-lo, hi) == sys.float_info.max:
+            raise ConvergenceError(
+                f"no double approximates the root for q = {q:g}, z = {z!r} "
+                f"({branch.value} branch): it lies next to the wall or beyond the "
+                f"double range; best w = {best_w!r}",
+                best_w=best_w, residual=best_h, iterations=iters)
+        return (lo if h_lo <= h_hi else hi), min(h_lo, h_hi), iters
+    raise ConvergenceError(
+        f"no convergence to tol {tol:g} within {max_iter} iterations for "
+        f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
+        f"relative residual = {best_h:.3e}",
+        best_w=best_w, residual=best_h, iterations=iters)
+
+
 def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Derivative of the branch at z, 1/f'(W) (see the module notes): 1 at
     z = 0, divergent (vertical tangent) at the branch point."""
     q, z, branch, bp = _check_request(q, z, branch, tol, max_iter)
-    if bp is not None and z == bp.z_b:
+    z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
+    if z == z_b:
         raise DerivativeSingularError(
-            f"dW/dz diverges at the branch point z_b = {bp.z_b!r} for q = {q:g}")
+            f"dW/dz diverges at the branch point z_b = {z_b!r} for q = {q:g}")
     if z == 0.0:
         return 1.0
-    ((w, _, _),) = _solve(q, (z,), branch, bp, tol, max_iter)
+    lo, hi, start = _bracket(q, z, branch, z_b, w_b)
+    w = _root(q, z, branch, lo, hi, start, tol, max_iter)[0]
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
         raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")

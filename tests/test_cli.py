@@ -2,6 +2,7 @@
 stability."""
 
 import csv
+import gc
 import importlib
 import io
 import json
@@ -956,22 +957,28 @@ def test_table_continuation_rows_skip_the_bracket(monkeypatch, capsys, q, z_from
 
 
 def test_table_builds_no_solve_result(monkeypatch, capsys):
-    # the solver yields plain tuples; only the public wq builds a SolveResult
+    # the solver yields plain tuples; only the public wq builds a SolveResult.
+    # It builds it with tuple.__new__, which runs no Python __new__ or
+    # __init__, so a record of the patched type is counted when it is freed
     solver = importlib.import_module("lambert_tsallis.wq")
-    built = [0]
+    freed = [0]
 
     class Counted(solver.SolveResult):
-        # a named tuple is built in __new__; its __init__ is object's
-        def __new__(cls, *args):
-            built[0] += 1
-            return super().__new__(cls, *args)
+        __slots__ = ()
+
+        def __del__(self):
+            freed[0] += 1
 
     monkeypatch.setattr(solver, "SolveResult", Counted)
     rows = _wq_table(capsys, 1.0, -0.3, 25.0, "upper")
-    assert (len(rows), built[0]) == (1000, 0)
+    gc.collect()  # a record held in a reference cycle is freed only here
+    assert (len(rows), freed[0]) == (1000, 0)
     result = wq(1.0, 1.0)
-    assert (built[0], type(result)) == (1, Counted)
+    assert type(result) is Counted
     assert result.branch is Branch.UPPER and type(result.iterations) is int
+    del result
+    gc.collect()
+    assert freed[0] == 1
 
 
 @pytest.mark.parametrize("q, z_from, z_to", [

@@ -109,6 +109,30 @@ def test_ln_q_and_dlnq_dz_accept_exact_reals():
             dlnq_dz(2.0, bad)
 
 
+@pytest.mark.parametrize("z, error", [
+    (0.0, "DomainError: {name} is defined for z > 0 only, got z = 0.0"),
+    (-1.0, "DomainError: {name} is defined for z > 0 only, got z = -1.0"),
+    (math.nan, "DomainError: {name} is defined for z > 0 only, got z = nan"),
+    (math.inf, "DomainError: {name} is defined for z > 0 only, got z = inf"),
+    (5e-324, None),
+    (3, None),
+    (Fraction(1, 3), None),
+    (True, None),
+    (1 + 2j, "DomainError: {name} is defined for z > 0 only, got z = (1+2j)"),
+    (Fraction(1, 10 ** 400), "MalformedInputError: {name} needs z within the double "
+                             "range, got a z > 0 that rounds to 0"),
+])
+def test_ln_q_and_dlnq_dz_check_z_alike_for_every_type(z, error):
+    # a float takes its own fast test and every other type the numbers.Real
+    # path: the same answers as the float of z, or the same error texts
+    for fn in (ln_q, dlnq_dz):
+        try:
+            got = fn(2.5, z)
+        except (DomainError, MalformedInputError) as e:
+            got = f"{type(e).__name__}: {e}"
+        assert got == (fn(2.5, float(z)) if error is None else error.format(name=fn.__name__))
+
+
 def test_exact_reals_beyond_the_double_range_are_malformed():
     big = 10 ** 400
     for call in (lambda: exp_q(1.0, big), lambda: exp_q(big, 1.0),

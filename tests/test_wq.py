@@ -7,8 +7,10 @@ algebra for q in {0, 2} and for W_1.5(1) = 4 - 2 sqrt(3), and 60-digit
 arithmetic for the rest.
 """
 
+import importlib
 import math
 import operator
+import random
 import re
 import sys
 from fractions import Fraction
@@ -25,9 +27,10 @@ from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
                                    parse_exact)
 from lambert_tsallis.qexp import exp_q
 from lambert_tsallis.verify import CheckResult, algebraicity_scan, branch_point_check
-from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, Interval,
-                                _bracket, _check_request, _ends, _log_residual,
-                                branch_domain, branch_point, dwq_dz, wq, wq_closed_form)
+from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, BranchPoint, Interval,
+                                SolveResult, _bracket, _check_request, _ends, _log_residual,
+                                _solve, branch_domain, branch_point, dwq_dz, wq,
+                                wq_closed_form)
 
 OMEGA = 0.5671432904097838          # W(1), classical
 DW_AT_ONE = 0.3618962566348892      # W'(1) = e^{-W(1)}/(1 + W(1))
@@ -692,3 +695,98 @@ def test_q_continuity_at_classical_point():
         w1 = wq(1.0, z).w
         assert abs(wq(1.0 + 1e-6, z).w - w1) <= 1e-4
         assert abs(wq(1.0 - 1e-6, z).w - w1) <= 1e-4
+
+
+# ------------------------------------------------------------------ drivers
+
+def _agreement_draws():
+    """Seeded (q, z, branch, tol, max_iter) requests inside the branch
+    domain, with the shortcuts, the q < 2 upper branch at z >= 0, wall
+    refusals and starved budgets among them."""
+    rng = random.Random("driver-agreement")
+    z_b = branch_point(1.0).z_b
+    yield from [(2.5, 1e200, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (3.0, 1e300, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (-1e200, -5e-201, "lower", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (1.0, 0.0, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (1.0, -0.0, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (1.0, z_b, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (1.0, z_b, "lower", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (0.5, 2.0, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
+                (1.0, 1.0, "upper", DEFAULT_TOL, 3)]
+    for _ in range(1500):
+        q = rng.choice([rng.uniform(-3.0, 4.0), rng.uniform(0.0, 3.0),
+                        rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+                        -(10.0 ** rng.uniform(0.0, 300.0))])
+        bp = branch_point(q)
+        branch = "lower" if bp is not None and rng.random() < 0.3 else "upper"
+        kind = rng.random()
+        if kind < 0.05 and branch == "upper":
+            z = 0.0
+        elif kind < 0.1 and bp is not None:
+            z = bp.z_b
+        elif (kind < 0.4 or branch == "lower") and bp is not None:
+            z = bp.z_b * 10.0 ** -rng.uniform(0.0, 300.0)
+        elif kind < 0.4 and q > 2.0:
+            z = -(10.0 ** rng.uniform(-310.0, 300.0))
+        else:
+            z = 10.0 ** rng.uniform(-310.0, 300.0)
+        tol = DEFAULT_TOL if rng.random() < 0.7 else 10.0 ** -rng.uniform(1.0, 16.0)
+        max_iter = DEFAULT_MAX_ITER if rng.random() < 0.8 else rng.randint(1, 6)
+        if branch_domain(q, branch).contains(z):  # z_b times 1e-300 may underflow to -0.0
+            yield q, z, branch, tol, max_iter
+
+
+def _outcome(call):
+    """repr of a call's result, or its ConvergenceError's text, best_w,
+    residual and iterations: equal strings are equal bits."""
+    try:
+        return repr(call())
+    except ConvergenceError as e:
+        return repr((str(e), e.best_w, e.residual, e.iterations))
+
+
+def _unbranched(result):
+    return result.w, result.residual, result.iterations
+
+
+def test_one_point_solve_agrees_with_wq_and_dwq_dz(monkeypatch):
+    # the table's driver _solve and the scalar wq and dwq_dz each hold the
+    # z = 0 and z = z_b shortcuts and call _root; a one-point run must
+    # answer as they do, bit for bit, with the branch point _check_request
+    # leaves out at z >= 0 on the upper branch or with it
+    solver = importlib.import_module("lambert_tsallis.wq")
+    original, last = solver._root, [None]
+
+    def recorded(*args):
+        last[0] = _outcome(lambda: original(*args))
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_root", recorded)
+    lazy = roots = 0
+    for q, z, branch, tol, max_iter in _agreement_draws():
+        q, z, branch, bp = _check_request(q, z, branch, tol, max_iter)
+        lazy += bp is None and q < 2.0
+        ran = _outcome(lambda: next(_solve(q, (z,), branch, bp, tol, max_iter)))
+        eager = _outcome(lambda: next(_solve(q, (z,), branch, branch_point(q), tol, max_iter)))
+        scalar = _outcome(lambda: _unbranched(wq(q, z, branch, tol, max_iter)))
+        assert ran == eager == scalar, (q, z, branch, tol, max_iter)
+        last[0] = None
+        try:
+            dwq_dz(q, z, branch, tol, max_iter)
+        except (ConvergenceError, DerivativeSingularError):
+            pass
+        if last[0] is None:  # dwq_dz's own shortcuts: 1 at 0, and it diverges at z_b
+            assert z == 0.0 or z == branch_point(q).z_b
+        else:
+            roots += 1
+            assert last[0] == ran, (q, z, branch, tol, max_iter)
+    assert lazy > 100 and roots > 1000, (lazy, roots)
+
+
+def test_scalar_records_keep_their_type_and_repr():
+    result, bp = wq(2.0, 1.0), branch_point(0.0)
+    assert (type(result), type(bp)) == (SolveResult, BranchPoint)
+    assert repr(result) == ("SolveResult(w=0.5, branch=<Branch.UPPER: 'upper'>, "
+                            "residual=0.0, iterations=1)")
+    assert repr(bp) == "BranchPoint(z_b=-0.25, w_b=-0.5)"
