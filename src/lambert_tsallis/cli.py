@@ -32,13 +32,12 @@ import sys
 
 from .classify import (classify_expq, classify_lnq_derivative, classify_tower,
                        classify_wq)
-from .errors import (ConfigurationError, DomainError, LambertTsallisError,
-                     MalformedInputError, NoBranchPointError)
+from .errors import ConfigurationError, LambertTsallisError, MalformedInputError
 from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
                      run_eq5_suite, run_residual_suite, run_scan_suite)
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _check_request, _solve,
+from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _check_settings, _solve,
                  branch_domain, branch_point, dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
@@ -271,21 +270,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print(f"warning: {clipped} of {len(grid)} grid points fall outside "
                   f"the {branch.value} branch domain {dom} and were dropped",
                   file=sys.stderr)
-        # every kept z is finite and inside the domain, so the first one
-        # meets each check that wq would make on any of them.  With none kept,
-        # grid[0] meets wq's checks of tol, max_iter and the lower branch's
-        # existence first, and fails the domain check, wq's last, only then.
-        # bp is None where kept[0] >= 0 on the upper branch: the grid
-        # ascends, so no row of it needs the branch point
-        try:
-            _, _, _, bp = _check_request(q, kept[0] if kept else grid[0], branch,
-                                         args.tol, args.max_iter)
-        except NoBranchPointError:  # a DomainError, but wq's, not the grid's
-            raise
-        except DomainError:
+        _check_settings(q, branch, args.tol, args.max_iter)
+        if not kept:
             print("error: no grid points inside the branch domain", file=sys.stderr)
             return 1
-        solved = _solve(q, kept, branch, bp, args.tol, args.max_iter)
+        solved = _solve(q, kept, branch, branch_point(q), args.tol, args.max_iter)
         rows = [(z, w, residual) for z, (w, residual, _) in zip(kept, solved)]
     else:
         clipped = 0

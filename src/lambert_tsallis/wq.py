@@ -46,11 +46,13 @@ dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) for every q
 from the defining relation, as the bracket 1 + (1-q) W cancels next to the
 wall.  It divides in log space where a factor leaves the normal range.
 
-Inputs are checked once per public call, by _check_request (q and z
-finite, the branch, tol, max_iter, lower-branch existence, the domain, in
-that order), which wq, dwq_dz and the CLI's table call; it computes the
-branch point only where z may need it, so not for z >= 0 on the upper
-branch.  _domain is the only case analysis of the branch domains: z is
+Inputs are checked once per public call.  _check_settings holds the checks
+that need no z (the branch, tol, max_iter, lower-branch existence, in that
+order), and the CLI's table calls it once.  _check_request, which wq and
+dwq_dz call, checks that q and z are finite, calls _check_settings and then
+tests the domain, computing the branch point only there: z >= 0 on the upper
+branch lies in every upper domain and skips both.  _domain is the only case
+analysis of the branch domains and always sees the true branch point: z is
 compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
 message wrap that in an Interval.  Likewise _ends alone says which fixed
 bounds hold a root, and _bracket only tightens them.  _root, which checks
@@ -327,26 +329,33 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
     return tuple.__new__(SolveResult, (w, branch, residual, iterations))
 
 
-def _check_request(q: float, z: float, branch: Branch | str, tol: float,
-                   max_iter: int) -> tuple[float, float, Branch, BranchPoint | None]:
-    """wq's checks, in order: q and z finite, the branch, tol, max_iter, the
-    lower branch's existence and the branch domain.  Returns (q, z, branch,
-    bp) as floats, a Branch and branch_point(q), except that bp is None for
-    z >= 0 on the upper branch, where no caller needs it."""
-    q = _require_finite("q", q)
-    z = _require_finite("z", z)
+def _check_settings(q: float, branch: Branch | str, tol: float, max_iter: int) -> Branch:
+    """wq's checks that need no z, in order: the branch, tol, max_iter and the
+    lower branch's existence, for a finite q.  Returns the branch as a Branch."""
     branch = _as_branch(branch)
-    # z_b < 0, so every upper-branch domain holds z >= 0, and there neither the
-    # shortcuts nor _bracket and _ends read z_b or w_b.  A table's grid ascends:
-    # a first kept z >= 0 puts every row of it there
-    bp = None if z >= 0.0 and branch is _UPPER else _branch_point(q)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter!r}")
-    if branch is _LOWER and bp is None:
+    if branch is _LOWER and q >= 2.0:
         raise NoBranchPointError(
             f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
+    return branch
+
+
+def _check_request(q: float, z: float, branch: Branch | str, tol: float,
+                   max_iter: int) -> tuple[float, float, Branch, BranchPoint | None]:
+    """wq's checks, in order: q and z finite, _check_settings, the branch
+    domain.  Returns (q, z, branch, bp) as floats, a Branch and
+    branch_point(q), except that bp is None for z >= 0 on the upper branch:
+    z_b < 0, so every upper domain holds that z, and neither the shortcuts nor
+    _bracket and _ends read z_b or w_b there."""
+    q = _require_finite("q", q)
+    z = _require_finite("z", z)
+    branch = _check_settings(q, branch, tol, max_iter)
+    if z >= 0.0 and branch is _UPPER:
+        return q, z, branch, None
+    bp = _branch_point(q)
     lo, lo_closed, hi = _domain(q, branch, bp)
     if not ((z >= lo if lo_closed else z > lo) and z < hi):
         raise DomainError(f"z = {z!r} is outside the {branch.value}-branch domain "
@@ -356,13 +365,13 @@ def _check_request(q: float, z: float, branch: Branch | str, tol: float,
 
 def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None,
            tol: float, max_iter: int) -> Iterator[tuple[float, float, int]]:
-    """The CLI table's driver of _root, unchecked: every z in zs has passed
-    _check_request on this branch and bp is what it returned for the first
-    one.  Solves the points in order and yields a (w, residual, iterations)
-    tuple per point, about a tenth of a SolveResult's cost.  A generator, so
-    that a table frees each row at once: 10^4 live rows would pass into the
-    garbage collector's older generations and be traversed there again and
-    again.  wq and dwq_dz solve their one point without it.
+    """The CLI table's driver of _root, unchecked: every z in zs lies in the
+    branch's domain, bp is branch_point(q), and the settings passed
+    _check_settings.  Solves the points in order and yields a (w, residual,
+    iterations) tuple per point, about a tenth of a SolveResult's cost.  A
+    generator, so that a table frees each row at once: 10^4 live rows would
+    pass into the garbage collector's older generations and be traversed
+    there again and again.  wq and dwq_dz solve their one point without it.
 
     A point starts _root from the degree-5 extrapolant through the last six
     roots, 6 w1 - 15 w2 + 20 w3 - 15 w4 + 6 w5 - w6, when the extrapolant
@@ -415,9 +424,9 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
 
 def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
           tol: float, max_iter: int) -> tuple[float, float, int]:
-    """The solver's one loop, unchecked: z has passed _check_request on
-    branch and is neither 0 nor z_b, lo < W < hi brackets its root and the
-    loop starts at w in [lo, hi].  Newton on h, with bisection over the
+    """The solver's one loop, unchecked: z lies in branch's domain and is
+    neither 0 nor z_b, the settings passed _check_settings, lo < W < hi
+    brackets its root and the loop starts at w in [lo, hi].  Newton on h, with bisection over the
     ordered doubles as the fallback (see the module notes).  Returns (w,
     residual, iterations), or raises ConvergenceError with the best iterate."""
     rising = branch is _LOWER or z > 0.0  # h increases through the root

@@ -714,11 +714,17 @@ def test_table_bad_tol_with_every_point_clipped_exits_two(capsys):
     ("1", ["--max-iter", "0"]),
     ("2.5", ["--branch", "lower"]),
     ("1", []),
+    # two faults: the one wq checks first wins
+    ("1", ["--tol", "-1", "--max-iter", "0"]),
+    ("2.5", ["--branch", "lower", "--tol", "-1"]),
+    ("2.5", ["--branch", "lower", "--max-iter", "0"]),
+    ("2.5", ["--branch", "lower", "--tol", "-1", "--max-iter", "0"]),
 ])
 def test_table_with_every_point_clipped_reports_wq_checks_first(capsys, q, flags):
     # every grid point lies outside the domain: below z_b = -1/e at q = 1, and
     # there is no lower branch at q = 2.5.  A bad configuration or a missing
-    # branch reads as a per-point wq reads; a valid one keeps the table's message
+    # branch reads as a per-point wq reads, in wq's order; a valid one keeps
+    # the table's message
     code, out, err = run_main(capsys, "table", "wq", "--q", q, "--z-from=-5", "--z-to=-4",
                               "--steps", "3", *flags)
     point = run_main(capsys, "eval", "wq", "--q", q, "--z=-5", *flags)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambert_tsallis.classify import Classification, Rule, classify_expq
+from lambert_tsallis.cli import main
 from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
                                     DerivativeSingularError, DomainError,
                                     MalformedInputError, NoBranchPointError)
@@ -782,6 +783,73 @@ def test_one_point_solve_agrees_with_wq_and_dwq_dz(monkeypatch):
             roots += 1
             assert last[0] == ran, (q, z, branch, tol, max_iter)
     assert lazy > 100 and roots > 1000, (lazy, roots)
+
+
+# wq's request faults in check order: each as the arguments it replaces in
+# the valid request wq(1, 1) on the upper branch
+CHECK_ORDER_FAULTS = [
+    {"q": math.nan},
+    {"z": math.inf},
+    {"branch": "sideways"},
+    {"tol": 0.0},
+    {"max_iter": 0},
+    {"q": 2.5, "branch": "lower"},  # no lower branch at q >= 2
+    {"z": -5.0},  # below z_b = -1/e
+]
+
+
+def _fault_text(call, request):
+    with pytest.raises(ValueError) as e:
+        call(**request)
+    return type(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("call", [wq, dwq_dz])
+def test_the_earlier_of_two_request_faults_wins(call):
+    base = {"q": 1.0, "z": 1.0, "branch": "upper", "tol": DEFAULT_TOL,
+            "max_iter": DEFAULT_MAX_ITER}
+    pairs = 0
+    for i, first in enumerate(CHECK_ORDER_FAULTS):
+        alone = _fault_text(call, {**base, **first})
+        for later in CHECK_ORDER_FAULTS[i + 1:]:
+            if first.keys() & later.keys():
+                continue  # the two faults set the same argument
+            pairs += 1
+            assert _fault_text(call, {**base, **first, **later}) == alone, (first, later)
+    assert pairs == 18
+
+
+def test_domain_sees_only_the_true_branch_point(monkeypatch, capsys):
+    # _domain reads a bp of None as "no branch point", which for q < 2 is the
+    # whole line on the upper branch: no check may pass it a skipped one
+    solver = importlib.import_module("lambert_tsallis.wq")
+    original, seen = solver._domain, []
+
+    def checked(q, branch, bp):
+        assert bp is not None or q >= 2.0, (q, branch)
+        seen.append(q)
+        return original(q, branch, bp)
+
+    monkeypatch.setattr(solver, "_domain", checked)
+    rng = random.Random("domain-branch-point")
+    for _ in range(2000):
+        q = rng.choice([rng.uniform(-3.0, 4.0), 1.0, 2.0, -(10.0 ** rng.uniform(0.0, 300.0))])
+        z = rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-300.0, 300.0),
+                        -(10.0 ** rng.uniform(-300.0, 300.0))])
+        branch = rng.choice(["upper", "lower"])
+        for call in (wq, dwq_dz):
+            try:
+                call(q, z, branch)
+            except (DomainError, ConvergenceError):
+                pass
+    for q, z_from, z_to, branch in [("1", "0", "3", "upper"), ("1.5", "-1", "2", "upper"),
+                                    ("0.5", "-0.2", "-0.01", "lower"), ("1", "1", "2", "lower"),
+                                    ("3", "-2", "2", "upper")]:
+        code = main(["table", "wq", "--q", q, f"--z-from={z_from}", "--z-to", z_to,
+                     "--steps", "20", "--branch", branch])
+        capsys.readouterr()
+        assert code in (0, 1)
+    assert len(seen) > 1000
 
 
 def test_scalar_records_keep_their_type_and_repr():
