@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package.
+
+An error raised with one argument carries its text.  One raised as
+Error(template, *values) keeps the values in args and builds its text,
+template % values, only when it is read, as logging does: the refusals of
+wq, dwq_dz and ln_q name doubles with repr, which costs microseconds at a
+three-digit exponent, and a caller that only catches the type never reads
+the text.  Both kinds pickle with their text and attributes."""
 
 from __future__ import annotations
 
@@ -17,6 +24,10 @@ __all__ = [
 
 class LambertTsallisError(Exception):
     """Base class for every error raised by this package."""
+
+    def __str__(self) -> str:
+        args = self.args
+        return args[0] % args[1:] if len(args) > 1 else super().__str__()
 
 
 class MalformedInputError(LambertTsallisError, ValueError):
@@ -44,11 +55,13 @@ class DerivativeSingularError(DomainError):
 
 
 class ConvergenceError(LambertTsallisError, RuntimeError):
-    """Root finder exhausted its budget. Carries the best iterate found."""
+    """Root finder exhausted its budget, or no double approximates the root.
+    Carries the best iterate found, its relative residual |h| and the
+    evaluations made."""
 
-    def __init__(self, message: str, best_w: float | None = None,
+    def __init__(self, message: str, *values, best_w: float | None = None,
                  residual: float | None = None, iterations: int | None = None):
-        super().__init__(message)
+        super().__init__(message, *values)
         self.best_w = best_w
         self.residual = residual
         self.iterations = iterations

@@ -100,7 +100,7 @@ def _positive_real(name: str, z) -> float:
             return x
         raise MalformedInputError(f"{name} needs z within the double range, got a z > 0 "
                                   "that rounds to 0")
-    raise DomainError(f"{name} is defined for z > 0 only, got z = {z!r}")
+    raise DomainError("%s is defined for z > 0 only, got z = %r", name, z)
 
 
 def _safe_exp(x: float) -> float:

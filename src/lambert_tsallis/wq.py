@@ -39,7 +39,9 @@ decades, whenever a step leaves the bracket or |h| fails to halve in two
 evaluations.  It stops when |h| <= tol or a step is under 4 ulp of w, and
 returns the point after that step.  A bracket closed on adjacent doubles
 returns its better end, or raises ConvergenceError when one end is the wall
-or the end of the double range: no double approximates the root there.
+or the end of the double range: no double approximates the root there.  The
+closure reuses |h| at an end the loop evaluated, so it evaluates at most the
+one analytic end, and none when an end is the end of the double range.
 
 dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) for every q
 (Corless et al., Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W
@@ -66,6 +68,7 @@ fields are read-only, and they unpack, index and compare equal like tuples.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import sys
 from collections import namedtuple
@@ -115,8 +118,10 @@ class BranchPoint(namedtuple("BranchPoint", "z_b w_b")):
 
 class SolveResult(namedtuple("SolveResult", "w branch residual iterations")):
     """The root w on branch, the relative residual |h| at the last point
-    evaluated and the number of evaluations.  A named tuple: read-only fields;
-    unpacks, indexes and compares as (w, branch, residual, iterations)."""
+    evaluated and the number of the loop's evaluations; the end checks of a
+    bracket closed on adjacent doubles are not counted.  A named tuple:
+    read-only fields; unpacks, indexes and compares as (w, branch, residual,
+    iterations)."""
 
     __slots__ = ()
 
@@ -331,15 +336,22 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
 
 def _check_settings(q: float, branch: Branch | str, tol: float, max_iter: int) -> Branch:
     """wq's checks that need no z, in order: the branch, tol, max_iter and the
-    lower branch's existence, for a finite q.  Returns the branch as a Branch."""
+    lower branch's existence, for a finite q.  tol is a real number and
+    max_iter an integer, neither a bool.  Returns the branch as a Branch."""
     branch = _as_branch(branch)
-    if not (math.isfinite(tol) and tol > 0.0):
+    # a float tol and an int max_iter skip the numbers ABC tests, about 0.2 us each
+    if not ((tol.__class__ is float
+             or (isinstance(tol, numbers.Real) and tol.__class__ is not bool))
+            and 0.0 < tol < math.inf):
         raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
+    if not (max_iter.__class__ is int
+            or (isinstance(max_iter, numbers.Integral) and max_iter.__class__ is not bool)):
+        raise ConfigurationError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be >= 1, got {max_iter!r}")
     if branch is _LOWER and q >= 2.0:
         raise NoBranchPointError(
-            f"no lower branch for q = {q:g}: the branch point exists only for q < 2")
+            "no lower branch for q = %g: the branch point exists only for q < 2", q)
     return branch
 
 
@@ -358,8 +370,8 @@ def _check_request(q: float, z: float, branch: Branch | str, tol: float,
     bp = _branch_point(q)
     lo, lo_closed, hi = _domain(q, branch, bp)
     if not ((z >= lo if lo_closed else z > lo) and z < hi):
-        raise DomainError(f"z = {z!r} is outside the {branch.value}-branch domain "
-                          f"{Interval(lo, hi, lo_closed, False)} for q = {q:g}")
+        raise DomainError("z = %r is outside the %s-branch domain %s for q = %g", z,
+                          branch.value, tuple.__new__(Interval, (lo, hi, lo_closed, False)), q)
     return q, z, branch, bp
 
 
@@ -428,9 +440,11 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
     neither 0 nor z_b, the settings passed _check_settings, lo < W < hi
     brackets its root and the loop starts at w in [lo, hi].  Newton on h, with bisection over the
     ordered doubles as the fallback (see the module notes).  Returns (w,
-    residual, iterations), or raises ConvergenceError with the best iterate."""
+    residual, iterations), or raises ConvergenceError with the best iterate;
+    iterations leaves out the closure's end checks."""
     rising = branch is _LOWER or z > 0.0  # h increases through the root
     best_w, best_h = w, math.inf
+    h_lo = h_hi = None  # |h| at lo and hi once the loop has evaluated there
     back1 = back2 = math.inf  # |h| one and two evaluations ago
     iters = 0
     while iters < max_iter:
@@ -442,9 +456,9 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
         # a point at the q < 1 cutoff (h = -inf) lies below the root on
         # either branch, as the wall is the least w of the domain
         if (h < 0.0) == rising or h == -math.inf:
-            lo = w
+            lo, h_lo = w, ah
         else:
-            hi = w
+            hi, h_hi = w, ah
         newton = w - h / slope if slope != 0.0 else math.nan  # h' = 0 at w_b
         if newton == w and abs(slope) == math.inf:
             # 1/w in h' overflowed, |w| < 1/DBL_MAX: h/h' is h w to first order
@@ -462,20 +476,24 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
         if b - a > 1:
             w = _from_ordinal((a + b) // 2)
             continue
-        # closed on adjacent doubles; an analytic end, never evaluated, may be the root
-        h_lo, h_hi = (abs(_log_residual(q, z, e)[0]) for e in (lo, hi))
-        if math.isinf(h_lo + h_hi) or max(-lo, hi) == sys.float_info.max:
-            raise ConvergenceError(
-                f"no double approximates the root for q = {q:g}, z = {z!r} "
-                f"({branch.value} branch): it lies next to the wall or beyond the "
-                f"double range; best w = {best_w!r}",
-                best_w=best_w, residual=best_h, iterations=iters)
-        return (lo if h_lo <= h_hi else hi), min(h_lo, h_hi), iters
+        # closed on adjacent doubles: the better end, unless an end is the end
+        # of the double range or at the wall.  An analytic end, never
+        # evaluated, may be the root; the loop's last w is already one end
+        if max(-lo, hi) != sys.float_info.max:
+            if h_lo is None:
+                h_lo = abs(_log_residual(q, z, lo)[0])
+            if h_hi is None:
+                h_hi = abs(_log_residual(q, z, hi)[0])
+            if not math.isinf(h_lo + h_hi):
+                return (lo if h_lo <= h_hi else hi), min(h_lo, h_hi), iters
+        raise ConvergenceError(
+            "no double approximates the root for q = %g, z = %r (%s branch): it lies "
+            "next to the wall or beyond the double range; best w = %r",
+            q, z, branch.value, best_w, best_w=best_w, residual=best_h, iterations=iters)
     raise ConvergenceError(
-        f"no convergence to tol {tol:g} within {max_iter} iterations for "
-        f"q = {q:g}, z = {z!r} ({branch.value} branch); best w = {best_w!r}, "
-        f"relative residual = {best_h:.3e}",
-        best_w=best_w, residual=best_h, iterations=iters)
+        "no convergence to tol %g within %d iterations for q = %g, z = %r (%s branch); "
+        "best w = %r, relative residual = %.3e", tol, max_iter, q, z, branch.value, best_w,
+        best_h, best_w=best_w, residual=best_h, iterations=iters)
 
 
 def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
@@ -486,14 +504,14 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
     if z == z_b:
         raise DerivativeSingularError(
-            f"dW/dz diverges at the branch point z_b = {z_b!r} for q = {q:g}")
+            "dW/dz diverges at the branch point z_b = %r for q = %g", z_b, q)
     if z == 0.0:
         return 1.0
     lo, hi, start = _bracket(q, z, branch, z_b, w_b)
     w = _root(q, z, branch, lo, hi, start, tol, max_iter)[0]
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
-        raise DerivativeSingularError(f"dW/dz diverges at w = {w!r} (q = {q:g})")
+        raise DerivativeSingularError("dW/dz diverges at w = %r (q = %g)", w, q)
     ratio = w / z  # positive: w and z share a sign on every branch
     try:
         power = ratio ** q

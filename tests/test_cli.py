@@ -78,6 +78,16 @@ def test_malformed_exact_operand_prints_one_error_line(capsys, q, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("subject", ["wq", "dwq"])
+def test_refusal_beyond_the_double_range_prints_its_values(capsys, subject):
+    # ConvergenceError builds its text from its values when the CLI reads it
+    code, out, err = run_main(capsys, "eval", subject, "--q", "2.5", "--z", "-4e219")
+    assert (code, out, err) == (1, "", (
+        "error: no double approximates the root for q = 2.5, z = -4e+219 (upper branch): "
+        "it lies next to the wall or beyond the double range; "
+        "best w = -1.7976931348623157e+308\n"))
+
+
 def test_exit_two_on_missing_classify_operand():
     p = run_cli("classify", "wq", "--q", "2")
     assert p.returncode == 2

@@ -10,6 +10,7 @@ arithmetic for the rest.
 import importlib
 import math
 import operator
+import pickle
 import random
 import re
 import sys
@@ -19,14 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambert_tsallis.classify import Classification, Rule, classify_expq
+from lambert_tsallis.classify import Classification, Rule, classify_expq, classify_wq
 from lambert_tsallis.cli import main
 from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
                                     DerivativeSingularError, DomainError,
-                                    MalformedInputError, NoBranchPointError)
+                                    LambertTsallisError, MalformedInputError,
+                                    NoBranchPointError)
 from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
                                    parse_exact)
-from lambert_tsallis.qexp import exp_q
+from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
 from lambert_tsallis.verify import CheckResult, algebraicity_scan, branch_point_check
 from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, BranchPoint, Interval,
                                 SolveResult, _bracket, _check_request, _ends, _log_residual,
@@ -363,6 +365,31 @@ def test_bad_solver_configuration():
         wq(1.0, 1.0, Branch.UPPER, max_iter=0)
 
 
+@pytest.mark.parametrize("call", [wq, dwq_dz])
+@pytest.mark.parametrize("setting, text", [
+    ({"tol": "1e-9"}, "tol must be a positive finite real, got '1e-9'"),
+    ({"tol": None}, "tol must be a positive finite real, got None"),
+    ({"tol": True}, "tol must be a positive finite real, got True"),
+    ({"max_iter": "5"}, "max_iter must be an integer, got '5'"),
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ({"max_iter": True}, "max_iter must be an integer, got True"),
+    ({"max_iter": None}, "max_iter must be an integer, got None"),
+])
+def test_solver_settings_of_the_wrong_type_are_refused(call, setting, text):
+    # these raised the builtin TypeError, or were taken as a budget of 2.5 or
+    # True evaluations
+    with pytest.raises(ConfigurationError) as e:
+        call(1.0, 1.0, **setting)
+    assert str(e.value) == text
+
+
+def test_solver_settings_of_other_number_types_are_taken():
+    assert wq(1.0, 1.0, tol=Fraction(1, 10**12), max_iter=DEFAULT_MAX_ITER) == wq(1.0, 1.0)
+    assert wq(1.0, 1.0, tol=1, max_iter=operator.index(3)).iterations == 1
+    # compared exactly, not through float(): this raised the builtin OverflowError
+    assert wq(1.0, 1.0, tol=10**400).iterations == 1
+
+
 @pytest.mark.parametrize("q, z", [(0.0, -0.1875), (0.5, -0.1), (1.0, -0.2), (1.5, -0.05)])
 def test_branch_as_a_string_or_a_member_gives_one_answer(q, z):
     assert wq(q, z, "lower") == wq(q, z, Branch.LOWER)
@@ -455,6 +482,93 @@ def test_convergence_error_carries_best_iterate():
     assert err.iterations == 3
     assert abs(err.best_w - OMEGA) < 0.2
     assert err.residual < 1.0
+
+
+def _no_double(q, z, branch, best_w):
+    return (f"no double approximates the root for q = {q}, z = {z} ({branch} branch): it "
+            f"lies next to the wall or beyond the double range; best w = {best_w}")
+
+
+# ConvergenceError's text is built when it is read, from the values it keeps:
+# each refusal as (str, best_w, residual, iterations), as they read when the
+# text was built at the raise
+REFUSALS = [
+    ((2.5, -4e219), _no_double("2.5", "-4e+219", "upper", "-1.7976931348623157e+308"),
+     -1.7976931348623157e+308, 269.32850216776, 1),
+    ((2.5, 1e200), _no_double("2.5", "1e+200", "upper", "0.6666666666666665"),
+     0.6666666666666665, 436.8933814475059, 1),
+    ((3.0, 1e8), _no_double("3", "100000000.0", "upper", "0.49999999999999994"),
+     0.49999999999999994, 0.7454276396737605, 1),
+    ((-1e200, -5e-201, "lower"), _no_double("-1e+200", "-5e-201", "lower", "-1e-200"),
+     -1e-200, math.inf, 1),
+    ((1.0, 1.0, "upper", DEFAULT_TOL, 3),
+     "no convergence to tol 1e-12 within 3 iterations for q = 1, z = 1.0 (upper branch); "
+     "best w = 0.5643823935199818, relative residual = 7.641e-03",
+     0.5643823935199818, 0.007640861009083455, 3),
+]
+
+
+@pytest.mark.parametrize("call", [wq, dwq_dz])
+@pytest.mark.parametrize("args, text, best_w, residual, iterations", REFUSALS)
+def test_refusal_text_and_values_are_pinned(call, args, text, best_w, residual, iterations):
+    with pytest.raises(ConvergenceError) as e:
+        call(*args)
+    err = e.value
+    assert (str(err), err.best_w, err.residual, err.iterations) == \
+        (text, best_w, residual, iterations)
+
+
+@pytest.mark.parametrize("call, args, kind, text", [
+    (wq, (1.0, -5.0), DomainError,
+     "z = -5.0 is outside the upper-branch domain [-0.367879, inf) for q = 1"),
+    (dwq_dz, (1.0, 0.5, "lower"), DomainError,
+     "z = 0.5 is outside the lower-branch domain [-0.367879, 0) for q = 1"),
+    (wq, (2.5, -1.0, "lower"), NoBranchPointError,
+     "no lower branch for q = 2.5: the branch point exists only for q < 2"),
+    (dwq_dz, (1.0, -0.36787944117144233), DerivativeSingularError,
+     "dW/dz diverges at the branch point z_b = -0.36787944117144233 for q = 1"),
+    (ln_q, (2.0, -1.0), DomainError, "ln_q is defined for z > 0 only, got z = -1.0"),
+    (dlnq_dz, (2.0, Fraction(0)), DomainError,
+     "dlnq_dz is defined for z > 0 only, got z = Fraction(0, 1)"),
+])
+def test_domain_error_text_is_pinned(call, args, kind, text):
+    with pytest.raises(DomainError) as e:
+        call(*args)
+    assert (type(e.value), str(e.value)) == (kind, text)
+
+
+@pytest.mark.parametrize("raised", [
+    lambda: wq(2.5, -4e219),
+    lambda: wq(1.0, 1.0, max_iter=3),
+    lambda: wq(1.0, -5.0),
+    lambda: ln_q(2.0, -1.0),
+    lambda: classify_wq(parse_exact("2"), parse_exact("-1")),  # text built at the raise
+], ids=["no-double", "budget", "wq-domain", "lnq-domain", "classify-domain"])
+def test_errors_survive_a_pickle_round_trip(raised):
+    with pytest.raises(LambertTsallisError) as e:
+        raised()
+    err = e.value
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert (str(back), back.args, back.__dict__) == (str(err), err.args, err.__dict__)
+
+
+def test_a_closed_bracket_reuses_the_ends_it_evaluated(monkeypatch):
+    # the loop's last w is an end of the closed bracket; an end of the double
+    # range refuses without an evaluation, and iterations counts only the loop's
+    solver = importlib.import_module("lambert_tsallis.wq")
+    original, calls = solver._log_residual, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_log_residual", counted)
+    for args, evaluations in [((2.5, -4e219), 1), ((2.5, 1e200), 2)]:
+        calls[0] = 0
+        with pytest.raises(ConvergenceError) as e:
+            wq(*args)
+        assert (calls[0], e.value.iterations) == (evaluations, 1), args
 
 
 # --------------------------------------------------------------- derivative
