@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from bisect import bisect_left
 from collections import namedtuple
 
-from .errors import ConfigurationError, NoBranchPointError
-from .qexp import exp_q
+from .errors import ConfigurationError, MalformedInputError, NoBranchPointError
+from .qexp import _require_finite, exp_q
 from .wq import Branch, branch_point, dwq_dz, wq
 
 __all__ = [
@@ -161,22 +163,37 @@ def algebraicity_scan(x: float, degree_max: int, coeff_max: int,
     hit means best |p(x)| < eps.
 
     Meet in the middle (Horowitz & Sahni, JACM 21(2), 1974): p = H + L,
-    with L the lower m = floor((D+1)/2) coefficients.  The L values are
-    sorted once; for each H the polynomials whose split sum H(x) + L(x)
-    lies within a rigorous rounding bound of the best Horner value so far
-    are found by bisection and evaluated by Horner, so no minimizer and no
-    tie is missed.  With n = 2C+1 that takes O(n^(D+1-m) log n) time and
-    O(n^m) memory, where a full enumeration visits C n^D polynomials.
+    with L the lower m = floor((D+1)/2) coefficients.  The polynomials
+    whose split sum H(x) + L(x) lies within a rigorous rounding bound of
+    the best Horner value so far are found and evaluated by Horner, so no
+    minimizer and no tie is missed.  For odd D each H finds them by one
+    bisection of the sorted L values.  For even D, H has one coefficient
+    more than L; the L values are also keyed by the fractional part of
+    -L(x)/x^m, and each head (H without its last coefficient c) finds every
+    (c, L) by one bisection of these keys.  With n = 2C+1 either takes
+    O(n^m log n) time and O(n^m) memory, where a full enumeration visits
+    C n^D polynomials.  Where x^m is zero or subnormal, or the bound spans a
+    large part of a unit of -L(x)/x^m, an even D falls back to one
+    bisection per H, O(n^(m+1) log n).
+
+    ConfigurationError unless x is a finite real, degree_max and coeff_max
+    are integers (not bools) in 1..4 and 1..100, and eps is a positive real.
     """
-    if not (1 <= degree_max <= 4):
-        raise ConfigurationError(f"degree_max must be in 1..4, got {degree_max!r}")
-    if not (1 <= coeff_max <= 100):
-        raise ConfigurationError(f"coeff_max must be in 1..100, got {coeff_max!r}")
-    if not (eps > 0.0):
-        raise ConfigurationError(f"eps must be positive, got {eps!r}")
-    if not math.isfinite(x):
-        raise ConfigurationError(f"scan target must be finite, got {x!r}")
-    x = float(x)
+    # an int bound and a float eps skip the numbers ABC tests
+    for name, bound, top in (("degree_max", degree_max, 4), ("coeff_max", coeff_max, 100)):
+        if not (bound.__class__ is int
+                or (isinstance(bound, numbers.Integral) and bound.__class__ is not bool)):
+            raise ConfigurationError(f"{name} must be an integer, got {bound!r}")
+        if not (1 <= bound <= top):
+            raise ConfigurationError(f"{name} must be in 1..{top}, got {bound!r}")
+    if not ((eps.__class__ is float
+             or (isinstance(eps, numbers.Real) and eps.__class__ is not bool))
+            and eps > 0.0):
+        raise ConfigurationError(f"eps must be a positive real, got {eps!r}")
+    try:
+        x = _require_finite("scan target", x)
+    except MalformedInputError as exc:
+        raise ConfigurationError(*exc.args) from None
     if abs(x) > 2 * coeff_max + 2:
         # |p(x)| > |x|^d (1 - C/(|x|-1)) > |x|/2 > 1 for every nonconstant p
         # in the box (also in floating point, overflow included), so the
@@ -218,27 +235,79 @@ def _scan_min(x: float, degree_max: int, coeff_max: int) -> tuple[float, tuple[i
            * math.fsum(abs(x) ** i for i in range(1, degree_max + 1)) + 2.0 ** -1000)
     xm = math.prod(itertools.repeat(x, m))
     r = best * (1.0 + 8.0 * _U) + err
+    # Residue lookup, for even D.  Write X = x^m, h = H(x)/X - c for the
+    # head's exact value, t for its computed value and s_j = -L_j/xm for the
+    # computed keys.  Where xm is normal, |xm - X| <= u|X| (m <= 2); t lies
+    # within gamma_2D T/|X| of h (its terms are the upper ones over X), and
+    # s_j within (gamma_2D T + 2u|L_j|)/|X| + 4u|s_j| of -L(x)/X.  Since
+    # H(x) + L(x) = X (h + c + L(x)/X), the bound above gives every p with
+    # v <= best
+    #     |t + c - s_j| <= r/|X| + 6u|s_j| + 2^-1000   (the last: underflow).
+    # Where rho < 1/4 (rho is taken from r at the head's start; r only
+    # shrinks), |t - h| < 1/4 and |h| <= C sum_{1<=i<nh} |x|^i, so such a
+    # key has |s_j| <= bound - 1/2, and keys beyond bound are dropped.
+    # s % 1.0 is within u of the exact fractional part (fmod is exact, and
+    # adding 1 to a negative remainder rounds once), the window ends and
+    # f + 1 round by at most 6u, and s_j - t by at most u(C + 1), which
+    # leaves round(s_j - t) = c: rho covers all of these even after its own
+    # rounding.  keyed holds the (L_j, coefficients) pairs of lows sorted by
+    # the fractional part of s_j (recomputed where needed, the same double),
+    # twice, and fracs those parts, the second copy plus 1, so the window
+    # [f - rho, f + rho], moved up by 1 when it starts at or below 0, is one
+    # run found by one bisection.
+    keyed = None
+    if nh > m and abs(xm) >= sys.float_info.min:
+        # ((2C+1)^nh - 1)/2 pairs (head, c) against (2C+1)^m lower values:
+        # the lookup does less work by count exactly where nh > m, i.e. even D
+        bound = coeff_max * (math.fsum(abs(x) ** i for i in range(1, nh)) + 1.0) + 1.0
+        slack = 16.0 * _U * (bound + 1.0) + 2.0 ** -1000
+        scale = (1.0 + 8.0 * _U) / abs(xm)
+        keyed = sorted([e for e in lows if abs(e[0] / xm) <= bound],
+                       key=lambda e: (-e[0] / xm) % 1.0)
+        fracs = [(-v / xm) % 1.0 for v, _ in keyed]
+        fracs += [f + 1.0 for f in fracs]
+        keyed += keyed
     # H streams in increasing key order: fewer leading zeros later, then
-    # lexicographic, so a zero minimum ends the scan once its H is done
+    # lexicographic, so a zero minimum ends the scan once its head is done
     for lead in range(nh):  # H / x^m has degree `lead`
         pad = (0,) * (nh - 1 - lead)
         heads = (itertools.product(range(1, coeff_max + 1), *[box] * (lead - 1))
                  if lead else [()])
+        cs = box if lead else range(1, coeff_max + 1)
         for head in heads:
             t = _horner(head, x) * x
-            for c in (box if lead else range(1, coeff_max + 1)):
-                target = -(t + c) * xm
-                j = bisect_left(lvals, target - r)
-                while j < n and lvals[j] <= target + r:
-                    p = pad + head + (c,) + lows[j][1]
-                    v = abs(_horner(p, x))
-                    if v < best or (v == best and p < key):
-                        best, key = v, p
-                        r = best * (1.0 + 8.0 * _U) + err
+            if keyed is not None and (rho := r * scale + slack) < 0.25:
+                f = t % 1.0
+                lo, hi = f - rho, f + rho
+                if lo <= 0.0:
+                    lo, hi = lo + 1.0, hi + 1.0
+                j = bisect_left(fracs, lo)
+                while j < len(fracs) and fracs[j] <= hi:
+                    v, low = keyed[j]
+                    c = round(-v / xm - t)
+                    if c in cs:
+                        best, key = _keep(pad + head + (c,) + low, x, best, key)
                     j += 1
-                if best == 0.0:
-                    return best, _strip(key)
+                r = best * (1.0 + 8.0 * _U) + err
+            else:
+                for c in cs:
+                    target = -(t + c) * xm
+                    j = bisect_left(lvals, target - r)
+                    while j < n and lvals[j] <= target + r:
+                        best, key = _keep(pad + head + (c,) + lows[j][1], x, best, key)
+                        r = best * (1.0 + 8.0 * _U) + err
+                        j += 1
+            if best == 0.0:
+                return best, _strip(key)
     return best, _strip(key)
+
+
+def _keep(p: tuple[int, ...], x: float, best: float,
+          key: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+    """(best, key) updated with the padded candidate p: the smaller of
+    (|p(x)|, p) and (best, key)."""
+    v = abs(_horner(p, x))
+    return (v, p) if v < best or (v == best and p < key) else (best, key)
 
 
 def _strip(key: tuple[int, ...]) -> tuple[int, ...]:

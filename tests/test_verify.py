@@ -1,12 +1,14 @@
 """Cross-check harness: scan determinism and hits, residual/derivative
 helpers, branch-point reports, suite wiring."""
 
+import bisect
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -135,6 +137,60 @@ def test_scan_omega_degree_four_is_pinned():
     assert rep.best_poly == (23, -16, 22, -8, -2)
     assert rep.best_abs_value == 2.4389017250214806e-08
     assert not rep.hit
+
+
+# degree 4 at C = 4..6, past SCAN_TARGETS' boxes.  An integer x puts frac(t)
+# at 0 for every head, so every residue window wraps past 0 and 1, as some
+# do at 2.5, 1.75, 1/7 and phi.  At 0.1 and -1/8 the first heads' windows
+# span a large part of a period, so those heads bisect once per last
+# coefficient, as every head does where x^2 is subnormal (1e-160) or zero
+# (1e-300, 5e-324)
+@pytest.mark.parametrize("x", [7.0, -9.0, 2.5, 1.75, 1.0 / 7.0, _PHI, 0.1, -0.125, OMEGA,
+                               1e-160, 1e-300, 5e-324])
+def test_scan_degree_four_matches_brute_force(x):
+    for coeff_max in range(4, 7):
+        rep = algebraicity_scan(x, 4, coeff_max)
+        ref = brute_force_scan(x, 4, coeff_max)
+        assert rep == ref, coeff_max
+        assert rep.best_abs_value.hex() == ref.best_abs_value.hex()
+
+
+def test_scan_degree_four_makes_one_lookup_per_head(monkeypatch):
+    # 1 + 30 + 30 * 61 = 1 861 heads (the upper part without its last
+    # coefficient); one bisection per upper part made 113 490
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bisect.bisect_left(*args)
+
+    monkeypatch.setattr(verify, "bisect_left", counted)
+    rep = algebraicity_scan(OMEGA, 4, 30)
+    assert rep.best_poly == (23, -16, 22, -8, -2)
+    assert 1861 <= len(calls) <= 1900
+
+
+def test_scan_omega_degree_four_coeff_100_is_pinned():
+    # a pigeonhole artefact of the double Horner value (ROADMAP item 10)
+    rep = algebraicity_scan(OMEGA, 4, 100)
+    assert rep.best_poly == (22, -59, -59, -75, 70)
+    assert rep.best_abs_value == 2.8191493584017735e-10
+
+
+@pytest.mark.parametrize("args", [
+    (0.5, 2.5, 2), (0.5, 2, 2.5), (0.5, True, 2), (0.5, 2, True),
+    ("0.5", 2, 2), (10**400, 2, 2), (None, 2, 2), (1j, 2, 2),
+    (0.5, 2, 2, "1e-8"), (0.5, 2, 2, True),
+])
+def test_scan_arguments_of_the_wrong_type_are_refused(args):
+    with pytest.raises(ConfigurationError):
+        algebraicity_scan(*args)
+
+
+def test_scan_takes_other_number_types():
+    assert algebraicity_scan(Fraction(1, 2), 1, 2) == algebraicity_scan(0.5, 1, 2)
+    rep = algebraicity_scan(1, 1, 2, eps=Fraction(1, 10))
+    assert rep.target == 1.0 and rep.target.__class__ is float and rep.hit
 
 
 def test_scan_configuration_bounds():
