@@ -3,10 +3,12 @@
 Verdicts, named tuples Classification, come from a guarded decision
 procedure over exact inputs (`exact.ExactNumber`), which are canonical
 by construction.  Each classify_* checks its operands' type once and then
-tests their shapes directly.  Every Transcendental verdict cites a rule
-whose hypotheses were checked on the inputs, so a verdict is never wrong;
-when no rule applies the result is the legal verdict Unknown with rule
-GuardFallthrough.
+tests their shapes directly: an operand equals 0, 1 or 2 when its class is
+Rational and its Fraction equals that int, a test that skips the
+numbers.Rational check Fraction.__eq__ makes against another Fraction.
+Every Transcendental verdict cites a rule whose hypotheses were checked on
+the inputs, so a verdict is never wrong; when no rule applies the result is
+the legal verdict Unknown with rule GuardFallthrough.
 
 Floating point enters in one place, the z_b guard of classify_wq: for surd
 q < 2 and z < 0, W_q(z) is real only for z >= z_b, which has no exact form
@@ -160,11 +162,11 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
     same cutoff guard; (f) otherwise Unknown.
     """
     q, z = _check(q), _check(z)
-    if z == ZERO:
+    if z.__class__ is Rational and z.value == 0:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "exp_q(0) = 1 exactly for every deformation q.", ONE)
-    if q == ONE and not isinstance(z, NamedTranscendental):
+    if q.__class__ is Rational and q.value == 1 and not isinstance(z, NamedTranscendental):
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.CLASSICAL_EXP,
             f"q = 1 is the classical exponential and z = {render_exact(z)} is a "
@@ -196,7 +198,7 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
                 "exp_q(z) transcendental.")
         # q rational != 1 with algebraic z: the exponent 1/(1-q) is rational,
         # Gelfond-Schneider does not reach it
-    if isinstance(q, Rational) and q != ONE and isinstance(z, NamedTranscendental):
+    if q.__class__ is Rational and q.value != 1 and isinstance(z, NamedTranscendental):
         s = _bracket_sign_named(q, z)
         if s is not None and s < 0:
             return Classification(
@@ -231,12 +233,12 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
     usable double z_b exists; (f) otherwise Unknown.
     """
     q, z = _check(q), _check(z)
-    if z == ZERO:
+    if z.__class__ is Rational and z.value == 0:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "W_q(0) = 0 exactly for every q (0 is the only solution of "
             "w exp_q(w) = 0 on the principal branch).", ZERO)
-    if q == _TWO and not isinstance(z, NamedTranscendental):
+    if q.__class__ is Rational and q.value == 2 and not isinstance(z, NamedTranscendental):
         if sign(add(ONE, z)) <= 0:
             raise DomainError(
                 f"W_2(z) = z/(1+z) has a pole at z = -1 and no real value for "
@@ -246,13 +248,13 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
             classify_number(value), Rule.CLOSED_FORM_Q2,
             f"q = 2 has the closed form W_2(z) = z/(1+z) = {render_exact(value)}; "
             "its arithmetic class is read off the exact value.", value)
-    if q == ONE and z == ONE:
+    if q.__class__ is Rational and q.value == 1 and z.__class__ is Rational and z.value == 1:
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.CLASSICAL_W1,
             "q = 1, z = 1: W(1) is the omega constant, transcendental "
             "(were it algebraic, e^W(1) = 1/W(1) would contradict "
             "Lindemann-Weierstrass).")
-    if isinstance(q, QuadSurd) and z == ONE:
+    if isinstance(q, QuadSurd) and z.__class__ is Rational and z.value == 1:
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.THEOREM_1,
             f"q = {render_exact(q)} is algebraic irrational; x = W_q(1) satisfies "
@@ -301,7 +303,7 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
     if not isinstance(z0, NamedTranscendental) and sign(z0) <= 0:
         raise DomainError(
             f"the deformed logarithm needs z0 > 0, got z0 = {render_exact(z0)}")
-    if z0 == ONE:
+    if z0.__class__ is Rational and z0.value == 1:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "z0 = 1 gives 1^(-q) = 1 exactly; base 1 is excluded from "

@@ -116,8 +116,14 @@ def exp_q(q: float, z: float) -> float:
 
 
 def _exp_q(q: float, z: float) -> float:
-    """exp_q on finite floats, unchecked: exp of the kernel _ln_exp_q."""
-    return _safe_exp(_ln_exp_q(q, z))
+    """exp_q on finite floats, unchecked: exp of the kernel _ln_exp_q.  It
+    calls math.exp itself, not _safe_exp: one Python call fewer per table
+    row, public exp_q and branch point."""
+    x = _ln_exp_q(q, z)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _ln_exp_q(q: float, z: float) -> float:

@@ -33,20 +33,33 @@ the wall, z/(1+z) and the double range).  On a table, a row after one that
 the degree-5 extrapolant through the last six roots started and finished at
 its first evaluation starts from that extrapolant again, inside the fixed
 ends alone: on a 10^4-step grid that is nearly every row, and they skip
-_bracket's tails and analytic start.  The loop falls back to bisection over
-the ordered doubles, arithmetic on a narrow bracket and geometric across
-decades, whenever a step leaves the bracket or |h| fails to halve in two
-evaluations.  It stops when |h| <= tol or a step is under 4 ulp of w, and
-returns the point after that step.  A bracket closed on adjacent doubles
-returns its better end, or raises ConvergenceError when one end is the wall
-or the end of the double range: no double approximates the root there.  The
-closure reuses |h| at an end the loop evaluated, so it evaluates at most the
-one analytic end, and none when an end is the end of the double range.
+_bracket's tails and analytic start.  Where |z| is so small on the upper
+branch below 0 that z/(1+z) is within an ulp of W, that end is the start.
+The loop falls back to bisection over the ordered doubles, arithmetic on a
+narrow bracket and geometric across decades, whenever a step leaves the
+bracket or |h| fails to halve in two evaluations.  It stops when |h| <= tol
+or a step is under 4 ulp of w, and returns the point after that step.  A
+bracket closed on adjacent doubles returns its better end, or raises
+ConvergenceError when one end is the wall or the end of the double range: no
+double approximates the root there.  The closure reuses |h| at an end the
+loop evaluated, so it evaluates at most the one analytic end, and none when
+an end is the end of the double range.
 
-dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) for every q
-(Corless et al., Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W
-from the defining relation, as the bracket 1 + (1-q) W cancels next to the
-wall.  It divides in log space where a factor leaves the normal range.
+dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) (Corless et al.,
+Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W from the defining
+relation, as the bracket 1 + (1-q) W cancels next to the wall.  It divides in
+log space where a factor leaves the normal range.  The power multiplies the
+relative error of W/z by |q|; as 1 + (1-q) W = (z/W)^(1-q) at the root, the
+rational form
+
+    dW/dz = (W/z) (1 + (1-q) W) / (1 + (2-q) W)
+
+multiplies it by 1 + c instead, c = |(1-q) W / (1 + (1-q) W)| being the
+bracket's cancellation.  dwq_dz takes the rational form where |q| > 2 and
+1 + c < |q|, dividing both brackets by W where |W| > 1 so that no product
+overflows, and the power elsewhere: next to the wall, where the bracket
+cancels, and for |q| <= 2, where 1 + c reaches q at the branch point and the
+two forms tie.
 
 Inputs are checked once per public call.  _check_settings holds the checks
 that need no z (the branch, tol, max_iter, lower-branch existence, in that
@@ -59,10 +72,13 @@ compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
 message wrap that in an Interval.  Likewise _ends alone says which fixed
 bounds hold a root, and _bracket only tightens them.  _root, which checks
 nothing, is the only loop: wq and dwq_dz call it once on _bracket's start,
-with no generator, and _solve, the CLI table's driver, calls it per row of
-the kept grid and yields plain (w, residual, iterations) tuples; only wq
-builds a SolveResult.  SolveResult and BranchPoint are named tuples: their
-fields are read-only, and they unpack, index and compare equal like tuples.
+with no generator.  _solve, which solves the CLI table's kept grid in order,
+yields a plain (w, residual, iterations) tuple per row; it makes the first
+evaluation of a row that starts from the extrapolant itself, by _root's rule,
+and calls _root for a row that does not stop there and for every other row.
+Only wq builds a SolveResult.  SolveResult and BranchPoint are named tuples:
+their fields are read-only, and they unpack, index and compare equal like
+tuples.
 """
 
 from __future__ import annotations
@@ -237,7 +253,9 @@ def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
     evaluated.  For q >= 1, exp_q(w) >= e^w gives W < log|z| where
     |W| >= 1, and s e^(-s) < e^(-s/2) gives W > 2 log|z| on the classical
     lower branch; the tails bound the far ends.  Near z_b the start is the
-    root of h's quadratic model h(w_b) = log(z_b/z), h''(w_b) = -(2-q)^3.
+    root of h's quadratic model h(w_b) = log(z_b/z), h''(w_b) = -(2-q)^3,
+    except on the upper branch where |z| is small enough that the end
+    z/(1+z) is within an ulp of W, which is then the start.
     """
     lo, hi = _ends(q, z, branch, w_b)
     if z > 0.0:  # upper branch
@@ -259,6 +277,13 @@ def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
         if q >= 2.0:
             if q > 2.0:
                 hi = min(hi, _power_tail(q, z))
+            return lo, hi, hi
+        # W = z/(1+z) (1 - (2-q) z^2/2 + ...), and while |(1-q) z| <= 3/4 the
+        # later terms add at most twice the second-order one: once (2-q) z^2 <=
+        # 2^-54 the end hi = z/(1+z) is within an ulp of W.  Below about
+        # q = -1e16 the quadratic model would start at or next to w_b there,
+        # up to 300 decades from the root
+        if (1.0 - q) * z >= -0.75 and (2.0 - q) * z * z <= 2.0 ** -54:
             return lo, hi, hi
     elif q < 1.0:
         wall, lo = lo, _wall_tail(q, z)
@@ -400,8 +425,18 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     skips _bracket; where the analytic start is all but exact, as at q = 2 on
     [-0.999, 1], it keeps winning and about half the rows call it.  The
     extrapolant needs six roots and one point to compare on, so the first seven
-    points of a run take the analytic start, as wq does."""
+    points of a run take the analytic start, as wq does.
+
+    A point that starts from the extrapolant inside the fixed ends gets its
+    first evaluation here, with _root's first iteration: the side update, the
+    Newton point and the stopping rule.  A point that stops there yields that
+    Newton point and makes no _root call, which on a 10^4-step table is about
+    96% of the rows; every other point runs _root from the same start and
+    ends, which evaluates the start once more.  Each row is the one _root
+    alone would give, bit for bit."""
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
+    lower = branch is _LOWER
+    inf, ulp = math.inf, math.ulp  # a local costs less than a module attribute
     w1 = w2 = w3 = w4 = w5 = w6 = math.nan  # the last six roots, newest first
     extrap = math.nan
     extrap_nearer = from_extrap = False
@@ -420,14 +455,30 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
             if from_extrap:
                 lo, hi = _ends(q, z, branch, w_b)
                 from_extrap = lo < extrap < hi
-            bracketed = not from_extrap
-            if bracketed:
+            if from_extrap:
+                # _root's first iteration from extrap, with its side update,
+                # Newton point and stopping rule: a row that stops here makes
+                # no _root call, and any other row runs _root from the same start
+                h, slope = _log_residual(q, z, extrap)
+                ah = abs(h)
+                newton = extrap - h / slope if slope != 0.0 else math.nan
+                if newton == extrap and abs(slope) == inf:
+                    newton = extrap - h * extrap
+                if (h < 0.0) == (lower or z > 0.0) or h == -inf:
+                    step_inside = extrap < newton < hi  # extrap is the new lo
+                else:
+                    step_inside = lo < newton < extrap  # extrap is the new hi
+                if ((ah <= tol or abs(extrap - newton) <= 4.0 * ulp(extrap))
+                        and (step_inside or newton == extrap)):
+                    result = (newton, ah, 1)
+                else:
+                    result = _root(q, z, branch, lo, hi, extrap, tol, max_iter)
+            else:
                 lo, hi, start = _bracket(q, z, branch, z_b, w_b)
                 inside = lo < extrap < hi  # False while extrap is nan
                 from_extrap = inside and extrap_nearer
-            result = _root(q, z, branch, lo, hi, extrap if from_extrap else start,
-                           tol, max_iter)
-            if bracketed:
+                result = _root(q, z, branch, lo, hi, extrap if from_extrap else start,
+                               tol, max_iter)
                 extrap_nearer = inside and abs(extrap - result[0]) < abs(start - result[0])
         from_extrap = from_extrap and result[2] == 1
         w1, w2, w3, w4, w5, w6 = result[0], w1, w2, w3, w4, w5
@@ -513,6 +564,20 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     if den == 0.0:
         raise DerivativeSingularError("dW/dz diverges at w = %r (q = %g)", w, q)
     ratio = w / z  # positive: w and z share a sign on every branch
+    if abs(q) > 2.0:
+        # the rational form, with both brackets over W where |W| > 1
+        if abs(w) > 1.0:
+            r = 1.0 / w
+            num, rden = (1.0 - q) + r, (2.0 - q) + r
+            c = abs((1.0 - q) / num)
+        else:
+            u = (1.0 - q) * w
+            num, rden = 1.0 + u, den
+            c = abs(u / num) if num else math.inf
+        if 1.0 + c < abs(q):
+            d = ratio * (num / rden)
+            if sys.float_info.min <= min(ratio, abs(d)) and max(ratio, abs(d)) < math.inf:
+                return d
     try:
         power = ratio ** q
     except OverflowError:

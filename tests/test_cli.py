@@ -972,6 +972,15 @@ def test_table_continuation_rows_skip_the_bracket(monkeypatch, capsys, q, z_from
         _assert_near_wq(q, z, branch, v)
 
 
+def test_table_rows_settled_at_the_first_evaluation_make_no_root_call(monkeypatch, capsys):
+    # a row that starts from the extrapolant inside the fixed ends and stops
+    # at that first evaluation is settled in _solve; solving each row through
+    # _root would make a call for each of the 10^4 rows
+    roots = _counted(monkeypatch, "_root")
+    rows = _wq_table(capsys, 1.0, -0.3, 25.0, "upper", steps=10_000)
+    assert len(rows) == 10_000 and roots[0] <= 0.05 * len(rows), roots[0]
+
+
 def test_table_builds_no_solve_result(monkeypatch, capsys):
     # the solver yields plain tuples; only the public wq builds a SolveResult.
     # It builds it with tuple.__new__, which runs no Python __new__ or

@@ -233,14 +233,22 @@ def test_upper_branch_start_at_the_cutoff(q):
     assert res.w == z and res.residual <= DEFAULT_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: (W/z)^q multiplies the "
-                   "relative rounding error of W/z by |q|")
 @pytest.mark.parametrize("q, z", [(-1e14, -5e-15), (-2e16, -1e-17), (-1e20, -5e-21),
                                   (-1e200, -5e-201)])
 def test_derivative_next_to_the_branch_point_below_q_minus_1e13(q, z):
     # z is z_b/2 (z_b/5 at q = -2e16); 500-digit mpmath gives 1 + 1.7e-14,
-    # 1 + 2.4e-17, 1 + 1.7e-20 and 1, where dwq_dz gives 1.0048, 1.25, 2.0 and 2.0
+    # 1 + 2.4e-17, 1 + 1.7e-20 and 1.  The power form (W/z)^q multiplied the
+    # rounding of W/z by |q| and gave 1.0048, 1.25, 2.0 and 2.0
     assert dwq_dz(q, z) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, z", [(1.7e308, -1e300), (1e308, -1e300), (1e308, -1e10),
+                                  (1.7e308, -1e308)])
+def test_derivative_for_q_next_to_the_double_range(q, z):
+    # exp_q(W) is 1 to within about log(q |W|)/q here, so W is z and dW/dz is 1
+    # to that relative order; the power form gave 0.0 at the first two and inf
+    # at the last two
+    assert dwq_dz(q, z) == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("q, z", [(-1e10, -3e-309), (-1e10, -1e-315), (0.0, 5e-324)])
@@ -253,6 +261,28 @@ def test_subnormal_root_is_not_a_false_convergence(q, z):
     res = wq(q, z)
     assert res.w == z and res.residual <= DEFAULT_TOL
     assert dwq_dz(q, z) == 1.0
+
+
+@pytest.mark.parametrize("q, z", [
+    (-1e33, -5e-34),  # z_b/2
+    (-1e60, -1.0000000000000001e-65),  # z_b * 1e-5
+    (-1e200, -5e-201),
+    (-1e10, -3e-309),
+])
+def test_tiny_upper_branch_z_starts_at_its_root(monkeypatch, q, z):
+    # z/(1+z) is within an ulp of W here, but the start was the branch-point
+    # quadratic's, at or next to w_b, and the loop bisected up to 300 decades:
+    # 37, 59, 30 and 64 evaluations for the same w, which is z at each
+    solver = importlib.import_module("lambert_tsallis.wq")
+    original, calls = solver._log_residual, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_log_residual", counted)
+    res = wq(q, z)
+    assert res.w == z and calls[0] <= 6, (res, calls[0])
 
 
 def test_power_tail_past_the_double_range():
@@ -897,6 +927,73 @@ def test_one_point_solve_agrees_with_wq_and_dwq_dz(monkeypatch):
             roots += 1
             assert last[0] == ran, (q, z, branch, tol, max_iter)
     assert lazy > 100 and roots > 1000, (lazy, roots)
+
+
+def _per_row_reference(q, zs, branch, bp, tol, max_iter):
+    """The table's solve as it was before _solve settled rows itself: the
+    same starts and ends, but every row other than the z = 0 and z = z_b
+    shortcuts is a _root call.  _solve's rows are held to it bit for bit."""
+    solver = importlib.import_module("lambert_tsallis.wq")
+    z_b, w_b = (math.nan, math.nan) if bp is None else bp
+    w1 = w2 = w3 = w4 = w5 = w6 = math.nan
+    extrap = math.nan
+    extrap_nearer = from_extrap = False
+    for z in zs:
+        if z == 0.0:
+            result = (0.0, 0.0, 0)
+        elif z == z_b:
+            result = (w_b, 0.0, 0)
+        else:
+            if w6 == w6:
+                extrap = 6.0 * w1 - 15.0 * w2 + 20.0 * w3 - 15.0 * w4 + 6.0 * w5 - w6
+            if from_extrap:
+                lo, hi = solver._ends(q, z, branch, w_b)
+                from_extrap = lo < extrap < hi
+            bracketed = not from_extrap
+            if bracketed:
+                lo, hi, start = solver._bracket(q, z, branch, z_b, w_b)
+                inside = lo < extrap < hi
+                from_extrap = inside and extrap_nearer
+            result = solver._root(q, z, branch, lo, hi, extrap if from_extrap else start,
+                                  tol, max_iter)
+            if bracketed:
+                extrap_nearer = inside and abs(extrap - result[0]) < abs(start - result[0])
+        from_extrap = from_extrap and result[2] == 1
+        w1, w2, w3, w4, w5, w6 = result[0], w1, w2, w3, w4, w5
+        yield result
+
+
+def _rows(solve, q, zs, branch):
+    """repr of solve's rows over zs, with its ConvergenceError if one ends them."""
+    rows = []
+    try:
+        rows.extend(solve(q, zs, branch, branch_point(q), DEFAULT_TOL, DEFAULT_MAX_ITER))
+    except ConvergenceError as e:
+        rows.append((str(e), e.best_w, e.residual, e.iterations))
+    return repr(rows)
+
+
+@pytest.mark.parametrize("steps", [1000, 10_000])
+@pytest.mark.parametrize("q, z_from, z_to, branch", [
+    (1.0, -0.3, 25.0, Branch.UPPER),
+    (0.5, -0.5, -1e-3, Branch.LOWER),
+    (3.0, -20.0, 25.0, Branch.UPPER),
+    (2.0, -0.999, 1.0, Branch.UPPER),
+    (2.5, -1e6, 1e6, Branch.UPPER),
+    (0.0, -0.25, 1e6, Branch.UPPER),
+    (2.8335, -1e6, 1e6, Branch.UPPER),
+])
+def test_solve_rows_equal_the_per_row_reference(q, z_from, z_to, branch, steps):
+    # _solve settles a row the extrapolant finishes at its first evaluation
+    # itself and calls _root for the rest; no row may change a bit.  Past the
+    # wall 2/3 at q = 2.5 rows stop on the 4-ulp step floor with |h| above tol
+    step, dom = (z_to - z_from) / (steps - 1), branch_domain(q, branch)
+    zs = [z for z in (z_from + i * step for i in range(steps)) if dom.contains(z)]
+    assert _rows(_solve, q, zs, branch) == _rows(_per_row_reference, q, zs, branch)
+    if q == 2.5:
+        floor = [r for r in _solve(q, zs, branch, branch_point(q), DEFAULT_TOL, DEFAULT_MAX_ITER)
+                 if r[1] > DEFAULT_TOL]
+        assert len(floor) > steps // 4, len(floor)
 
 
 # wq's request faults in check order: each as the arguments it replaces in
