@@ -6,9 +6,13 @@ by construction.  Each classify_* checks its operands' type once and then
 tests their shapes directly: an operand equals 0, 1 or 2 when its class is
 Rational and its Fraction equals that int, a test that skips the
 numbers.Rational check Fraction.__eq__ makes against another Fraction.
-Every Transcendental verdict cites a rule whose hypotheses were checked on
-the inputs, so a verdict is never wrong; when no rule applies the result is
-the legal verdict Unknown with rule GuardFallthrough.
+The guards read their signs from the operands' ints (exact._ints,
+exact._field_pair) through exact._sign_ints, the one sign rule, and build
+no intermediate exact record: classify_expq's bracket 1 + (1-q) z for
+algebraic q, z and classify_wq's q < 2 are one integer sign each.  Every
+Transcendental verdict cites a rule whose hypotheses were checked on the
+inputs, so a verdict is never wrong; when no rule applies the result is the
+legal verdict Unknown with rule GuardFallthrough.
 
 Floating point enters in one place, the z_b guard of classify_wq: for surd
 q < 2 and z < 0, W_q(z) is real only for z >= z_b, which has no exact form
@@ -49,8 +53,10 @@ from fractions import Fraction
 
 from .errors import DomainError, MalformedInputError, UnsupportedFieldError
 from .exact import (ONE, ZERO, ArithmeticClass, ExactNumber, NamedTranscendental,
-                    QuadSurd, Rational, _check, add, classify_number, div, mul,
-                    rational_bounds, render_exact, sign, sub, to_real)
+                    QuadSurd, Rational, _check, _field_pair, _ints, _sign_ints, add,
+                    classify_number, div, rational_bounds, render_exact, sign, sub, to_real)
+# mul is unused here, but bench/spans.py wraps it at this name
+from .exact import mul  # noqa: F401
 from .wq import branch_point
 
 __all__ = [
@@ -100,7 +106,6 @@ def _unknown(reason: str) -> Classification:
     return Classification(ArithmeticClass.UNKNOWN, Rule.GUARD_FALLTHROUGH, reason)
 
 
-_TWO = Rational(2)
 # Relative half-width of the band around the double z_b in which
 # classify_wq answers Unknown.  Against 60-digit mpmath, the relative error
 # of the double branch_point(to_real(q)).z_b was at most 7.8e-16 over the
@@ -132,9 +137,19 @@ def _bracket_sign_algebraic(q: ExactNumber, z: ExactNumber) -> int | None:
     two different quadratic fields (single-surd arithmetic cannot combine
     them)."""
     try:
-        return sign(add(ONE, mul(sub(ONE, q), z)))
+        a1, b1, e1, a2, b2, e2, d = _field_pair(q, z)
     except UnsupportedFieldError:
         return None
+    # q = (a1 + b1 sqrt(d))/e1, z likewise, so with c = e1 - a1 the bracket
+    # is (e1 e2 + c a2 - b1 b2 d + (c b2 - b1 a2) sqrt(d))/(e1 e2), e1 e2 > 0
+    c = e1 - a1
+    return _sign_ints(e1 * e2 + c * a2 - b1 * b2 * d, c * b2 - b1 * a2, d)
+
+
+def _below_two(q: QuadSurd) -> bool:
+    """q < 2, the sign of q - 2 = (A - 2 D + B sqrt(d))/D read from q's ints."""
+    A, B, D, d = _ints(q)
+    return _sign_ints(A - 2 * D, B, d) < 0
 
 
 def _bracket_sign_named(q: Rational, z: NamedTranscendental) -> int | None:
@@ -239,11 +254,12 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
             "W_q(0) = 0 exactly for every q (0 is the only solution of "
             "w exp_q(w) = 0 on the principal branch).", ZERO)
     if q.__class__ is Rational and q.value == 2 and not isinstance(z, NamedTranscendental):
-        if sign(add(ONE, z)) <= 0:
+        one_plus_z = add(ONE, z)
+        if sign(one_plus_z) <= 0:
             raise DomainError(
                 f"W_2(z) = z/(1+z) has a pole at z = -1 and no real value for "
                 f"z <= -1; got z = {render_exact(z)}")
-        value = div(z, add(ONE, z))
+        value = div(z, one_plus_z)
         return Classification(
             classify_number(value), Rule.CLOSED_FORM_Q2,
             f"q = 2 has the closed form W_2(z) = z/(1+z) = {render_exact(value)}; "
@@ -263,7 +279,7 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
             "algebraic irrational) while (1-q) x + 1 stays algebraic: "
             "contradiction, hence W_q(1) is transcendental.")
     if isinstance(q, QuadSurd) and not isinstance(z, NamedTranscendental):
-        if sign(z) < 0 and sign(sub(q, _TWO)) < 0:
+        if sign(z) < 0 and _below_two(q):
             # W_q(z) is real only for z >= z_b
             z_b = _double_z_b(q)
             if z_b is not None and sign(sub(z, _widened(z_b, 1))) < 0:

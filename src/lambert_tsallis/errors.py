@@ -5,7 +5,8 @@ Error(template, *values) keeps the values in args and builds its text,
 template % values, only when it is read, as logging does: the refusals of
 wq, dwq_dz and ln_q name doubles with repr, which costs microseconds at a
 three-digit exponent, and a caller that only catches the type never reads
-the text.  Both kinds pickle with their text and attributes."""
+the text, as the classifiers do with exact's mixed-field refusal.  Both
+kinds pickle with their text and attributes."""
 
 from __future__ import annotations
 

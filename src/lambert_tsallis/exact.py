@@ -31,8 +31,12 @@ check their operands once, at their entry.  No Fraction operator runs in
 the arithmetic, sign, to_real, parsing or rendering: a Fraction is built
 only for each part of a result.
 
-Sign evaluation never touches floating point: for a = an/ad and b = bn/bd
-of opposite signs it compares (an*bd)**2 with (bn*ad)**2*d, else it is b's.
+_sign_ints(A, B, d), the sign of A + B*sqrt(d) for ints, is the one sign
+rule: ``sign`` reads an operand's ints into it, and the classifiers' guards
+the ints of the expression they test.  It never touches floating point: for
+A and B of opposite signs it compares A*A with B*B*d, else it is B's.
+Parsing reads a surd's parts a and b as ints (num, den), splits the radicand
+and builds the canonical result once from those ints.
 
 The text grammar (case-insensitive, whitespace ignored) accepted by
 ``parse_exact`` and emitted by ``render_exact``::
@@ -128,6 +132,9 @@ class Rational(_Exact, namedtuple("Rational", "value")):
         return tuple.__new__(cls, (Fraction(num, den),))
 
 
+_NEGATIVE_RADICAND = "a negative radicand has no real square root"
+
+
 class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
     """a + b*sqrt(d) with the square factor of d split out; b = 0 or a
     perfect-square d yields a Rational."""
@@ -141,7 +148,7 @@ class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
         if not isinstance(d, int):
             raise MalformedInputError(f"a radicand is an int, got {type(d).__name__}")
         if d < 0:
-            raise MalformedInputError("a negative radicand has no real square root")
+            raise MalformedInputError(_NEGATIVE_RADICAND)
         if not b.numerator or d == 0:
             return tuple.__new__(Rational, (a,))
         s, f = _square_split(d)
@@ -228,8 +235,9 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
     if d1 != d2 and d1 and d2:
         r = isqrt(d1 * d2)
         if r * r != d1 * d2:
+            # the text is built when read: the classifiers catch and drop it
             raise UnsupportedFieldError(
-                f"cannot combine sqrt({d1}) and sqrt({d2}) in a single operation")
+                "cannot combine sqrt(%d) and sqrt(%d) in a single operation", d1, d2)
         # one field: sqrt(d_large) = r/d_small * sqrt(d_small)
         if d1 > d2:
             a1, b1, e1, d1 = a1 * d2, b1 * r, e1 * d2, d2
@@ -281,6 +289,13 @@ def sign(x: ExactNumber) -> int:
     if parts is None:
         raise UnsupportedOperandError("exact sign of e or pi is not provided here")
     a, b, _, d = parts  # the sign of (a + b*sqrt(d))/D, D > 0
+    return _sign_ints(a, b, d)
+
+
+def _sign_ints(a: int, b: int, d: int) -> int:
+    """The sign of a + b*sqrt(d) for ints, with b = 0 or d >= 2 not a
+    perfect square: the one sign rule, which sign and the classifiers'
+    guards read."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa * sb >= 0:  # b = 0 (a Rational), a = 0, or a and b share a sign
         return sa or sb
@@ -372,10 +387,13 @@ def _int(text: str) -> int:
 _SPACE_RE = re.compile(r"\s+")
 
 
-def _fraction_from_text(text: str, sign: int = 1) -> Fraction:
+def _ratio(text: str) -> tuple[int, int]:
+    """(num, den) in ints of the text p or p/q, den > 0; a zero den raises."""
     num, _, den = text.partition("/")
     n, d = _int(num), _int(den) if den else 1
-    return Fraction(sign * n, d) if d else Rational(n, 0).value  # Rational refuses the zero
+    if not d:
+        Rational(n, 0)  # refuses the zero with the text of a Rational
+    return n, d
 
 
 def parse_exact(text: str) -> ExactNumber:
@@ -388,15 +406,25 @@ def parse_exact(text: str) -> ExactNumber:
     if s == "pi":
         return PI
     if _RAT_RE.match(s):
-        return tuple.__new__(Rational, (_fraction_from_text(s),))
+        return tuple.__new__(Rational, (Fraction(*_ratio(s)),))
     m = _SURD_RE.match(s)
     if not m:
         raise MalformedInputError(f"cannot parse exact number {text!r}")
     if m["op"] and m["neg"]:
         raise MalformedInputError(f"cannot parse exact number {text!r} (double sign)")
-    a = _fraction_from_text(m["a"]) if m["a"] else 0
-    b = _fraction_from_text(m["b"] or "1", -1 if m["op"] == "-" or m["neg"] else 1)
-    return QuadSurd(a, b, _int(m["d"]))
+    an, ad = _ratio(m["a"]) if m["a"] else (0, 1)
+    bn, bd = _ratio(m["b"]) if m["b"] else (1, 1)
+    if m["op"] == "-" or m["neg"]:
+        bn = -bn
+    d = _int(m["d"])
+    if d < 0:
+        raise MalformedInputError(_NEGATIVE_RADICAND)
+    if not bn or d == 0:
+        return tuple.__new__(Rational, (Fraction(an, ad),))
+    s, f = _square_split(d)  # a + b*sqrt(d) = a + b*s*sqrt(f)
+    if f == 1:
+        return _build(an * bd + bn * s * ad, 0, ad * bd, 0)
+    return tuple.__new__(QuadSurd, (Fraction(an, ad), Fraction(bn * s, bd), f))
 
 
 def render_exact(x: ExactNumber) -> str:

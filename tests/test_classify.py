@@ -13,7 +13,8 @@ from lambert_tsallis import classify, exact
 from lambert_tsallis.classify import (_ZB_MARGIN, Rule, classify_expq,
                                       classify_lnq_derivative, classify_tower,
                                       classify_wq)
-from lambert_tsallis.errors import ConvergenceError, DomainError, MalformedInputError
+from lambert_tsallis.errors import (ConvergenceError, DomainError, MalformedInputError,
+                                    UnsupportedFieldError)
 from lambert_tsallis.exact import (ArithmeticClass, QuadSurd, Rational, parse_exact,
                                    render_exact, to_real)
 from lambert_tsallis.qexp import dlnq_dz, exp_q
@@ -429,10 +430,90 @@ def test_wq_below_the_branch_point_of_a_deeply_cancelling_q_is_a_domain_error():
         classify_wq(q, parse_exact("-25000000001/100000000000"))
 
 
-def test_expq_operands_whose_radicands_name_one_field_classify():
-    # sqrt(1048583**2 * 10000019) stays unsplit (1048583 is a prime above
-    # 2**20) yet is 1048583*sqrt(10000019): one field, so the bracket
-    # 1 + (1 - sqrt(r)) sqrt(r) = 1 + sqrt(r) - r < 0 is decided exactly
-    res = classify_expq(parse_exact("sqrt(10000019)"),
-                        parse_exact("1/1048583*sqrt(10995283969889849891)"))
-    assert (res.verdict, res.rule) == (ArithmeticClass.RATIONAL, Rule.CUTOFF_ZERO)
+@pytest.mark.parametrize("q, z", [
+    ("sqrt(10000019)", "1/1048583*sqrt(10995283969889849891)"),
+    ("1+sqrt(1048589)", f"sqrt({1048583 ** 2 * 1048589})"),
+])
+def test_expq_operands_whose_radicands_name_one_field_classify(q, z):
+    # sqrt(1048583**2 * r) stays unsplit (1048583 is a prime above 2**20)
+    # yet is 1048583*sqrt(r): one field, so the bracket is decided exactly,
+    # 1 + sqrt(r) - r < 0 and 1 - 1048583 r < 0
+    res = c_expq(q, z)
+    assert (res.verdict, res.rule, res.exact_value) == (R, Rule.CUTOFF_ZERO, Rational(0))
+
+
+# ------------------------------------------------- guards as integer signs
+
+BIG = 10 ** 50
+# (q, z, bracket sign); None where q and z lie in two fields
+BRACKET_CORPUS = [
+    # one field under two radicands: 1048583 and 1048589 are primes above
+    # 2**20, so sqrt(1048583**2 * 1048589) stays unsplit and _field_pair
+    # rewrites the larger radicand into the smaller one, either way round
+    ("1+sqrt(1048589)", f"sqrt({1048583 ** 2 * 1048589})", -1),
+    (f"sqrt({1048583 ** 2 * 1048589})", "1+sqrt(1048589)", -1),
+    # sqrt(8) and 3-2*sqrt(18) parse to the radicand 2
+    ("sqrt(2)", "sqrt(8)", -1),
+    ("sqrt(2)", "3-2*sqrt(18)", 1),
+    ("3-2*sqrt(18)", "sqrt(2)", 1),
+    ("sqrt(8)", "3-2*sqrt(18)", 1),
+    # 1 + (1 - 1 - sqrt(2)) sqrt(2)/2 = 0 exactly
+    ("1+sqrt(2)", "1/2*sqrt(2)", 0),
+    # 50-digit rationals: 1 + (1-q) z with 1-q = -1/BIG and z = BIG, BIG+1
+    (f"{BIG + 1}/{BIG}", f"{BIG}", 0),
+    (f"{BIG + 1}/{BIG}", f"{BIG + 1}", -1),
+    (f"{BIG // 3}/7", f"-{BIG - 1}/{BIG // 9}", 1),
+    (f"-{BIG // 7}+1/{BIG}*sqrt(5)", f"1/{BIG // 3}-sqrt(5)", -1),
+    ("1/2", "3", 1),
+    ("3", "1/2", 0),
+    ("sqrt(2)", "sqrt(3)", None),
+    ("sqrt(3)", "1+sqrt(2)", None),
+    (f"sqrt({1048583 ** 2 * 1048589})", "sqrt(2)", None),
+]
+
+
+def record_bracket_sign(q, z):
+    """The sign of 1 + (1-q) z through the field operations' records."""
+    try:
+        return exact.sign(exact.add(exact.ONE, exact.mul(exact.sub(exact.ONE, q), z)))
+    except UnsupportedFieldError:
+        return None
+
+
+@pytest.mark.parametrize("q, z, expected", BRACKET_CORPUS)
+def test_bracket_sign_equals_the_records_sign(q, z, expected):
+    q, z = parse_exact(q), parse_exact(z)
+    assert classify._bracket_sign_algebraic(q, z) == record_bracket_sign(q, z) == expected
+
+
+same_field_parts = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                max_denominator=10 ** 6) | st.builds(
+    Fraction, st.integers(-10 ** 50, 10 ** 50), st.integers(1, 10 ** 50))
+# square roots parsed once: splitting 1048583**2 * 1048589 takes 0.1 s
+ROOTS = [parse_exact(f"sqrt({d})") for d in (2, 3, 8, 12, 1048589, 1048583 ** 2 * 1048589)]
+
+
+@given(qa=same_field_parts, qb=same_field_parts, za=same_field_parts, zb=same_field_parts,
+       qr=st.sampled_from(ROOTS), zr=st.sampled_from(ROOTS))
+def test_bracket_sign_equals_the_records_sign_property(qa, qb, za, zb, qr, zr):
+    # the pairs of roots name one field or two; a zero b makes a Rational
+    q = exact.add(Rational(qa), exact.mul(Rational(qb), qr))
+    z = exact.add(Rational(za), exact.mul(Rational(zb), zr))
+    assert classify._bracket_sign_algebraic(q, z) == record_bracket_sign(q, z)
+
+
+def test_surd_guards_build_no_intermediate_record(monkeypatch):
+    # the bracket of classify_expq and q < 2 of classify_wq are each one
+    # integer sign: no field operation runs on a same-field pair
+    def refuse(*args):
+        raise AssertionError("a field operation ran")
+
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(classify, name, refuse)
+    for q, z, rule in [("sqrt(2)", "3-2*sqrt(2)", Rule.THEOREM_2),
+                       ("1+sqrt(2)", "1", Rule.CUTOFF_ZERO),
+                       ("1+sqrt(2)", "1/2*sqrt(2)", Rule.GUARD_FALLTHROUGH),
+                       ("sqrt(2)", "sqrt(3)", Rule.GUARD_FALLTHROUGH)]:
+        assert c_expq(q, z).rule is rule, (q, z)
+    # q > 2 with z < 0: the q < 2 test ends the z_b guard
+    assert c_wq("2+sqrt(2)", "-1/4").rule is Rule.THEOREM_3

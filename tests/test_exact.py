@@ -284,6 +284,17 @@ def test_mixed_radicands_rejected():
         add(QuadSurd(0, 1, 2), QuadSurd(0, 1, 3))
 
 
+def test_mixed_field_error_builds_its_text_when_read():
+    # the classifiers catch the error and never read its text
+    with pytest.raises(UnsupportedFieldError) as info:
+        mul(QuadSurd(1, 1, 3), QuadSurd(0, 2, 2))
+    err = info.value
+    assert err.args == ("cannot combine sqrt(%d) and sqrt(%d) in a single operation", 3, 2)
+    assert str(err) == "cannot combine sqrt(3) and sqrt(2) in a single operation"
+    back = pickle.loads(pickle.dumps(err))
+    assert (type(back), str(back), back.args) == (type(err), str(err), err.args)
+
+
 def test_rational_and_surd_mix_freely():
     assert add(Rational(1, 2), QuadSurd(0, 1, 2)) == record(Fraction(1, 2), 1, 2)
     assert mul(Rational(2), QuadSurd(1, 1, 5)) == record(2, 2, 5)
@@ -417,6 +428,37 @@ def test_rational_bounds_enclose():
 ])
 def test_parse_exact(text, expected):
     assert parse_exact(text) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0*sqrt(2)", Rational(0)),
+    ("sqrt(0)", Rational(0)),
+    ("3-sqrt(9)", Rational(0)),
+    ("5/2-1/2*sqrt(9)", Rational(1)),
+    ("sqrt(8)", record(0, 2, 2)),
+    ("2/4-6/8*sqrt(12)", record(Fraction(1, 2), Fraction(-3, 2), 3)),
+    (" 1 + SQRT( 2 )", record(1, 1, 2)),
+    # 1048583 is a prime above 2**20: the split leaves its square in the radicand
+    (f"sqrt({1048583 ** 2 * 10000019})", record(0, 1, 1048583 ** 2 * 10000019)),
+])
+def test_parse_exact_records_are_pinned(text, expected):
+    # each part a reduced Fraction, the record equal to one built past the constructor
+    x = parse_exact(text)
+    assert (type(x), repr(x)) == (type(expected), repr(expected))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0+sqrt(2)", "zero denominator in rational 1/0"),
+    ("1+1/0*sqrt(2)", "zero denominator in rational 1/0"),
+    ("1/0+sqrt(-2)", "zero denominator in rational 1/0"),
+    ("sqrt(-2)", "a negative radicand has no real square root"),
+    ("0*sqrt(-2)", "a negative radicand has no real square root"),
+    ("1+-sqrt(2)", "cannot parse exact number '1+-sqrt(2)' (double sign)"),
+])
+def test_parse_exact_error_texts_are_pinned(text, message):
+    with pytest.raises(MalformedInputError) as info:
+        parse_exact(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text", [
@@ -592,6 +634,15 @@ small_ints = st.integers(min_value=-20, max_value=20)
 big_ints = st.integers(min_value=-10 ** 50, max_value=10 ** 50)
 rational_parts = st.builds(Fraction, small_ints | big_ints,
                            st.integers(1, 12) | st.integers(1, 10 ** 50))
+
+
+@given(x=st.builds(QuadSurd, rational_parts, rational_parts,
+                   st.sampled_from([0, 1, 2, 4, 8, 12, R])))
+def test_parse_render_round_trip_of_wide_records(x):
+    # 50-digit parts and radicands with a square factor; an unsplit p*p*r
+    # takes 0.1 s to split, so test_parse_exact_records_are_pinned has it
+    y = parse_exact(render_exact(x))
+    assert (type(y), repr(y)) == (type(x), repr(x))
 
 
 @st.composite
