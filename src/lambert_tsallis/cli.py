@@ -17,7 +17,8 @@ then one line per record with minimal quoting, floats to 17 significant
 digits, booleans as true/false, an absent exact value as an empty field.
 plain: lines for humans, values to 10 significant digits (verify's
 measurements and thresholds as %.3e).  table prints the json and csv rules
-through one %.17g row template.
+through one %.17g row template per table, each distinct residual's text
+formatted once per table.
 """
 
 from __future__ import annotations
@@ -232,14 +233,34 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+# A residual |h| is the sum of two near-cancelling doubles, so it is a small
+# multiple of an ulp and the same few values recur down a table; a small
+# double's %.17g text is the costliest field of a row.
+class _ResidualText(dict):
+    """The %.17g text of each residual, formatted at its first lookup and
+    kept for the one table.  A zero is formatted at every lookup and never
+    kept: 0.0 and -0.0 are one key but two texts."""
+
+    def __missing__(self, x: float) -> str:
+        s = "%.17g" % x
+        if x:
+            self[x] = s
+        return s
+
+
+# a value's %.17g text as it follows its key in a JSON row, when not finite
+_NON_FINITE = re.compile(r": (-?inf|nan)\b")
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     """Checks the table once, in the order a per-row call of the public
     functions would, then evaluates the rows with the unchecked kernels:
     _exp_q per row, or one wq._solve over the kept grid, which may start a
     row from the roots before it.  Each wq row meets wq's stopping rule,
     but from the eighth row on may differ from a per-point wq in the last
-    bits.  Every row renders through one %.17g template, and only a JSON
-    body holding inf or nan is rendered again, through render_json."""
+    bits.  Each row goes straight to its line through one %.17g template,
+    a residual's text through _ResidualText, and a JSON body holding inf or
+    nan has those tokens quoted in place."""
     if args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
     if not (args.z_from < args.z_to):
@@ -274,12 +295,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if not kept:
             print("error: no grid points inside the branch domain", file=sys.stderr)
             return 1
-        solved = _solve(q, kept, branch, branch_point(q), args.tol, args.max_iter)
-        rows = [(z, w, residual) for z, (w, residual, _) in zip(kept, solved)]
+        keys = ["z", "value", "residual"]
     else:
         clipped = 0
-        rows = [(z, _exp_q(q, z)) for z in grid]
-    keys = ["z", "value", "residual"][:len(rows[0])]  # only wq rows have a residual
+        keys = ["z", "value"]
+    # a residual's field takes its text from _ResidualText
+    fields = ["%.17g", "%.17g", "%s"][:len(keys)]
+    if args.format == "json":
+        template = "{%s}" % ", ".join(f'"{key}": {field}' for key, field in zip(keys, fields))
+    else:
+        template = ",".join(fields)  # csv.writer would quote none of these fields
+    if args.subject == "wq":
+        text = _ResidualText()
+        solved = _solve(q, kept, branch, branch_point(q), args.tol, args.max_iter)
+        lines = [template % (z, w, text[residual])
+                 for z, (w, residual, _) in zip(kept, solved)]
+    else:
+        lines = [template % (z, _exp_q(q, z)) for z in grid]
 
     if args.format == "json":
         doc: dict[str, object] = {"command": "table", "subject": args.subject,
@@ -287,19 +319,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                   "clipped": clipped}
         if args.subject == "wq":
             doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
-        template = "{%s}" % ", ".join(f'"{key}": %.17g' for key in keys)
-        body = ", ".join(map(template.__mod__, rows))
+        body = ", ".join(lines)
         # neither a key nor the %.17g text of a finite double has an n, so the
         # body has one exactly when a value is inf or nan, which JSON quotes
         if "n" in body:
-            body = render_json([dict(zip(keys, row)) for row in rows])[1:-1]
+            body = _NON_FINITE.sub(r': "\1"', body)
         # the rows are the document's last key: render the rest, reopen it
         head = render_json(doc)[:-1]
         print(f'{head}, "rows": [{body}]}}')
     else:
-        # csv.writer would quote none of these fields
-        template = ",".join(["%.17g"] * len(keys))
-        print("\n".join([",".join(keys), *map(template.__mod__, rows)]))
+        print("\n".join([",".join(keys), *lines]))
     return 0
 
 

@@ -235,9 +235,15 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
     if d1 != d2 and d1 and d2:
         r = isqrt(d1 * d2)
         if r * r != d1 * d2:
-            # the text is built when read: the classifiers catch and drop it
-            raise UnsupportedFieldError(
-                "cannot combine sqrt(%d) and sqrt(%d) in a single operation", d1, d2)
+            # the text is built when read: the classifiers catch and drop it.
+            # str() of a radicand past the int-string digit limit raises, so
+            # one of 2^132 or more (40 digits or more) is named by its size,
+            # as Rational names a long numerator
+            if max(d1, d2).bit_length() <= 132:
+                raise UnsupportedFieldError(
+                    "cannot combine sqrt(%d) and sqrt(%d) in a single operation", d1, d2)
+            raise UnsupportedFieldError("cannot combine two quadratic fields in a single "
+                                        "operation, one with a radicand of 40 or more digits")
         # one field: sqrt(d_large) = r/d_small * sqrt(d_small)
         if d1 > d2:
             a1, b1, e1, d1 = a1 * d2, b1 * r, e1 * d2, d2

@@ -148,9 +148,10 @@ def ln_q(q: float, z: float) -> float:
     (z^(1-q) - 1)/(1-q), natural log at q = 1.  Where the power is at least
     e^(1/2) or at most e^(-1/2), |(1-q) log z| >= 1/2, the subtraction keeps
     pow's own rounding small; nearer 1, expm1 keeps the difference from
-    cancelling.  Within 2 ulp of the exact value on the sweep in
-    tests/test_qexp.py, where 1 - q is a double; where it is not, its rounding
-    costs about |(1-q) log z| ulp.
+    cancelling.  Where 1 - q is not a double, the pow form corrects to first
+    order for the rounding e of 1 - q, found by a two-sum; uncorrected, e cost
+    about |(1-q) log z| ulp.  Within 2 ulp of the exact value on the sweep in
+    tests/test_qexp.py.
     """
     q = _require_finite("q", q)
     z = _positive_real("ln_q", z)
@@ -163,7 +164,16 @@ def ln_q(q: float, z: float) -> float:
         return math.inf / om
     if 0.6065306597126334 < power < 1.6487212707001282:  # |(1-q) log z| < 1/2
         return math.expm1(om * math.log(z)) / om
-    return (power - 1.0) / om
+    t = power - 1.0
+    # 1 - q = om + e exactly (Knuth's two-sum)
+    b = om - 1.0
+    e = (1.0 - (om - b)) + (-q - b)
+    if not e:
+        return t / om
+    # z^e = 1 + e log z and 1/(om + e) = (1 - e/om)/om, each to first order
+    # in |e log z| < 1e-13; the correction is added last, and the grouping
+    # keeps each product in range
+    return t / om + (power * (e * math.log(z)) - t * (e / om)) / om
 
 
 def dlnq_dz(q: float, z: float) -> float:

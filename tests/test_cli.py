@@ -696,6 +696,40 @@ def test_table_rows_render_awkward_doubles_as_format_and_render_json(
     assert '"value": -0' in out and '"value": 4.9406564584124654e-324' in out
 
 
+# A wq table formats each distinct residual once.  0.0 and -0.0 are one dict
+# key, nan is unequal to itself, and math.nan is one object: each row must
+# still print its own residual's text
+_RESIDUALS = {
+    "repeated": [0.0, -0.0, math.nan, math.nan, float("nan"), -math.nan, math.inf,
+                 -math.inf, 2.220446049250313e-16, 2.220446049250313e-16, -0.0, 0.0,
+                 4.440892098500626e-16, math.inf, 2.220446049250313e-16, -0.0],
+    "distinct": [0.0, 5e-324, 2.220446049250313e-16, 4.440892098500626e-16, 1e-300,
+                 0.1, 1.0, sys.float_info.max],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_RESIDUALS))
+def test_table_residuals_render_as_format_and_render_json(monkeypatch, capsys, fmt, case):
+    cli = importlib.import_module("lambert_tsallis.cli")
+    residuals = _RESIDUALS[case]
+    n = len(residuals)
+    monkeypatch.setattr(cli, "_solve", lambda q, zs, *rest: [
+        (z / 3.0, residual, 1) for z, residual in zip(zs, residuals)])
+    code, out, err = run_main(capsys, "table", "wq", "--q", "1", "--z-from", "0",
+                              "--z-to", str(n - 1), "--steps", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    rows = [(float(i), i / 3.0, residual) for i, residual in enumerate(residuals)]
+    if fmt == "csv":
+        assert out.splitlines() == ["z,value,residual"] + [
+            ",".join(format(x, ".17g") for x in row) for row in rows]
+        return
+    doc = {"command": "table", "subject": "wq", "q": 1.0, "branch": "upper", "clipped": 0,
+           "meta": {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER},
+           "rows": [dict(zip(["z", "value", "residual"], row)) for row in rows]}
+    assert out == render_json(doc) + "\n"
+
+
 # ----------------------------------------------- table error precedence
 
 TABLE_WQ = ["table", "wq", "--q", "1", "--steps", "9"]

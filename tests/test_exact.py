@@ -295,6 +295,21 @@ def test_mixed_field_error_builds_its_text_when_read():
     assert (type(back), str(back), back.args) == (type(err), str(err), err.args)
 
 
+@pytest.mark.parametrize("big", [2 ** 132 + 3, 10 ** 4400 + 3], ids=["133-bit", "4401-digit"])
+def test_mixed_field_error_names_a_long_radicand_by_its_size(big):
+    # str() of the 4401-digit radicand is past the int-string digit limit, so
+    # reading the error's text raised ValueError; 2^132 + 3 has 40 digits.
+    # The records skip the constructor's square split, which takes seconds
+    with pytest.raises(UnsupportedFieldError) as info:
+        add(record(0, 1, big), QuadSurd(0, 1, 2))
+    assert str(info.value) == ("cannot combine two quadratic fields in a single "
+                               "operation, one with a radicand of 40 or more digits")
+    with pytest.raises(UnsupportedFieldError) as info:
+        add(record(0, 1, 2 ** 132 - 5), QuadSurd(0, 1, 2))
+    assert str(info.value) == (f"cannot combine sqrt({2 ** 132 - 5}) and sqrt(2) "
+                               "in a single operation")
+
+
 def test_rational_and_surd_mix_freely():
     assert add(Rational(1, 2), QuadSurd(0, 1, 2)) == record(Fraction(1, 2), 1, 2)
     assert mul(Rational(2), QuadSurd(1, 1, 5)) == record(2, 2, 5)

@@ -185,9 +185,10 @@ def test_ints_fractions_and_bools_answer_as_their_floats(exact, value):
 
 
 # 10^(k/4) from 1e-300 to about 5.6e301, and points near 1 where the
-# subtraction in ln_q cancels
+# subtraction in ln_q cancels.  For the last three q, 1 - q is not a double,
+# and its rounding cost up to 388 ulp
 ULP_SWEEP_Q = [-3.0, -1.0, 0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.5, math.sqrt(2.0),
-               2.0, 2.5, 10.0]
+               2.0, 2.5, 10.0, -3.1821173921770014, -0.3, 0.1]
 ULP_SWEEP_Z = ([10.0 ** (k / 4) for k in range(-1200, 1208, 29)]
                + [0.999, 1.00048828125, 1.5, 2.0, 3.0])
 
