@@ -154,8 +154,9 @@ def _below_two(q: QuadSurd) -> bool:
 
 def _bracket_sign_named(q: Rational, z: NamedTranscendental) -> int | None:
     """Exact sign of 1 + (1-q) z for rational q and z in {e, pi}, decided by
-    interval arithmetic over a certified rational enclosure of z.  None in
-    the (practically unreachable) case that the enclosure straddles zero."""
+    interval arithmetic over a certified rational enclosure of z, 1e-50
+    wide.  None where the enclosure straddles zero, q within about 1e-51 of
+    1 + 1/z."""
     n, m = q.value.numerator, q.value.denominator
     # each end 1 + (1-q) e times m * e.denominator > 0, in ints
     ends = [m * e.denominator + (m - n) * e.numerator for e in rational_bounds(z)]

@@ -38,8 +38,8 @@ from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .verify import (run_all, run_branch_suite, run_derivative_suite,
                      run_eq5_suite, run_residual_suite, run_scan_suite)
-from .wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, _check_settings, _solve,
-                 branch_domain, branch_point, dwq_dz, wq)
+from .wq import (DEFAULT_TOL, Branch, _check_settings, _solve, branch_domain, branch_point,
+                 dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
 
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--z", type=float, required=True)
     p_eval.add_argument("--branch", choices=["upper", "lower"], default="upper")
     p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_eval.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_eval.add_argument("--format", choices=["plain", "json", "csv"],
                         default="plain")
 
@@ -138,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--steps", type=int, required=True)
     p_tab.add_argument("--branch", choices=["upper", "lower"], default="upper")
     p_tab.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_tab.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_ver = sub.add_parser("verify", help="run numerical cross-check suites")
@@ -183,13 +181,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         branch = Branch(args.branch)
         doc["branch"] = branch.value
         if args.subject == "wq":
-            res = wq(args.q, args.z, branch, args.tol, args.max_iter)
+            res = wq(args.q, args.z, branch, args.tol)
             value = res.w
             doc.update(residual=res.residual, iterations=res.iterations)
             plain.append(f"residual={res.residual:.10g} iterations={res.iterations}")
         else:  # dwq
-            value = dwq_dz(args.q, args.z, branch, args.tol, args.max_iter)
-        doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
+            value = dwq_dz(args.q, args.z, branch, args.tol)
+        doc["meta"] = {"tol": args.tol}
     doc["value"] = value
     _emit(args.format, doc, [doc],
           [key for key in ("value", "residual", "iterations") if key in doc],
@@ -291,7 +289,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print(f"warning: {clipped} of {len(grid)} grid points fall outside "
                   f"the {branch.value} branch domain {dom} and were dropped",
                   file=sys.stderr)
-        _check_settings(q, branch, args.tol, args.max_iter)
+        _check_settings(q, branch, args.tol)
         if not kept:
             print("error: no grid points inside the branch domain", file=sys.stderr)
             return 1
@@ -307,7 +305,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         template = ",".join(fields)  # csv.writer would quote none of these fields
     if args.subject == "wq":
         text = _ResidualText()
-        solved = _solve(q, kept, branch, branch_point(q), args.tol, args.max_iter)
+        solved = _solve(q, kept, branch, branch_point(q), args.tol)
         lines = [template % (z, w, text[residual])
                  for z, (w, residual, _) in zip(kept, solved)]
     else:
@@ -318,7 +316,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                   "q": args.q, "branch": branch.value,
                                   "clipped": clipped}
         if args.subject == "wq":
-            doc["meta"] = {"tol": args.tol, "max_iter": args.max_iter}
+            doc["meta"] = {"tol": args.tol}
         body = ", ".join(lines)
         # neither a key nor the %.17g text of a finite double has an n, so the
         # body has one exactly when a value is inf or nan, which JSON quotes

@@ -56,9 +56,9 @@ class DerivativeSingularError(DomainError):
 
 
 class ConvergenceError(LambertTsallisError, RuntimeError):
-    """Root finder exhausted its budget, or no double approximates the root.
-    Carries the best iterate found, its relative residual |h| and the
-    evaluations made."""
+    """No double approximates the root: it lies next to the positivity wall
+    or beyond the double range.  Carries the best iterate found, its
+    relative residual |h| and the evaluations made."""
 
     def __init__(self, message: str, *values, best_w: float | None = None,
                  residual: float | None = None, iterations: int | None = None):

@@ -150,8 +150,9 @@ def ln_q(q: float, z: float) -> float:
     pow's own rounding small; nearer 1, expm1 keeps the difference from
     cancelling.  Where 1 - q is not a double, the pow form corrects to first
     order for the rounding e of 1 - q, found by a two-sum; uncorrected, e cost
-    about |(1-q) log z| ulp.  Within 2 ulp of the exact value on the sweep in
-    tests/test_qexp.py.
+    about |(1-q) log z| ulp.  Where only the power overflows, the half power
+    over 1 - q times the half power.  Within 2 ulp of the exact value on the
+    sweep in tests/test_qexp.py, and 3 on its overflow points.
     """
     q = _require_finite("q", q)
     z = _positive_real("ln_q", z)
@@ -161,13 +162,26 @@ def ln_q(q: float, z: float) -> float:
     try:
         power = math.pow(z, om)
     except OverflowError:
-        return math.inf / om
+        power = math.inf
     if 0.6065306597126334 < power < 1.6487212707001282:  # |(1-q) log z| < 1/2
         return math.expm1(om * math.log(z)) / om
-    t = power - 1.0
     # 1 - q = om + e exactly (Knuth's two-sum)
     b = om - 1.0
     e = (1.0 - (om - b)) + (-q - b)
+    if power == math.inf:
+        # past the double range the 1 is below an ulp of the power, and
+        # power/om may still be finite: the half power over om, times the
+        # half power.  Where the half power overflows too, so does the
+        # quotient, as |1-q| <= DBL_MAX
+        try:
+            half = math.pow(z, 0.5 * om)
+        except OverflowError:
+            return math.inf / om
+        r = (half / om) * half
+        # the first-order correction for e, as below, with power - 1 = power;
+        # not to an infinite r, where a correction of the other sign gives nan
+        return r + r * (e * math.log(z) - e / om) if abs(r) < math.inf else r
+    t = power - 1.0
     if not e:
         return t / om
     # z^e = 1 + e log z and 1/(om + e) = (1 - e/om)/om, each to first order

@@ -81,7 +81,7 @@ class ScanReport(namedtuple(
 
 def residual_defining_eq(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
     """|w exp_q(w) - z| at wq's w for this q, z, branch, solved at wq's
-    default tol and max_iter."""
+    default tol."""
     w = wq(q, z, branch).w
     return abs(w * exp_q(q, w) - z)
 

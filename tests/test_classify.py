@@ -1,6 +1,7 @@
 """Guarded decision procedure: verdicts, rules, exact values, domain
 refusals, and agreement between exact claims and the numeric layer."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from lambert_tsallis import classify, exact
 from lambert_tsallis.classify import (_ZB_MARGIN, Rule, classify_expq,
                                       classify_lnq_derivative, classify_tower,
                                       classify_wq)
+from lambert_tsallis.cli import main
 from lambert_tsallis.errors import (ConvergenceError, DomainError, MalformedInputError,
                                     UnsupportedFieldError)
 from lambert_tsallis.exact import (ArithmeticClass, QuadSurd, Rational, parse_exact,
@@ -137,6 +139,37 @@ def test_expq_theorem5_cutoff_guard():
     # same shape but e: 1 - e < 0 as well
     res = c_expq("2", "e")
     assert res.verdict is R and res.rule is Rule.CUTOFF_ZERO
+
+
+# q = 1 + 1/m makes the bracket 1 + (1-q) z = 1 - z/m, whose sign is that of
+# m - z: here m is the midpoint of e's 50-digit enclosure
+E_MIDPOINT_Q = ("743656365691809047072057494270532499551449418739991/"
+                "543656365691809047072057494270532499551449418739991")
+
+
+def test_expq_enclosure_straddling_zero_is_unknown(capsys):
+    lo, hi = exact.rational_bounds(parse_exact("e"))
+    assert Fraction(E_MIDPOINT_Q) == 1 + 2 / (lo + hi)
+    assert main(["classify", "expq", "--z", "e", "--q", E_MIDPOINT_Q, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["rule"], doc["justification"], doc["exact_value"]) == (
+        "unknown", "guard_fallthrough",
+        "the enclosure of 1 + (1-q) z straddles zero; the cutoff guard cannot be decided.",
+        None)
+
+
+@pytest.mark.parametrize("z", ["e", "pi"])
+def test_expq_named_bracket_is_decided_just_outside_the_enclosure(z):
+    # the enclosure's ends and its inside leave the sign open; a millionth of
+    # its width beyond either end decides it
+    lo, hi = exact.rational_bounds(parse_exact(z))
+    nudge = (hi - lo) / 10**6
+    for m, verdict, rule in [(hi + nudge, T, Rule.THEOREM_5), (lo - nudge, R, Rule.CUTOFF_ZERO),
+                             (hi, U, Rule.GUARD_FALLTHROUGH), (lo, U, Rule.GUARD_FALLTHROUGH),
+                             ((lo + hi) / 2, U, Rule.GUARD_FALLTHROUGH)]:
+        q = 1 + 1 / m
+        res = c_expq(f"{q.numerator}/{q.denominator}", z)
+        assert (res.verdict, res.rule) == (verdict, rule), m
 
 
 def test_expq_named_q_is_unknown():

@@ -20,8 +20,7 @@ from lambert_tsallis.errors import ConvergenceError, DomainError, NoBranchPointE
 from lambert_tsallis.exact import parse_exact, render_exact
 from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
 from lambert_tsallis.verify import run_branch_suite, run_eq5_suite
-from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, branch_domain,
-                                branch_point, dwq_dz, wq)
+from lambert_tsallis.wq import DEFAULT_TOL, Branch, branch_domain, branch_point, dwq_dz, wq
 
 CLI = [sys.executable, "-m", "lambert_tsallis"]
 
@@ -156,7 +155,7 @@ def test_eval_json_round_trips():
     assert doc["command"] == "eval"
     assert abs(doc["value"] - 0.5671432904097838) < 1e-12
     assert doc["residual"] <= 1e-12
-    assert doc["meta"]["max_iter"] == 200
+    assert doc["meta"] == {"tol": 1e-12}
     # 17 significant digits: parsing and re-rendering is the identity
     assert render_json(doc) == p.stdout.strip()
 
@@ -233,7 +232,7 @@ def test_table_wq_json_carries_meta():
     doc = json.loads(run_cli("table", "wq", "--q", "1", "--z-from", "0",
                              "--z-to", "2", "--steps", "3", "--tol", "1e-10",
                              "--format", "json").stdout)
-    assert doc["meta"] == {"tol": 1e-10, "max_iter": 200}
+    assert doc["meta"] == {"tol": 1e-10}
     assert all(abs(r["residual"]) <= 1e-10 * max(1.0, r["z"])
                for r in doc["rows"])
 
@@ -291,6 +290,16 @@ def test_main_callable_in_process(capsys):
 def test_main_returns_two_without_exiting(capsys):
     assert main(["eval", "wq", "--q", "bad", "--z", "1"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "wq", "--q", "1", "--z", "1"],
+    ["table", "wq", "--q", "1", "--z-from", "0", "--z-to", "1", "--steps", "3"],
+])
+def test_tol_is_the_only_solver_flag(capsys, argv):
+    # every solve ends by construction, so there is no iteration budget
+    assert main([*argv, "--max-iter", "200"]) == 2
+    assert "unrecognized arguments: --max-iter 200" in capsys.readouterr().err
 
 
 def test_the_parser_is_built_once_and_carries_nothing_between_calls(capsys):
@@ -458,7 +467,7 @@ def _eval_reference(fmt, subject, q, z, branch="upper"):
         plain = f"{value:.10g}\n"
         csv_text = _csv_text(["value"], [format(value, ".17g")])
     if subject in ("wq", "dwq"):
-        doc["meta"] = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
+        doc["meta"] = {"tol": DEFAULT_TOL}
     doc["value"] = value
     argv = ["eval", subject, "--q", repr(q), f"--z={z!r}", "--branch", branch]
     return argv, 0, {"json": render_json(doc) + "\n", "csv": csv_text, "plain": plain}[fmt]
@@ -579,7 +588,7 @@ def _table_reference(subject, q, z_from, z_to, steps, branch="upper", fmt="csv",
         doc = {"command": "table", "subject": subject, "q": q, "branch": branch,
                "clipped": clipped}
         if subject == "wq":
-            doc["meta"] = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
+            doc["meta"] = {"tol": DEFAULT_TOL}
         doc["rows"] = [dict(zip(header, row)) for row in rows]
         return render_json(doc) + "\n", err
     buf = io.StringIO()
@@ -690,7 +699,7 @@ def test_table_rows_render_awkward_doubles_as_format_and_render_json(
     doc = {"command": "table", "subject": subject, "q": 1.0, "branch": "upper",
            "clipped": 0}
     if subject == "wq":
-        doc["meta"] = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER}
+        doc["meta"] = {"tol": DEFAULT_TOL}
     doc["rows"] = [dict(zip(header, row)) for row in rows]
     assert out == render_json(doc) + "\n"
     assert '"value": -0' in out and '"value": 4.9406564584124654e-324' in out
@@ -725,7 +734,7 @@ def test_table_residuals_render_as_format_and_render_json(monkeypatch, capsys, f
             ",".join(format(x, ".17g") for x in row) for row in rows]
         return
     doc = {"command": "table", "subject": "wq", "q": 1.0, "branch": "upper", "clipped": 0,
-           "meta": {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER},
+           "meta": {"tol": DEFAULT_TOL},
            "rows": [dict(zip(["z", "value", "residual"], row)) for row in rows]}
     assert out == render_json(doc) + "\n"
 
@@ -755,14 +764,14 @@ def test_table_bad_tol_with_every_point_clipped_exits_two(capsys):
 
 @pytest.mark.parametrize("q, flags", [
     ("1", ["--tol", "-1"]),
-    ("1", ["--max-iter", "0"]),
+    ("1", ["--tol", "nan"]),
     ("2.5", ["--branch", "lower"]),
     ("1", []),
     # two faults: the one wq checks first wins
-    ("1", ["--tol", "-1", "--max-iter", "0"]),
+    ("1", ["--tol", "-1", "--branch", "lower"]),
     ("2.5", ["--branch", "lower", "--tol", "-1"]),
-    ("2.5", ["--branch", "lower", "--max-iter", "0"]),
-    ("2.5", ["--branch", "lower", "--tol", "-1", "--max-iter", "0"]),
+    ("2.5", ["--branch", "lower", "--tol", "inf"]),
+    ("2.5", ["--branch", "lower", "--tol", "0"]),
 ])
 def test_table_with_every_point_clipped_reports_wq_checks_first(capsys, q, flags):
     # every grid point lies outside the domain: below z_b = -1/e at q = 1, and
@@ -782,17 +791,19 @@ def test_table_with_every_point_clipped_reports_wq_checks_first(capsys, q, flags
 
 
 def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
+    # past the wall 2/3 at q = 2.5 the root is within an ulp of it: no double
+    # approximates it, and the first row ends the table
     with pytest.raises(ConvergenceError) as exc:
-        wq(1.0, 1.0, Branch.UPPER, DEFAULT_TOL, 1)
-    code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "1", "--z-to", "2",
-                              "--max-iter", "1")
+        wq(2.5, 1e200)
+    code, out, err = run_main(capsys, "table", "wq", "--q", "2.5", "--steps", "9",
+                              "--z-from", "1e200", "--z-to", "2e200")
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 
 
 def test_dwq_at_the_branch_point_reports_a_bad_configuration_first(capsys):
     # the request checks run before the z_b singularity check
     z_b = branch_point(1.0).z_b
-    for flag in (["--tol", "0"], ["--max-iter", "0"]):
+    for flag in (["--tol", "0"], ["--tol", "nan"]):
         code, out, err = run_main(capsys, "eval", "dwq", "--q", "1", "--z", repr(z_b), *flag)
         assert (code, out) == (2, "") and err.startswith("error: "), flag
     with pytest.raises(ValueError, match="is not a valid Branch"):

@@ -2,6 +2,7 @@
 behavior, round trips, continuity in q, finite-difference consistency."""
 
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -92,6 +93,53 @@ def test_ln_q_overflows_to_a_signed_infinity():
     # z^(1-q) - 1 overflows: +inf for q < 1, and q > 1 at z -> 0+ gives -inf
     assert ln_q(-1.0, 1e300) == math.inf
     assert ln_q(3.0, 1e-300) == -math.inf
+    # where 1 - q is not a double too: no correction for its rounding turns
+    # the infinity into nan
+    for q, z, inf in [(-1.0, 1e300, math.inf), (3.0, 1e-300, -math.inf)]:
+        for _ in range(8):
+            q = math.nextafter(q, 2.0 * q)
+            assert ln_q(q, z) == inf, q
+
+
+def _power_overflow_points(n):
+    """Seeded (q, z) with q in [-5, 12] where z^(1-q) overflows and
+    (z^(1-q) - 1)/(1-q) may not: the power's log is drawn between
+    log DBL_MAX and log DBL_MAX + log|1-q|."""
+    rng = random.Random("ln_q power overflow")
+    log_max = math.log(sys.float_info.max)
+    while n:
+        q = rng.uniform(-5.0, 12.0)
+        om = 1.0 - q
+        if abs(om) > 1.0:
+            z = math.exp((log_max + rng.random() * math.log(abs(om))) / om)
+            n -= 1
+            yield q, z
+
+
+def test_ln_q_is_finite_where_only_the_power_overflows():
+    # z^(1-q) is past the double range, and the quotient is the half power
+    # over 1-q times the half power, which carries the half power's rounding
+    # twice
+    mpmath = pytest.importorskip("mpmath")
+    assert ln_q(8.542798889881638, 1.3056234590106237e-41) == -3.1888235716703897e+307
+    assert ln_q(-4.204542595039654, 1.7847346550146315e59) == 4.580958440543166e+307
+    points = [(8.542798889881638, 1.3056234590106237e-41),
+              (-4.204542595039654, 1.7847346550146315e59), *_power_overflow_points(2000)]
+    worst, compared = (0.0, ()), 0
+    with mpmath.workdps(60):
+        for q, z in points:
+            with pytest.raises(OverflowError):
+                math.pow(z, 1.0 - q)
+            mq = mpmath.mpf(q)
+            ref = (mpmath.mpf(z) ** (1 - mq) - 1) / (1 - mq)
+            r = float(ref)
+            if abs(r) == math.inf:
+                assert ln_q(q, z) == r, (q, z)
+                continue
+            compared += 1
+            worst = max(worst, (float(abs(mpmath.mpf(ln_q(q, z)) - ref) / math.ulp(r)), (q, z)))
+    assert compared > 1500
+    assert worst[0] <= 3.0, worst  # 2.62 on these points
 
 
 def test_ln_q_rejects_nonpositive():

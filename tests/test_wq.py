@@ -8,12 +8,14 @@ arithmetic for the rest.
 """
 
 import importlib
+import inspect
 import math
 import operator
 import pickle
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
                                    parse_exact)
 from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
 from lambert_tsallis.verify import CheckResult, algebraicity_scan, branch_point_check
-from lambert_tsallis.wq import (DEFAULT_MAX_ITER, DEFAULT_TOL, Branch, BranchPoint, Interval,
+from lambert_tsallis.wq import (DEFAULT_TOL, Branch, BranchPoint, Interval,
                                 SolveResult, _bracket, _check_request, _ends, _log_residual,
                                 _solve, branch_domain, branch_point, dwq_dz, wq,
                                 wq_closed_form)
@@ -348,7 +350,7 @@ def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
     dom = branch_domain(q, branch)
     for z in zs:
         try:
-            accepted = _check_request(q, z, branch, DEFAULT_TOL, DEFAULT_MAX_ITER)[2] is branch
+            accepted = _check_request(q, z, branch, DEFAULT_TOL)[2] is branch
         except DomainError:
             accepted = False
         assert accepted == dom.contains(z), z
@@ -356,7 +358,7 @@ def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
         assert dom.contains(-big) and dom.contains(big)
     else:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            _check_request(q, z_out, branch, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            _check_request(q, z_out, branch, DEFAULT_TOL)
 
 
 def test_interval_str_and_contains():
@@ -391,8 +393,14 @@ def test_bad_solver_configuration():
         wq(1.0, 1.0, Branch.UPPER, tol=0.0)
     with pytest.raises(ConfigurationError):
         wq(1.0, 1.0, Branch.UPPER, tol=-1e-9)
-    with pytest.raises(ConfigurationError):
-        wq(1.0, 1.0, Branch.UPPER, max_iter=0)
+
+
+@pytest.mark.parametrize("call", [wq, dwq_dz])
+def test_tol_is_the_only_solver_setting(call):
+    # the solve ends by construction, so there is no iteration budget to set
+    assert list(inspect.signature(call).parameters) == ["q", "z", "branch", "tol"]
+    with pytest.raises(TypeError):
+        call(1.0, 1.0, max_iter=200)
 
 
 @pytest.mark.parametrize("call", [wq, dwq_dz])
@@ -400,22 +408,19 @@ def test_bad_solver_configuration():
     ({"tol": "1e-9"}, "tol must be a positive finite real, got '1e-9'"),
     ({"tol": None}, "tol must be a positive finite real, got None"),
     ({"tol": True}, "tol must be a positive finite real, got True"),
-    ({"max_iter": "5"}, "max_iter must be an integer, got '5'"),
-    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
-    ({"max_iter": True}, "max_iter must be an integer, got True"),
-    ({"max_iter": None}, "max_iter must be an integer, got None"),
+    ({"tol": 1j}, "tol must be a positive finite real, got 1j"),
+    ({"tol": Decimal("1e-9")}, "tol must be a positive finite real, got Decimal('1E-9')"),
 ])
 def test_solver_settings_of_the_wrong_type_are_refused(call, setting, text):
-    # these raised the builtin TypeError, or were taken as a budget of 2.5 or
-    # True evaluations
+    # these raised the builtin TypeError
     with pytest.raises(ConfigurationError) as e:
         call(1.0, 1.0, **setting)
     assert str(e.value) == text
 
 
 def test_solver_settings_of_other_number_types_are_taken():
-    assert wq(1.0, 1.0, tol=Fraction(1, 10**12), max_iter=DEFAULT_MAX_ITER) == wq(1.0, 1.0)
-    assert wq(1.0, 1.0, tol=1, max_iter=operator.index(3)).iterations == 1
+    assert wq(1.0, 1.0, tol=Fraction(1, 10**12)) == wq(1.0, 1.0)
+    assert wq(1.0, 1.0, tol=1).iterations == 1
     # compared exactly, not through float(): this raised the builtin OverflowError
     assert wq(1.0, 1.0, tol=10**400).iterations == 1
 
@@ -504,16 +509,6 @@ def test_non_finite_inputs_rejected():
         wq(1.0, float("inf"))
 
 
-def test_convergence_error_carries_best_iterate():
-    # starved iteration budget cannot reach the default tolerance
-    with pytest.raises(ConvergenceError) as exc:
-        wq(1.0, 1.0, max_iter=3)
-    err = exc.value
-    assert err.iterations == 3
-    assert abs(err.best_w - OMEGA) < 0.2
-    assert err.residual < 1.0
-
-
 def _no_double(q, z, branch, best_w):
     return (f"no double approximates the root for q = {q}, z = {z} ({branch} branch): it "
             f"lies next to the wall or beyond the double range; best w = {best_w}")
@@ -531,10 +526,6 @@ REFUSALS = [
      0.49999999999999994, 0.7454276396737605, 1),
     ((-1e200, -5e-201, "lower"), _no_double("-1e+200", "-5e-201", "lower", "-1e-200"),
      -1e-200, math.inf, 1),
-    ((1.0, 1.0, "upper", DEFAULT_TOL, 3),
-     "no convergence to tol 1e-12 within 3 iterations for q = 1, z = 1.0 (upper branch); "
-     "best w = 0.5643823935199818, relative residual = 7.641e-03",
-     0.5643823935199818, 0.007640861009083455, 3),
 ]
 
 
@@ -569,11 +560,10 @@ def test_domain_error_text_is_pinned(call, args, kind, text):
 
 @pytest.mark.parametrize("raised", [
     lambda: wq(2.5, -4e219),
-    lambda: wq(1.0, 1.0, max_iter=3),
     lambda: wq(1.0, -5.0),
     lambda: ln_q(2.0, -1.0),
     lambda: classify_wq(parse_exact("2"), parse_exact("-1")),  # text built at the raise
-], ids=["no-double", "budget", "wq-domain", "lnq-domain", "classify-domain"])
+], ids=["no-double", "wq-domain", "lnq-domain", "classify-domain"])
 def test_errors_survive_a_pickle_round_trip(raised):
     with pytest.raises(LambertTsallisError) as e:
         raised()
@@ -845,20 +835,19 @@ def test_q_continuity_at_classical_point():
 # ------------------------------------------------------------------ drivers
 
 def _agreement_draws():
-    """Seeded (q, z, branch, tol, max_iter) requests inside the branch
-    domain, with the shortcuts, the q < 2 upper branch at z >= 0, wall
-    refusals and starved budgets among them."""
+    """Seeded (q, z, branch, tol) requests inside the branch domain, with the
+    shortcuts, the q < 2 upper branch at z >= 0 and wall refusals among
+    them."""
     rng = random.Random("driver-agreement")
     z_b = branch_point(1.0).z_b
-    yield from [(2.5, 1e200, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (3.0, 1e300, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (-1e200, -5e-201, "lower", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (1.0, 0.0, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (1.0, -0.0, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (1.0, z_b, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (1.0, z_b, "lower", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (0.5, 2.0, "upper", DEFAULT_TOL, DEFAULT_MAX_ITER),
-                (1.0, 1.0, "upper", DEFAULT_TOL, 3)]
+    yield from [(2.5, 1e200, "upper", DEFAULT_TOL),
+                (3.0, 1e300, "upper", DEFAULT_TOL),
+                (-1e200, -5e-201, "lower", DEFAULT_TOL),
+                (1.0, 0.0, "upper", DEFAULT_TOL),
+                (1.0, -0.0, "upper", DEFAULT_TOL),
+                (1.0, z_b, "upper", DEFAULT_TOL),
+                (1.0, z_b, "lower", DEFAULT_TOL),
+                (0.5, 2.0, "upper", DEFAULT_TOL)]
     for _ in range(1500):
         q = rng.choice([rng.uniform(-3.0, 4.0), rng.uniform(0.0, 3.0),
                         rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
@@ -877,9 +866,8 @@ def _agreement_draws():
         else:
             z = 10.0 ** rng.uniform(-310.0, 300.0)
         tol = DEFAULT_TOL if rng.random() < 0.7 else 10.0 ** -rng.uniform(1.0, 16.0)
-        max_iter = DEFAULT_MAX_ITER if rng.random() < 0.8 else rng.randint(1, 6)
         if branch_domain(q, branch).contains(z):  # z_b times 1e-300 may underflow to -0.0
-            yield q, z, branch, tol, max_iter
+            yield q, z, branch, tol
 
 
 def _outcome(call):
@@ -895,41 +883,76 @@ def _unbranched(result):
     return result.w, result.residual, result.iterations
 
 
-def test_one_point_solve_agrees_with_wq_and_dwq_dz(monkeypatch):
-    # the table's driver _solve and the scalar wq and dwq_dz each hold the
-    # z = 0 and z = z_b shortcuts and call _root; a one-point run must
-    # answer as they do, bit for bit, with the branch point _check_request
-    # leaves out at z >= 0 on the upper branch or with it
+def _one_point_agreement(monkeypatch, most_evaluations):
+    """Every _agreement_draws request solved by a one-point _solve run, with
+    the branch point _check_request leaves out at z >= 0 on the upper
+    branch and with it, by wq and by dwq_dz's _root call: all must agree bit
+    for bit, and no _root call may make more than most_evaluations
+    _log_residual calls.  Returns the outcomes of dwq_dz's _root calls and
+    the most calls any _root call made."""
     solver = importlib.import_module("lambert_tsallis.wq")
-    original, last = solver._root, [None]
+    original_root, last = solver._root, [None]
+    original_h, calls, most = solver._log_residual, [0], [0]
 
     def recorded(*args):
-        last[0] = _outcome(lambda: original(*args))
-        return original(*args)
+        before = calls[0]
+        last[0] = _outcome(lambda: original_root(*args))
+        most[0] = max(most[0], calls[0] - before)
+        assert most[0] <= most_evaluations, (args, most[0])
+        return original_root(*args)
+
+    def counted(*args):
+        calls[0] += 1
+        return original_h(*args)
 
     monkeypatch.setattr(solver, "_root", recorded)
-    lazy = roots = 0
-    for q, z, branch, tol, max_iter in _agreement_draws():
-        q, z, branch, bp = _check_request(q, z, branch, tol, max_iter)
+    monkeypatch.setattr(solver, "_log_residual", counted)
+    lazy, outcomes = 0, []
+    for q, z, branch, tol in _agreement_draws():
+        q, z, branch, bp = _check_request(q, z, branch, tol)
         lazy += bp is None and q < 2.0
-        ran = _outcome(lambda: next(_solve(q, (z,), branch, bp, tol, max_iter)))
-        eager = _outcome(lambda: next(_solve(q, (z,), branch, branch_point(q), tol, max_iter)))
-        scalar = _outcome(lambda: _unbranched(wq(q, z, branch, tol, max_iter)))
-        assert ran == eager == scalar, (q, z, branch, tol, max_iter)
+        ran = _outcome(lambda: next(_solve(q, (z,), branch, bp, tol)))
+        eager = _outcome(lambda: next(_solve(q, (z,), branch, branch_point(q), tol)))
+        scalar = _outcome(lambda: _unbranched(wq(q, z, branch, tol)))
+        assert ran == eager == scalar, (q, z, branch, tol)
         last[0] = None
         try:
-            dwq_dz(q, z, branch, tol, max_iter)
+            dwq_dz(q, z, branch, tol)
         except (ConvergenceError, DerivativeSingularError):
             pass
         if last[0] is None:  # dwq_dz's own shortcuts: 1 at 0, and it diverges at z_b
             assert z == 0.0 or z == branch_point(q).z_b
         else:
-            roots += 1
-            assert last[0] == ran, (q, z, branch, tol, max_iter)
-    assert lazy > 100 and roots > 1000, (lazy, roots)
+            outcomes.append(last[0])
+            assert last[0] == ran, (q, z, branch, tol)
+    assert lazy > 100 and len(outcomes) > 1000, (lazy, len(outcomes))
+    return outcomes, most[0]
 
 
-def _per_row_reference(q, zs, branch, bp, tol, max_iter):
+def test_one_point_solve_agrees_with_wq_and_dwq_dz(monkeypatch):
+    # the table's driver _solve and the scalar wq and dwq_dz each hold the
+    # z = 0 and z = z_b shortcuts and call _root; a one-point run must
+    # answer as they do, bit for bit.  These solves take at most 9
+    # evaluations, far below the 136 that may be Newton's and the 200 that
+    # end every solve
+    _one_point_agreement(monkeypatch, 40)
+
+
+def test_bisection_alone_ends_every_solve_within_67_evaluations(monkeypatch):
+    # with no Newton step at all, the start, 64 halvings over the ordered
+    # doubles and the closure's two end checks bound every solve; the
+    # drivers still agree, and each outcome is an answer or the closure's
+    # refusal
+    solver = importlib.import_module("lambert_tsallis.wq")
+    monkeypatch.setattr(solver, "_NEWTON_EVALUATIONS", 0)
+    outcomes, most = _one_point_agreement(monkeypatch, 67)
+    assert most > 50, most  # the patch took effect: Newton takes at most 9 here
+    refused = [o for o in outcomes if o.startswith("('")]  # an answer is a tuple of numbers
+    assert 0 < len(refused) < len(outcomes) // 2, len(refused)
+    assert all(o.startswith("('no double approximates the root") for o in refused)
+
+
+def _per_row_reference(q, zs, branch, bp, tol):
     """The table's solve as it was before _solve settled rows itself: the
     same starts and ends, but every row other than the z = 0 and z = z_b
     shortcuts is a _root call.  _solve's rows are held to it bit for bit."""
@@ -954,8 +977,7 @@ def _per_row_reference(q, zs, branch, bp, tol, max_iter):
                 lo, hi, start = solver._bracket(q, z, branch, z_b, w_b)
                 inside = lo < extrap < hi
                 from_extrap = inside and extrap_nearer
-            result = solver._root(q, z, branch, lo, hi, extrap if from_extrap else start,
-                                  tol, max_iter)
+            result = solver._root(q, z, branch, lo, hi, extrap if from_extrap else start, tol)
             if bracketed:
                 extrap_nearer = inside and abs(extrap - result[0]) < abs(start - result[0])
         from_extrap = from_extrap and result[2] == 1
@@ -967,7 +989,7 @@ def _rows(solve, q, zs, branch):
     """repr of solve's rows over zs, with its ConvergenceError if one ends them."""
     rows = []
     try:
-        rows.extend(solve(q, zs, branch, branch_point(q), DEFAULT_TOL, DEFAULT_MAX_ITER))
+        rows.extend(solve(q, zs, branch, branch_point(q), DEFAULT_TOL))
     except ConvergenceError as e:
         rows.append((str(e), e.best_w, e.residual, e.iterations))
     return repr(rows)
@@ -991,7 +1013,7 @@ def test_solve_rows_equal_the_per_row_reference(q, z_from, z_to, branch, steps):
     zs = [z for z in (z_from + i * step for i in range(steps)) if dom.contains(z)]
     assert _rows(_solve, q, zs, branch) == _rows(_per_row_reference, q, zs, branch)
     if q == 2.5:
-        floor = [r for r in _solve(q, zs, branch, branch_point(q), DEFAULT_TOL, DEFAULT_MAX_ITER)
+        floor = [r for r in _solve(q, zs, branch, branch_point(q), DEFAULT_TOL)
                  if r[1] > DEFAULT_TOL]
         assert len(floor) > steps // 4, len(floor)
 
@@ -1003,7 +1025,6 @@ CHECK_ORDER_FAULTS = [
     {"z": math.inf},
     {"branch": "sideways"},
     {"tol": 0.0},
-    {"max_iter": 0},
     {"q": 2.5, "branch": "lower"},  # no lower branch at q >= 2
     {"z": -5.0},  # below z_b = -1/e
 ]
@@ -1017,8 +1038,7 @@ def _fault_text(call, request):
 
 @pytest.mark.parametrize("call", [wq, dwq_dz])
 def test_the_earlier_of_two_request_faults_wins(call):
-    base = {"q": 1.0, "z": 1.0, "branch": "upper", "tol": DEFAULT_TOL,
-            "max_iter": DEFAULT_MAX_ITER}
+    base = {"q": 1.0, "z": 1.0, "branch": "upper", "tol": DEFAULT_TOL}
     pairs = 0
     for i, first in enumerate(CHECK_ORDER_FAULTS):
         alone = _fault_text(call, {**base, **first})
@@ -1027,7 +1047,7 @@ def test_the_earlier_of_two_request_faults_wins(call):
                 continue  # the two faults set the same argument
             pairs += 1
             assert _fault_text(call, {**base, **first, **later}) == alone, (first, later)
-    assert pairs == 18
+    assert pairs == 12
 
 
 def test_domain_sees_only_the_true_branch_point(monkeypatch, capsys):
