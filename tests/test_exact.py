@@ -417,6 +417,105 @@ def test_render_exact_past_the_digit_limit_is_malformed():
             render_exact(x)
 
 
+_UNPARSED = "cannot parse exact number %r"
+_LIMIT_TEXT = (f"a {DIGIT_LIMIT + 1}-digit integer is beyond the interpreter's limit on "
+               "int-string conversion (sys.set_int_max_str_digits)")
+_BIG = "7" * (DIGIT_LIMIT + 1)
+
+# Pinned grammar corpus: each text with its canonical render, or the class
+# and exact text of its refusal
+GRAMMAR_CORPUS = [
+    # whitespace, ASCII and Unicode, between any two tokens
+    ("\t3/4\n", "3/4"),
+    ("1\xa0+\xa0sqrt(2)", "1+sqrt(2)"),
+    ("\x1c-2\x1c*sqrt(3)", "-2*sqrt(3)"),
+    (" 1 / 2 + 3 / 4 * sqrt ( 5 ) ", "1/2+3/4*sqrt(5)"),
+    ("\r\v\f", (MalformedInputError, "empty exact-number text")),
+    ("", (MalformedInputError, "empty exact-number text")),
+    # capitals
+    ("SQRT(2)", "sqrt(2)"),
+    ("PI", "pi"),
+    ("E", "e"),
+    ("2/4-6/8*SQRT(12)", "1/2-3/2*sqrt(3)"),
+    # signs: a leading + on a rational or on a, never on a bare surd term
+    ("+3/4", "3/4"),
+    ("+1+sqrt(2)", "1+sqrt(2)"),
+    ("-0/5", "0"),
+    ("-sqrt(+8)", "-2*sqrt(2)"),
+    ("+sqrt(2)", (MalformedInputError, _UNPARSED % "+sqrt(2)")),
+    ("+2*sqrt(3)", (MalformedInputError, _UNPARSED % "+2*sqrt(3)")),
+    ("1+-sqrt(2)", (MalformedInputError, _UNPARSED % "1+-sqrt(2)" + " (double sign)")),
+    ("1--sqrt(2)", (MalformedInputError, _UNPARSED % "1--sqrt(2)" + " (double sign)")),
+    ("1+-2*sqrt(3)", (MalformedInputError, _UNPARSED % "1+-2*sqrt(3)" + " (double sign)")),
+    ("--sqrt(2)", (MalformedInputError, _UNPARSED % "--sqrt(2)")),
+    ("1-+sqrt(2)", (MalformedInputError, _UNPARSED % "1-+sqrt(2)")),
+    # zero denominators, in a, in b and alone
+    ("1/0+sqrt(2)", (MalformedInputError, "zero denominator in rational 1/0")),
+    ("-7/0-sqrt(2)", (MalformedInputError, "zero denominator in rational -7/0")),
+    ("1+2/0*sqrt(3)", (MalformedInputError, "zero denominator in rational 2/0")),
+    ("0/0", (MalformedInputError, "zero denominator in rational 0/0")),
+    # malformed shapes and trailing operators
+    ("1/2/3", (MalformedInputError, _UNPARSED % "1/2/3")),
+    ("1+", (MalformedInputError, _UNPARSED % "1+")),
+    ("1+sqrt(2)+", (MalformedInputError, _UNPARSED % "1+sqrt(2)+")),
+    ("1/", (MalformedInputError, _UNPARSED % "1/")),
+    ("2*", (MalformedInputError, _UNPARSED % "2*")),
+    ("sqrt(2)+1", (MalformedInputError, _UNPARSED % "sqrt(2)+1")),
+    ("2sqrt(3)", (MalformedInputError, _UNPARSED % "2sqrt(3)")),
+    ("sqrt(2.0)", (MalformedInputError, _UNPARSED % "sqrt(2.0)")),
+    ("epi", (MalformedInputError, _UNPARSED % "epi")),
+    # a surd part that vanishes or a radicand that is a square
+    ("sqrt(0)", "0"),
+    ("0*sqrt(5)", "0"),
+    ("-sqrt(4)", "-2"),
+    ("1/2-1/2*sqrt(1)", "0"),
+    ("6/4-10/4*sqrt(50)", "3/2-25/2*sqrt(2)"),
+    ("sqrt(-2)", (MalformedInputError, "a negative radicand has no real square root")),
+] + ([
+    # past the int-string digit limit; a zero den read first is refused first
+    (_BIG, (MalformedInputError, _LIMIT_TEXT)),
+    (f"1/{_BIG}", (MalformedInputError, _LIMIT_TEXT)),
+    (f"{_BIG}/0", (MalformedInputError, _LIMIT_TEXT)),
+    (f"1-{_BIG}*sqrt(2)", (MalformedInputError, _LIMIT_TEXT)),
+    (f"1+2*sqrt({_BIG})", (MalformedInputError, _LIMIT_TEXT)),
+    (f"1/0+{_BIG}*sqrt(2)", (MalformedInputError, "zero denominator in rational 1/0")),
+    (f"1+2/0*sqrt({_BIG})", (MalformedInputError, "zero denominator in rational 2/0")),
+] if DIGIT_LIMIT else [])
+
+
+def _parse_outcome(text):
+    """render_exact of the parse, or (error class, text) of its refusal."""
+    try:
+        return render_exact(parse_exact(text))
+    except MalformedInputError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text, expected", GRAMMAR_CORPUS,
+                         ids=[repr(t) if len(t) < 40 else repr(f"{t[:8]}..{t[-8:]}")
+                              for t, _ in GRAMMAR_CORPUS])
+def test_parse_exact_grammar_corpus_is_pinned(text, expected):
+    assert _parse_outcome(text) == expected
+
+
+@pytest.mark.parametrize("n, d", [
+    (3, 7), (6, 4), (-6, 4), (6, -4), (-6, -4), (0, 5), (0, -5), (7, 1), (7, -1),
+    (10 ** 50 + 3, 3 * 10 ** 49), (-(10 ** 50) * 21, 35 * 10 ** 50 - 7),
+    (2 ** 166 * 15, -(2 ** 160) * 9), (12345678901234567890123456789012345678901234567890,
+                                      -98765432109876543210987654321098765432109876543210),
+])
+def test_fraction_builder_equals_fraction(n, d):
+    # the builder sets Fraction's slots past its constructor: the result is
+    # the Fraction n/d in every way a caller or pickle can see
+    built, ref = exact._fraction(n, d), Fraction(n, d)
+    assert type(built) is Fraction
+    assert (built.numerator, built.denominator) == (ref.numerator, ref.denominator)
+    assert built == ref and hash(built) == hash(ref)
+    assert (str(built), repr(built)) == (str(ref), repr(ref))
+    back = pickle.loads(pickle.dumps(built))
+    assert type(back) is Fraction and repr(back) == repr(ref)
+
+
 def test_rational_bounds_enclose():
     for c in (E, PI):
         lo, hi = rational_bounds(c)
@@ -720,14 +819,15 @@ FRACTION_OPERATORS = [
 
 
 def test_exact_kernels_run_no_fraction_operator(monkeypatch):
-    # a Fraction operator costs 1-3 us of dispatch and gcd; the kernels
-    # compute on the parts' numerators and denominators instead
+    # a Fraction operator costs 1-3 us of dispatch and gcd, and its
+    # constructor about 1 us; the kernels compute on the parts' numerators
+    # and denominators instead, and build each part past the constructor
     texts = ["3/7", "-2", "0", "1/2-3/5*sqrt(7)", "-sqrt(7)", "2+sqrt(28)",
              "sqrt(9)", f"{10 ** 50}/3+7/{10 ** 49}*sqrt(7)", f"sqrt({P * P * R})",
              f"-1/3*sqrt({R})"]
 
     def outcomes():
-        out = []
+        out = [_parse_outcome(t) for t, _ in GRAMMAR_CORPUS]
         xs = [parse_exact(t) for t in texts]
         for x in xs:
             out += [repr(x), sign(x), to_real(x), render_exact(x)]
@@ -744,7 +844,7 @@ def test_exact_kernels_run_no_fraction_operator(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Fraction operator ran")
 
-    for name in FRACTION_OPERATORS:
+    for name in FRACTION_OPERATORS + ["__new__"]:
         monkeypatch.setattr(Fraction, name, refuse)
     try:
         got = outcomes()

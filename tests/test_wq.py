@@ -294,6 +294,19 @@ def test_power_tail_past_the_double_range():
     assert res.w == -1e300 and res.iterations == 1
 
 
+@pytest.mark.parametrize("q, z", [(1.7e308, -1e308), (1e20, -2.2e-308), (1e300, -1e-200),
+                                  (1e50, -1e-300)])
+def test_power_tail_is_widened_by_its_rounding(q, z):
+    # exp_q(W) is 1 to within about log(q |W|)/q, so W rounds to z and dW/dz
+    # to 1.  The power tail, the upper end for q > 2, is an exp of about
+    # log|z|, 460 to 709 in size here; unwidened, its rounding put it past W
+    # and the bracket closed on it: w was -1.0000000000000136e+308 at the
+    # first, and dwq_dz 1.0000000000000135, 1.0000000000000209,
+    # 1.0000000000000349 and 1.0000000000000238
+    assert wq(q, z).w == z
+    assert dwq_dz(q, z) == 1.0
+
+
 def test_branch_point_absent_at_two_and_beyond():
     for q in (2.0, 2.5, 3.0):
         assert branch_point(q) is None
