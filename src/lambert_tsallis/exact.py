@@ -408,7 +408,7 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise MalformedInputError(
-            f"a {len(text)}-digit integer is beyond {_DIGIT_LIMIT}") from None
+            f"a {len(text.lstrip('+-'))}-digit integer is beyond {_DIGIT_LIMIT}") from None
 
 
 def parse_exact(text: str) -> ExactNumber:

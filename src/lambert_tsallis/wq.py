@@ -72,14 +72,13 @@ analysis of the branch domains and always sees the true branch point: z is
 compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
 message wrap that in an Interval.  Likewise _ends alone says which fixed
 bounds hold a root, and _bracket only tightens them.  _root, which checks
-nothing, is the only loop: wq and dwq_dz call it once on _bracket's start,
+nothing, is the only loop and the only holder of the Newton step, the side
+update and the stopping rule: wq and dwq_dz call it once on _bracket's start,
 with no generator.  _solve, which solves the CLI table's kept grid in order,
-yields a plain (w, residual, iterations) tuple per row; it makes the first
-evaluation of a row that starts from the extrapolant itself, by _root's rule,
-and calls _root for a row that does not stop there and for every other row.
-Only wq builds a SolveResult.  SolveResult and BranchPoint are named tuples:
-their fields are read-only, and they unpack, index and compare equal like
-tuples.
+makes one _root call per row other than z = 0 and z_b and yields a plain
+(w, residual, iterations) tuple per row.  Only wq builds a SolveResult.
+SolveResult and BranchPoint are named tuples: their fields are read-only, and
+they unpack, index and compare equal like tuples.
 """
 
 from __future__ import annotations
@@ -444,16 +443,10 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     extrapolant needs six roots and one point to compare on, so the first seven
     points of a run take the analytic start, as wq does.
 
-    A point that starts from the extrapolant inside the fixed ends gets its
-    first evaluation here, with _root's first iteration: the side update, the
-    Newton point and the stopping rule.  A point that stops there yields that
-    Newton point and makes no _root call, which on a 10^4-step table is about
-    96% of the rows; every other point runs _root from the same start and
-    ends, which evaluates the start once more.  Each row is the one _root
-    alone would give, bit for bit."""
+    Every point other than z = 0 and z_b is then one _root call from that
+    start and those ends, so each evaluates its start once; on a 10^4-step
+    table about 96% of the rows stop at that first evaluation."""
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
-    lower = branch is _LOWER
-    inf, ulp = math.inf, math.ulp  # a local costs less than a module attribute
     w1 = w2 = w3 = w4 = w5 = w6 = math.nan  # the last six roots, newest first
     extrap = math.nan
     extrap_nearer = from_extrap = False
@@ -473,23 +466,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 lo, hi = _ends(q, z, branch, w_b)
                 from_extrap = lo < extrap < hi
             if from_extrap:
-                # _root's first iteration from extrap, with its side update,
-                # Newton point and stopping rule: a row that stops here makes
-                # no _root call, and any other row runs _root from the same start
-                h, slope = _log_residual(q, z, extrap)
-                ah = abs(h)
-                newton = extrap - h / slope if slope != 0.0 else math.nan
-                if newton == extrap and abs(slope) == inf:
-                    newton = extrap - h * extrap
-                if (h < 0.0) == (lower or z > 0.0) or h == -inf:
-                    step_inside = extrap < newton < hi  # extrap is the new lo
-                else:
-                    step_inside = lo < newton < extrap  # extrap is the new hi
-                if ((ah <= tol or abs(extrap - newton) <= 4.0 * ulp(extrap))
-                        and (step_inside or newton == extrap)):
-                    result = (newton, ah, 1)
-                else:
-                    result = _root(q, z, branch, lo, hi, extrap, tol)
+                result = _root(q, z, branch, lo, hi, extrap, tol)
             else:
                 lo, hi, start = _bracket(q, z, branch, z_b, w_b)
                 inside = lo < extrap < hi  # False while extrap is nan

@@ -93,16 +93,15 @@ def test_exit_two_on_missing_classify_operand():
     assert "--z" in p.stderr
 
 
-def test_exit_two_on_bad_steps():
-    p = run_cli("table", "wq", "--q", "1", "--z-from", "0", "--z-to", "1",
-                "--steps", "1")
-    assert p.returncode == 2
+def test_exit_two_on_bad_steps(capsys):
+    assert run_main(capsys, "table", "wq", "--q", "1", "--z-from", "0", "--z-to", "1",
+                    "--steps", "1") == (2, "", "error: --steps must be >= 2, got 1\n")
 
 
-def test_exit_two_on_reversed_range():
-    p = run_cli("table", "wq", "--q", "1", "--z-from", "2", "--z-to", "1",
-                "--steps", "5")
-    assert p.returncode == 2
+def test_exit_two_on_reversed_range(capsys):
+    assert run_main(capsys, "table", "wq", "--q", "1", "--z-from", "2", "--z-to", "1",
+                    "--steps", "5") == (
+        2, "", "error: --z-from must be less than --z-to, got 2.0 and 1.0\n")
 
 
 def test_exit_two_on_bad_tol():
@@ -1017,13 +1016,24 @@ def test_table_continuation_rows_skip_the_bracket(monkeypatch, capsys, q, z_from
         _assert_near_wq(q, z, branch, v)
 
 
-def test_table_rows_settled_at_the_first_evaluation_make_no_root_call(monkeypatch, capsys):
-    # a row that starts from the extrapolant inside the fixed ends and stops
-    # at that first evaluation is settled in _solve; solving each row through
-    # _root would make a call for each of the 10^4 rows
-    roots = _counted(monkeypatch, "_root")
-    rows = _wq_table(capsys, 1.0, -0.3, 25.0, "upper", steps=10_000)
-    assert len(rows) == 10_000 and roots[0] <= 0.05 * len(rows), roots[0]
+def test_table_rows_evaluate_their_start_once(monkeypatch, capsys):
+    # a table's residual evaluations are the sum of its rows' iterations: no
+    # row evaluates its start twice.  No row of this table closes a bracket on
+    # adjacent doubles, whose end checks iterations leaves out
+    cli = importlib.import_module("lambert_tsallis.cli")
+    evaluations = _counted(monkeypatch, "_log_residual")
+    iterations = []
+    solve = cli._solve
+
+    def recorded(*args):
+        for row in solve(*args):
+            iterations.append(row[2])
+            yield row
+
+    monkeypatch.setattr(cli, "_solve", recorded)
+    rows = _wq_table(capsys, 3.0, -0.3, 25.0, "upper")
+    assert len(iterations) == len(rows) == 1000
+    assert evaluations[0] == sum(iterations), (evaluations[0], sum(iterations))
 
 
 def test_table_builds_no_solve_result(monkeypatch, capsys):

@@ -478,6 +478,12 @@ GRAMMAR_CORPUS = [
     (f"{_BIG}/0", (MalformedInputError, _LIMIT_TEXT)),
     (f"1-{_BIG}*sqrt(2)", (MalformedInputError, _LIMIT_TEXT)),
     (f"1+2*sqrt({_BIG})", (MalformedInputError, _LIMIT_TEXT)),
+    # a sign is not a digit
+    (f"-{_BIG}", (MalformedInputError, _LIMIT_TEXT)),
+    (f"+{_BIG}/3", (MalformedInputError, _LIMIT_TEXT)),
+    (f"-{_BIG}+sqrt(2)", (MalformedInputError, _LIMIT_TEXT)),
+    (f"sqrt(-{_BIG})", (MalformedInputError, _LIMIT_TEXT)),
+    (f"1+sqrt(+{_BIG})", (MalformedInputError, _LIMIT_TEXT)),
     (f"1/0+{_BIG}*sqrt(2)", (MalformedInputError, "zero denominator in rational 1/0")),
     (f"1+2/0*sqrt({_BIG})", (MalformedInputError, "zero denominator in rational 2/0")),
 ] if DIGIT_LIMIT else [])
