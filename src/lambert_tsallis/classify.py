@@ -3,16 +3,17 @@
 Verdicts, named tuples Classification, come from a guarded decision
 procedure over exact inputs (`exact.ExactNumber`), which are canonical
 by construction.  Each classify_* checks its operands' type once and then
-tests their shapes directly: an operand equals 0, 1 or 2 when its class is
-Rational and its Fraction equals that int, a test that skips the
-numbers.Rational check Fraction.__eq__ makes against another Fraction.
-The guards read their signs from the operands' ints (exact._ints,
-exact._field_pair) through exact._sign_ints, the one sign rule, and build
+tests their shapes directly on their canonical ints (A, B, D, d), the
+number (A + B*sqrt(d))/D: a Rational is 0 when not A, 1 when A == D and 2
+when A == 2 and D == 1.  The guards read their signs from those ints
+(exact._field_pair) through exact._sign_ints, the one sign rule, and build
 no intermediate exact record: classify_expq's bracket 1 + (1-q) z for
-algebraic q, z and classify_wq's q < 2 are one integer sign each.  Every
-Transcendental verdict cites a rule whose hypotheses were checked on the
-inputs, so a verdict is never wrong; when no rule applies the result is the
-legal verdict Unknown with rule GuardFallthrough.
+algebraic q, z and classify_wq's q < 2 are one integer sign each, and the
+bracket against e or pi is two, one per end of the enclosure.  No Fraction
+is built on the way.  Every Transcendental verdict cites a rule whose
+hypotheses were checked on the inputs, so a verdict is never wrong; when
+no rule applies the result is the legal verdict Unknown with rule
+GuardFallthrough.
 
 Floating point enters in one place, the z_b guard of classify_wq: for surd
 q < 2 and z < 0, W_q(z) is real only for z >= z_b, which has no exact form
@@ -49,12 +50,11 @@ import math
 import sys
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DomainError, MalformedInputError, UnsupportedFieldError
-from .exact import (ONE, ZERO, ArithmeticClass, ExactNumber, NamedTranscendental,
-                    QuadSurd, Rational, _check, _field_pair, _ints, _sign_ints, add,
-                    classify_number, div, rational_bounds, render_exact, sign, sub, to_real)
+from .exact import (_ENCLOSURES, ONE, ZERO, ArithmeticClass, ExactNumber,
+                    NamedTranscendental, QuadSurd, Rational, _check, _field_pair,
+                    _sign_ints, add, classify_number, div, render_exact, sign, sub, to_real)
 # mul is unused here, but bench/spans.py wraps it at this name
 from .exact import mul  # noqa: F401
 from .wq import branch_point
@@ -109,13 +109,14 @@ def _unknown(reason: str) -> Classification:
 
 
 # Relative half-width of the band around the double z_b in which
-# classify_wq answers Unknown.  Against 60-digit mpmath, the relative error
-# of the double branch_point(to_real(q)).z_b was at most 7.8e-16 over the
-# 2 222 surd q < 2 of benchmark seeds 1-5 and 7.7e-15 over values next to
-# 1, next to 2 and down to -1e16: next to 2 it grows like eps |log(2-q)|,
-# to about 1e-14 before q rounds to 2.  Below -1e16, where branch_point
-# takes exp_q(w_b) in closed form, it was at most 2.7e-16 down to -1.7e308.
-_ZB_MARGIN = Fraction(1, 10**12)
+# classify_wq answers Unknown, as (numerator, denominator).  Against
+# 60-digit mpmath, the relative error of the double
+# branch_point(to_real(q)).z_b was at most 7.8e-16 over the 2 222 surd
+# q < 2 of benchmark seeds 1-5 and 7.7e-15 over values next to 1, next to 2
+# and down to -1e16: next to 2 it grows like eps |log(2-q)|, to about 1e-14
+# before q rounds to 2.  Below -1e16, where branch_point takes exp_q(w_b) in
+# closed form, it was at most 2.7e-16 down to -1.7e308.
+_ZB_MARGIN = (1, 10 ** 12)
 
 
 def _double_z_b(q: QuadSurd) -> float | None:
@@ -130,7 +131,7 @@ def _double_z_b(q: QuadSurd) -> float | None:
 
 def _widened(z_b: float, side: int) -> Rational:
     """z_b * (1 + side * _ZB_MARGIN) for side +-1, built from ints."""
-    (n, m), (u, v) = z_b.as_integer_ratio(), _ZB_MARGIN.as_integer_ratio()
+    (n, m), (u, v) = z_b.as_integer_ratio(), _ZB_MARGIN
     return Rational(n * (v + side * u), m * v)
 
 
@@ -150,7 +151,7 @@ def _bracket_sign_algebraic(q: ExactNumber, z: ExactNumber) -> int | None:
 
 def _below_two(q: QuadSurd) -> bool:
     """q < 2, the sign of q - 2 = (A - 2 D + B sqrt(d))/D read from q's ints."""
-    A, B, D, d = _ints(q)
+    A, B, D, d = q
     return _sign_ints(A - 2 * D, B, d) < 0
 
 
@@ -159,9 +160,9 @@ def _bracket_sign_named(q: Rational, z: NamedTranscendental) -> int | None:
     interval arithmetic over a certified rational enclosure of z, 1e-50
     wide.  None where the enclosure straddles zero, q within about 1e-51 of
     1 + 1/z."""
-    n, m = q.value.numerator, q.value.denominator
-    # each end 1 + (1-q) e times m * e.denominator > 0, in ints
-    ends = [m * e.denominator + (m - n) * e.numerator for e in rational_bounds(z)]
+    n, m = q.A, q.D
+    # each end 1 + (1-q) u/v times m * v > 0, in ints
+    ends = [m * v + (m - n) * u for u, v in _ENCLOSURES[z.tag]]
     if min(ends) > 0:
         return 1
     if max(ends) < 0:
@@ -180,11 +181,11 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
     same cutoff guard; (f) otherwise Unknown.
     """
     q, z = _check(q), _check(z)
-    if z.__class__ is Rational and z.value == 0:
+    if z.__class__ is Rational and not z.A:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "exp_q(0) = 1 exactly for every deformation q.", ONE)
-    if q.__class__ is Rational and q.value == 1 and not isinstance(z, NamedTranscendental):
+    if q.__class__ is Rational and q.A == q.D and not isinstance(z, NamedTranscendental):
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.CLASSICAL_EXP,
             f"q = 1 is the classical exponential and z = {render_exact(z)} is a "
@@ -216,7 +217,7 @@ def classify_expq(q: ExactNumber, z: ExactNumber) -> Classification:
                 "exp_q(z) transcendental.")
         # q rational != 1 with algebraic z: the exponent 1/(1-q) is rational,
         # Gelfond-Schneider does not reach it
-    if q.__class__ is Rational and q.value != 1 and isinstance(z, NamedTranscendental):
+    if q.__class__ is Rational and q.A != q.D and isinstance(z, NamedTranscendental):
         s = _bracket_sign_named(q, z)
         if s is not None and s < 0:
             return Classification(
@@ -251,12 +252,13 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
     usable double z_b exists; (f) otherwise Unknown.
     """
     q, z = _check(q), _check(z)
-    if z.__class__ is Rational and z.value == 0:
+    if z.__class__ is Rational and not z.A:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "W_q(0) = 0 exactly for every q (0 is the only solution of "
             "w exp_q(w) = 0 on the principal branch).", ZERO)
-    if q.__class__ is Rational and q.value == 2 and not isinstance(z, NamedTranscendental):
+    if (q.__class__ is Rational and q.A == 2 and q.D == 1
+            and not isinstance(z, NamedTranscendental)):
         one_plus_z = add(ONE, z)
         if sign(one_plus_z) <= 0:
             raise DomainError(
@@ -267,13 +269,13 @@ def classify_wq(q: ExactNumber, z: ExactNumber) -> Classification:
             classify_number(value), Rule.CLOSED_FORM_Q2,
             f"q = 2 has the closed form W_2(z) = z/(1+z) = {render_exact(value)}; "
             "its arithmetic class is read off the exact value.", value)
-    if q.__class__ is Rational and q.value == 1 and z.__class__ is Rational and z.value == 1:
+    if q.__class__ is Rational and q.A == q.D and z.__class__ is Rational and z.A == z.D:
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.CLASSICAL_W1,
             "q = 1, z = 1: W(1) is the omega constant, transcendental "
             "(were it algebraic, e^W(1) = 1/W(1) would contradict "
             "Lindemann-Weierstrass).")
-    if isinstance(q, QuadSurd) and z.__class__ is Rational and z.value == 1:
+    if isinstance(q, QuadSurd) and z.__class__ is Rational and z.A == z.D:
         return Classification(
             ArithmeticClass.TRANSCENDENTAL, Rule.THEOREM_1,
             f"q = {render_exact(q)} is algebraic irrational; x = W_q(1) satisfies "
@@ -322,7 +324,7 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
     if not isinstance(z0, NamedTranscendental) and sign(z0) <= 0:
         raise DomainError(
             f"the deformed logarithm needs z0 > 0, got z0 = {render_exact(z0)}")
-    if z0.__class__ is Rational and z0.value == 1:
+    if z0.__class__ is Rational and z0.A == z0.D:
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
             "z0 = 1 gives 1^(-q) = 1 exactly; base 1 is excluded from "
@@ -335,21 +337,23 @@ def classify_lnq_derivative(q: ExactNumber, z0: ExactNumber) -> Classification:
             f"algebraic, positive, not 0 or 1, and -q = -({render_exact(q)}) is "
             "algebraic irrational, so Gelfond-Schneider makes the value "
             "transcendental.")
-    if isinstance(q, Rational) and q.value.denominator == 1 and isinstance(z0, Rational):
+    if isinstance(q, Rational) and q.D == 1 and isinstance(z0, Rational):
         # The larger term of z0^(-q) has 1 + floor(|q| log10 m) digits, with
-        # m = max(|num|, den) >= 2: refuse a power that render_exact could not
+        # m = max(num, den) >= 2: refuse a power that render_exact could not
         # print before computing it.  Each factor adds over 1/4 digit, so |q|
         # clamped to 4*limit still refuses; the limit is 0 where there is none.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        m = max(abs(z0.value.numerator), z0.value.denominator)
-        if limit and min(abs(int(q.value)), 4 * limit) * math.log10(m) >= limit:
+        k, n, m = q.A, z0.A, z0.D
+        if limit and min(abs(k), 4 * limit) * math.log10(max(n, m)) >= limit:
             raise MalformedInputError(
                 f"z0^(-q) has more than {limit} decimal digits, the interpreter's "
                 "limit on int-string conversion")
-        value = Rational(z0.value ** (-int(q.value)))
+        # z0 = n/m > 0 in lowest terms, so m^k/n^k and n^-k/m^-k are too
+        power = (m ** k, 0, n ** k, 0) if k >= 0 else (n ** -k, 0, m ** -k, 0)
+        value = tuple.__new__(Rational, power)
         return Classification(
             ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
-            f"integer q = {q.value} gives the exact rational power z0^(-q) = "
+            f"integer q = {k} gives the exact rational power z0^(-q) = "
             f"{render_exact(value)}.", value)
     return _unknown(
         f"no decision rule covers q = {render_exact(q)}, z0 = {render_exact(z0)} "
@@ -368,9 +372,9 @@ def classify_tower(r: ExactNumber) -> Classification:
     """
     r = _check(r)
     if isinstance(r, Rational):
-        v = r.value
-        if v.denominator == 1:
-            if v.numerator >= 0:
+        v = render_exact(r)  # past the int-string digit limit it raises MalformedInputError
+        if r.D == 1:
+            if r.A >= 0:
                 return _unknown(
                     f"r = {v} is an integer: the tower rule requires a positive "
                     "non-integer rational (for integer r the tower is a plain "
@@ -378,7 +382,7 @@ def classify_tower(r: ExactNumber) -> Classification:
             raise DomainError(
                 f"unsupported base r = {v}: the real-valued tower is undefined "
                 "for negative bases in general")
-        if v.numerator < 0:
+        if r.A < 0:
             raise DomainError(
                 f"unsupported base r = {v}: a negative non-integer base has no "
                 "real-valued tower (irrational exponent on a negative number)")

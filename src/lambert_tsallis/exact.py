@@ -1,12 +1,12 @@
 """Exact arithmetic over the rationals and real quadratic fields Q(sqrt(d)).
 
 Numbers are one of three closed-form shapes, named tuples that do not order,
-all canonical by construction: a shape's constructor is the one place where
-its parts are checked (parts other than ints or Fractions, a radicand other
-than an int, a tag other than a Constant raise ``MalformedInputError``) and
-made canonical; _replace, _make, copying and unpickling build through it.
+all canonical by construction.  Rational and QuadSurd hold the same four
+ints (A, B, D, d), the number (A + B*sqrt(d))/D with D > 0 and
+gcd(A, B, D) = 1:
 
-* ``Rational(num, den=1)`` wraps the reduced ``fractions.Fraction`` num/den.
+* ``Rational(num, den=1)`` is num/den with B = d = 0; num and den are ints
+  or Fractions (any numbers.Rational).
 * ``QuadSurd(a, b, d)`` is a + b*sqrt(d) with b != 0 and d >= 2, not a
   perfect square, with no square factor p*p for p < 2**20, so a surd is
   irrational and its class needs no search.  A repeated
@@ -18,19 +18,23 @@ made canonical; _replace, _make, copying and unpickling build through it.
   They are opaque: no field arithmetic, no exact sign; only certified
   rational enclosures.
 
+A shape's constructor is the one place where its parts are checked (parts
+other than ints or Fractions, a radicand other than an int, a tag other
+than a Constant raise ``MalformedInputError``) and made canonical: a
+QuadSurd's parts go to _make, which checks four ints, splits the radicand
+once and reduces; _replace, copying and unpickling build through _make
+too.  ``.value`` of a Rational and ``.a`` and ``.b`` of a QuadSurd build a
+Fraction when read, and only there is ``fractions`` imported.
+
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Radicands d1, d2 name one field when d1*d2 = r*r,
 and sqrt(d_large) = r/d_small * sqrt(d_small); surds over different fields
 are rejected (``UnsupportedFieldError``) rather than embedded in a bigger
-field.  Building a QuadSurd splits its radicand once; the arithmetic builds
-its results past the constructors and never splits again.  _ints, which
-reads an operand as ints (A, B, D, d) with x = (A + B*sqrt(d))/D, is an
-operation's one type test of it: anything not an exact number raises
+field.  The arithmetic builds its results past the constructors, by _build:
+one gcd of (A, B, D) and no split.  _ints, an operation's one type test of
+an operand, returns the record itself: anything not an exact number raises
 ``MalformedInputError`` there, before e or pi is refused.  The classifiers
-check their operands once, at their entry.  No Fraction operator or
-constructor runs in the arithmetic, sign, to_real, parsing or rendering:
-each part of a result is built by _fraction, which reduces it by one gcd
-and sets Fraction's two slots, _numerator and _denominator, directly.
+check their operands once, at their entry.
 
 _sign_ints(A, B, d), the sign of A + B*sqrt(d) for ints, is the one sign
 rule: ``sign`` reads an operand's ints into it, and the classifiers' guards
@@ -56,7 +60,6 @@ import numbers
 import re
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from math import isqrt
 
 from .errors import MalformedInputError, UnsupportedFieldError, UnsupportedOperandError
@@ -98,7 +101,7 @@ class ArithmeticClass(Enum):
 
 class _Exact:
     """The shapes' base: <, <=, > and >= raise TypeError, and _make, and so
-    _replace, builds through the constructor."""
+    _replace, builds through the constructor (_Field's through its check)."""
 
     __slots__ = ()
 
@@ -112,54 +115,89 @@ class _Exact:
         return cls(*iterable)
 
 
-def _part(x):
-    """x itself if it is an int or a Fraction (any numbers.Rational)."""
-    if isinstance(x, (int, Fraction, numbers.Rational)):  # the ABC check is the slow one
-        return x
-    raise MalformedInputError(f"exact parts are ints or Fractions, got {type(x).__name__}")
-
-
-class Rational(_Exact, namedtuple("Rational", "value")):
-    """An exact rational number, the reduced Fraction num/den."""
-
-    __slots__ = ()
-
-    def __new__(cls, num, den=1):
-        if type(num) is Fraction and type(den) is int and den == 1:
-            return tuple.__new__(cls, (num,))
-        num, den = _part(num), _part(den)
-        if den == 0:  # str() of a numerator past the int-string digit limit raises
-            small = max(abs(num.numerator), num.denominator) < 10 ** 40
-            shown = f"{num}/0" if small else "with a numerator of over 40 digits"
-            raise MalformedInputError(f"zero denominator in rational {shown}")
-        return tuple.__new__(cls, (Fraction(num, den),))
-
-
 _NEGATIVE_RADICAND = "a negative radicand has no real square root"
 
 
-class QuadSurd(_Exact, namedtuple("QuadSurd", "a b d")):
-    """a + b*sqrt(d) with the square factor of d split out; b = 0 or a
-    perfect-square d yields a Rational."""
+class _Field(_Exact):
+    """Rational's and QuadSurd's base: the fields are the ints (A, B, D, d),
+    and _make is their one check, which copying and unpickling go through."""
 
     __slots__ = ()
 
-    def __new__(cls, a, b, d):
-        # a Fraction is kept as it is: Fraction(f) copies it at about 1 us
-        a = a if type(a) is Fraction else Fraction(_part(a))
-        b = b if type(b) is Fraction else Fraction(_part(b))
+    @classmethod
+    def _make(cls, fields):
+        """The canonical number (A + B*sqrt(d))/D for ints with D != 0 and
+        d >= 0: the square factor of d split out, reduced by one gcd, a
+        Rational where B*sqrt(d) is rational."""
+        fields = tuple(fields)
+        if len(fields) != 4 or not all(isinstance(v, int) for v in fields[:3]):
+            raise MalformedInputError("an exact number's fields are the four ints A, B, D, d")
+        A, B, D, d = fields
         if not isinstance(d, int):
             raise MalformedInputError(f"a radicand is an int, got {type(d).__name__}")
         if d < 0:
             raise MalformedInputError(_NEGATIVE_RADICAND)
-        if not b.numerator or d == 0:
-            return tuple.__new__(Rational, (a,))
-        s, f = _square_split(d)
-        if f == 1:  # a + b*s
-            return _build(a.numerator * b.denominator + b.numerator * s * a.denominator, 0,
-                          a.denominator * b.denominator, 0)
-        b = b if s == 1 else _fraction(b.numerator * s, b.denominator)
-        return tuple.__new__(cls, (a, b, f))
+        if not D:
+            raise MalformedInputError("zero denominator in an exact number's fields")
+        # a bool or an int subclass is stored as an int
+        return _canonical(int(A), int(B), int(D), d)
+
+    def __reduce__(self):
+        return self._make, (tuple(self),)
+
+
+def _part(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction (any numbers.Rational)."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, numbers.Rational):
+        return x.numerator, x.denominator
+    raise MalformedInputError(f"exact parts are ints or Fractions, got {type(x).__name__}")
+
+
+class Rational(_Field, namedtuple("Rational", "A B D d")):
+    """An exact rational number A/D, reduced, with D > 0 and B = d = 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, num, den=1):
+        if type(num) is int and type(den) is int and den == 1:
+            return tuple.__new__(cls, (num, 0, 1, 0))
+        (n1, d1), (n2, d2) = _part(num), _part(den)
+        if not n2:  # str() of a numerator past the int-string digit limit raises
+            small = max(abs(n1), d1) < 10 ** 40
+            shown = f"{num}/0" if small else "with a numerator of over 40 digits"
+            raise MalformedInputError(f"zero denominator in rational {shown}")
+        return _build(n1 * d2, 0, d1 * n2, 0)
+
+    @property
+    def value(self):
+        """The Fraction A/D, built when read."""
+        from fractions import Fraction  # it loads decimal: only a reader pays for both
+        return Fraction(self.A, self.D)
+
+
+class QuadSurd(_Field, namedtuple("QuadSurd", "A B D d")):
+    """a + b*sqrt(d), held as (A + B*sqrt(d))/D, with the square factor of d
+    split out; b = 0 or a perfect-square d yields a Rational."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, d):
+        (an, ad), (bn, bd) = _part(a), _part(b)
+        return cls._make((an * bd, bn * ad, ad * bd, d))
+
+    @property
+    def a(self):
+        """The rational part a, a Fraction built when read."""
+        from fractions import Fraction
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self):
+        """The coefficient b of sqrt(d), a Fraction built when read."""
+        from fractions import Fraction
+        return Fraction(self.B, self.D)
 
 
 class Constant(Enum):
@@ -214,16 +252,10 @@ def _check(x: ExactNumber) -> ExactNumber:
 
 
 def _ints(x: ExactNumber) -> tuple[int, int, int, int] | None:
-    """(A, B, D, d) in ints with x = (A + B*sqrt(d))/D, D > 0 and d = 0 for
-    a Rational; None for e or pi."""
-    # isinstance, not a match: the class pattern Rational(v) costs three times as much
-    if isinstance(x, QuadSurd):
-        a, b, d = x
-        ad, bd = a.denominator, b.denominator
-        return a.numerator * bd, b.numerator * ad, ad * bd, d
-    if isinstance(x, Rational):
-        v = x.value
-        return v.numerator, 0, v.denominator, 0
+    """x itself, the ints (A, B, D, d) with x = (A + B*sqrt(d))/D, D > 0 and
+    B = d = 0 for a Rational; None for e or pi."""
+    if isinstance(x, (QuadSurd, Rational)):
+        return x
     _check(x)  # raises unless x is e or pi
     return None
 
@@ -255,27 +287,29 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
     return a1, b1, e1, a2, b2, e2, d1 or d2
 
 
-def _fraction(n: int, d: int) -> Fraction:
-    """The reduced Fraction n/d for ints n and d != 0, the sign moved to n
-    (div's norm can make d negative).  One gcd reduces it, and its two slots
-    are set past Fraction.__new__, which tests its arguments' types first:
-    0.33 us for small ints against 0.67 us for Fraction(n, d) (Python 3.11,
-    2-core x86 VM)."""
-    g = math.gcd(n, d)
-    if d < 0:
+def _canonical(A: int, B: int, D: int, d: int) -> ExactNumber:
+    """The canonical (A + B*sqrt(d))/D from ints, D != 0 and d >= 0: the
+    square factor of d split out, once."""
+    if not B or not d:
+        return _build(A, 0, D, 0)
+    s, f = _square_split(d)  # B*sqrt(d) = B*s*sqrt(f)
+    if f == 1:
+        return _build(A + B * s, 0, D, 0)
+    return _build(A, B * s, D, f)
+
+
+def _build(A: int, B: int, D: int, d: int) -> ExactNumber:
+    """The canonical (A + B*sqrt(d))/D from ints, D != 0, reduced by one gcd
+    with the sign moved to the numerator (div's norm can make D negative);
+    d, canonical already, is not split."""
+    g = math.gcd(A, B, D)
+    if D < 0:
         g = -g
     if g != 1:
-        n, d = n // g, d // g
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = n, d
-    return f
-
-
-def _build(a: int, b: int, e: int, d: int) -> ExactNumber:
-    """The canonical (a + b*sqrt(d))/e from ints; d, canonical already, is not split."""
-    if not b:
-        return tuple.__new__(Rational, (_fraction(a, e),))
-    return tuple.__new__(QuadSurd, (_fraction(a, e), _fraction(b, e), d))
+        A, B, D = A // g, B // g, D // g
+    if not B:
+        return tuple.__new__(Rational, (A, 0, D, 0))
+    return tuple.__new__(QuadSurd, (A, B, D, d))
 
 
 def add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
@@ -373,19 +407,22 @@ def is_algebraic(x: ExactNumber) -> bool:
     return not isinstance(_check(x), NamedTranscendental)
 
 
-# Certified 50-decimal-digit enclosures.  The digit strings are truncations,
-# so LO < constant < HI holds strictly.
-_E_LO = Fraction("2.71828182845904523536028747135266249775724709369995")
-_E_HI = Fraction("2.71828182845904523536028747135266249775724709369996")
-_PI_LO = Fraction("3.14159265358979323846264338327950288419716939937510")
-_PI_HI = Fraction("3.14159265358979323846264338327950288419716939937511")
+# Certified 50-decimal-digit enclosures, ((lo num, den), (hi num, den)) per
+# constant.  The digits are truncations, so lo < constant < hi holds strictly
+_ENCLOSURES = {
+    Constant.E: ((271828182845904523536028747135266249775724709369995, 10 ** 50),
+                 (271828182845904523536028747135266249775724709369996, 10 ** 50)),
+    Constant.PI: ((314159265358979323846264338327950288419716939937510, 10 ** 50),
+                  (314159265358979323846264338327950288419716939937511, 10 ** 50)),
+}
 
 
-def rational_bounds(x: NamedTranscendental) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure (lo, hi) with lo < value < hi."""
+def rational_bounds(x: NamedTranscendental):
+    """Certified rational enclosure (lo, hi) of Fractions with lo < value < hi."""
     if not isinstance(x, NamedTranscendental):
         raise UnsupportedOperandError(f"rational_bounds expects e or pi, got {type(x).__name__}")
-    return (_E_LO, _E_HI) if x.tag is Constant.E else (_PI_LO, _PI_HI)
+    from fractions import Fraction
+    return tuple(Fraction(n, m) for n, m in _ENCLOSURES[x.tag])
 
 
 # The whole grammar: a surd, a rational, e or pi.  Groups: a surd's a as
@@ -428,7 +465,7 @@ def parse_exact(text: str) -> ExactNumber:
             n, d = int(r_num), int(r_den) if r_den else 1
             if not d:
                 Rational(n, 0)
-            return tuple.__new__(Rational, (_fraction(n, d),))
+            return _build(n, 0, d, 0)
         if d_text is None:
             return E if e else PI
         an, ad = (int(a_num), int(a_den) if a_den else 1) if a_num else (0, 1)
@@ -449,12 +486,12 @@ def parse_exact(text: str) -> ExactNumber:
         bn = -bn
     if d < 0:
         raise MalformedInputError(_NEGATIVE_RADICAND)
-    if not bn or d == 0:
-        return tuple.__new__(Rational, (_fraction(an, ad),))
-    s, f = _square_split(d)  # a + b*sqrt(d) = a + b*s*sqrt(f)
-    if f == 1:
-        return _build(an * bd + bn * s * ad, 0, ad * bd, 0)
-    return tuple.__new__(QuadSurd, (_fraction(an, ad), _fraction(bn * s, bd), f))
+    return _canonical(an * bd, bn * ad, ad * bd, d)
+
+
+def _ratio(n: int, m: int) -> str:
+    """The text of n/m for coprime ints, m > 0: str() of the Fraction n/m."""
+    return str(n) if m == 1 else f"{n}/{m}"
 
 
 def render_exact(x: ExactNumber) -> str:
@@ -463,15 +500,16 @@ def render_exact(x: ExactNumber) -> str:
     MalformedInputError."""
     try:
         if isinstance(x, Rational):
-            return str(x.value)
+            return _ratio(x.A, x.D)
         if isinstance(x, QuadSurd):
-            a, b, d = x
-            bn, bd = b.numerator, b.denominator
-            coeff = str(abs(bn)) if bd == 1 else f"{abs(bn)}/{bd}"  # str(abs(b))
+            A, B, D, d = x
+            g = math.gcd(B, D)  # b = B/D and a = A/D, each printed in lowest terms
+            coeff = _ratio(abs(B) // g, D // g)
             mag = f"sqrt({d})" if coeff == "1" else f"{coeff}*sqrt({d})"
-            if not a.numerator:
-                return mag if bn > 0 else f"-{mag}"
-            return f"{a!s}{'+' if bn > 0 else '-'}{mag}"
+            if not A:
+                return mag if B > 0 else f"-{mag}"
+            g = math.gcd(A, D)
+            return f"{_ratio(A // g, D // g)}{'+' if B > 0 else '-'}{mag}"
         if isinstance(x, NamedTranscendental):
             return x.tag.value
     except ValueError:

@@ -246,10 +246,10 @@ def test_wq_band_around_the_double_branch_point_is_unknown():
     q = parse_exact("sqrt(2)")
     z_b = Fraction(branch_point(to_real(q)).z_b)
     assert classify_wq(q, Rational(z_b)).rule is Rule.GUARD_FALLTHROUGH
-    above = Rational(z_b * (1 - 10 * _ZB_MARGIN))
+    above = Rational(z_b * (1 - 10 * Fraction(*_ZB_MARGIN)))
     assert classify_wq(q, above).rule is Rule.THEOREM_3
     with pytest.raises(DomainError):
-        classify_wq(q, Rational(z_b * (1 + 10 * _ZB_MARGIN)))
+        classify_wq(q, Rational(z_b * (1 + 10 * Fraction(*_ZB_MARGIN))))
 
 
 @pytest.mark.parametrize("q", [
@@ -305,7 +305,7 @@ def test_double_branch_point_is_well_inside_the_guard_margin():
                   + mpmath.mpf(q.b.numerator) / q.b.denominator * mpmath.sqrt(q.d))
             exact = -(2 - qv) ** ((qv - 2) / (1 - qv))
             rel = abs((mpmath.mpf(z_b) - exact) / exact)
-        assert rel < float(_ZB_MARGIN) / 10, text
+        assert rel < float(Fraction(*_ZB_MARGIN)) / 10, text
 
 
 # -------------------------------------------------------- lnq-deriv corners
@@ -399,6 +399,18 @@ def test_tower_negative_refused():
 def test_tower_surd_and_named_unknown():
     assert c_tower("sqrt(2)").rule is Rule.GUARD_FALLTHROUGH
     assert c_tower("pi").rule is Rule.GUARD_FALLTHROUGH
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("r", [Rational(10 ** 5000), Rational(-10 ** 5000),
+                               Rational(10 ** 5000 + 1, 3)],
+                         ids=["integer", "negative", "theorem6"])
+def test_tower_of_a_base_past_the_digit_limit_is_malformed(r):
+    # r is named through render_exact, as the other classifiers name their
+    # operands: str() of its 5001-digit numerator raised a bare ValueError.
+    # parse_exact refuses such a text first, so only a built Rational gets here
+    with pytest.raises(MalformedInputError, match="limit"):
+        classify_tower(r)
 
 
 # -------------------------------------------- exact vs numeric consistency

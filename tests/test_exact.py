@@ -25,9 +25,13 @@ from lambert_tsallis.errors import (MalformedInputError, UnsupportedFieldError,
 
 
 def record(a, b, d):
-    """The QuadSurd record (a, b, d) made past the constructor, so that an
-    expected value does not run the square split under test."""
-    return tuple.__new__(QuadSurd, (Fraction(a), Fraction(b), d))
+    """The QuadSurd record of a + b*sqrt(d) made past the constructor, so
+    that an expected value does not run the square split under test: the
+    canonical ints (A, B, D, d) over the least common denominator D."""
+    a, b = Fraction(a), Fraction(b)
+    D = math.lcm(a.denominator, b.denominator)
+    return tuple.__new__(QuadSurd, (a.numerator * (D // a.denominator),
+                                    b.numerator * (D // b.denominator), D, d))
 
 
 def test_rational_constructor_reduces():
@@ -72,8 +76,7 @@ def test_normalize_30_digit_prime_radicand_in_bounded_time():
             "print(repr(parse_exact('sqrt(1000000000000000000000000000057)')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, check=True).stdout
-    assert out.strip() == ("QuadSurd(a=Fraction(0, 1), b=Fraction(1, 1), "
-                           "d=1000000000000000000000000000057)")
+    assert out.strip() == "QuadSurd(A=0, B=1, D=1, d=1000000000000000000000000000057)"
 
 
 def test_each_radicand_is_split_once(monkeypatch):
@@ -102,17 +105,18 @@ def test_each_radicand_is_split_once(monkeypatch):
 
 
 def test_hand_built_surd_is_canonical():
-    # the constructor makes the record canonical: Fractions, the square
-    # factor split out, and a Rational where the surd part vanishes
+    # the constructor makes the record canonical: the ints (A, B, D, d), the
+    # square factor split out, and a Rational where the surd part vanishes
     x = QuadSurd(0, 1, 8)
-    assert x == record(0, 2, 2) and type(x.a) is Fraction
+    assert x == record(0, 2, 2) == (0, 2, 1, 2) and type(x.a) is Fraction
     assert x == QuadSurd(0, 2, 2) == parse_exact("sqrt(8)")
-    assert QuadSurd(a=1, b=Fraction(1, 2), d=12) == record(1, 1, 3)
+    assert QuadSurd(a=1, b=Fraction(1, 2), d=12) == record(1, 1, 3) == (1, 1, 1, 3)
     for built, value in [(QuadSurd(3, 5, 9), 18), (QuadSurd(7, 0, 2), 7),
                          (QuadSurd(7, 3, 0), 7), (QuadSurd(1, 2, 1), 3)]:
         assert type(built) is Rational and built == Rational(Fraction(value))
-    assert QuadSurd._make((3, 5, 9)) == Rational(Fraction(18))
-    assert QuadSurd(0, 1, 2)._replace(b=0) == ZERO
+    assert QuadSurd._make((3, 5, 1, 9)) == Rational(Fraction(18))
+    assert QuadSurd._make((6, 3, 4, 12)) == record(Fraction(3, 2), Fraction(3, 2), 3)
+    assert QuadSurd(0, 1, 2)._replace(B=0) == ZERO
 
 
 @pytest.mark.parametrize("d", [-2, 2.0, "2", None])
@@ -122,7 +126,7 @@ def test_bad_radicand_raises_at_construction(d):
 
 
 @pytest.mark.parametrize("rebuild", [
-    lambda x: x._replace(b=Fraction(1)),
+    lambda x: x._replace(B=1),
     QuadSurd._make,
     lambda x: pickle.loads(pickle.dumps(x)),
     copy.copy,
@@ -147,18 +151,21 @@ def test_rational_reduces_int_and_fraction_parts():
 
 
 def test_surd_keeps_a_fraction_part_as_it_is():
-    # a Fraction is stored, not copied; an int, a bool or a Fraction subclass
-    # is converted to a plain Fraction
+    # a Fraction part is stored as the ints of its value; an int, a bool or
+    # a Fraction subclass part too, and the Fraction read back is plain
     f = Fraction(1, 3)
-    assert QuadSurd(f, Fraction(2), 5).a is f
+    assert QuadSurd(f, Fraction(2), 5) == (1, 6, 3, 5) and QuadSurd(f, 2, 5).a == f
 
     class Third(Fraction):
         pass
 
     for a, b in [(Third(1, 3), 2), (1, Third(2)), (True, 2)]:
         x = QuadSurd(a, b, 5)
+        assert {type(v) for v in x} == {int}
         assert (type(x.a), type(x.b)) == (Fraction, Fraction)
         assert x == record(a, b, 5)
+    for fields in [(True, 2, 1, 5), (1, True, 3, 5)]:
+        assert {type(v) for v in QuadSurd._make(fields)} == {int}
 
 
 @pytest.mark.parametrize("build", [
@@ -197,7 +204,7 @@ def test_rational_bounds_of_a_huge_surd_names_its_type():
 
 
 @pytest.mark.parametrize("made,canonical", [
-    (tuple.__new__(Rational, (2,)), Rational(Fraction(2))),
+    (tuple.__new__(Rational, (4, 0, 2, 0)), Rational(Fraction(2))),
     (tuple.__new__(NamedTranscendental, ("e",)), E),
 ], ids=["Rational", "NamedTranscendental"])
 @pytest.mark.parametrize("rebuild", [
@@ -208,8 +215,8 @@ def test_rational_bounds_of_a_huge_surd_names_its_type():
     copy.deepcopy,
 ], ids=["_replace", "_make", "pickle", "copy", "deepcopy"])
 def test_rebuilt_records_are_canonical(rebuild, made, canonical):
-    # as test_rebuilt_surds_are_canonical for the other two shapes: an int
-    # value and a text tag come back canonical (repr tells 2 from Fraction(2))
+    # as test_rebuilt_surds_are_canonical for the other two shapes: an
+    # unreduced ratio and a text tag come back canonical (repr tells 4/2 from 2)
     assert repr(rebuild(made)) == repr(canonical)
 
 
@@ -511,15 +518,17 @@ def test_parse_exact_grammar_corpus_is_pinned(text, expected):
                                       -98765432109876543210987654321098765432109876543210),
 ])
 def test_fraction_builder_equals_fraction(n, d):
-    # the builder sets Fraction's slots past its constructor: the result is
-    # the Fraction n/d in every way a caller or pickle can see
-    built, ref = exact._fraction(n, d), Fraction(n, d)
-    assert type(built) is Fraction
-    assert (built.numerator, built.denominator) == (ref.numerator, ref.denominator)
-    assert built == ref and hash(built) == hash(ref)
-    assert (str(built), repr(built)) == (str(ref), repr(ref))
+    # the builder reduces n/d by one gcd and moves the sign to n, past the
+    # constructor: the result is the Fraction n/d in every way a caller, a
+    # text or a pickle can see
+    built, ref = exact._build(n, 0, d, 0), Fraction(n, d)
+    assert type(built) is Rational
+    assert tuple(built) == (ref.numerator, 0, ref.denominator, 0)
+    assert built == Rational(n, d) and hash(built) == hash(Rational(ref))
+    assert type(built.value) is Fraction and repr(built.value) == repr(ref)
+    assert render_exact(built) == str(ref)
     back = pickle.loads(pickle.dumps(built))
-    assert type(back) is Fraction and repr(back) == repr(ref)
+    assert type(back) is Rational and repr(back) == repr(built)
 
 
 def test_rational_bounds_enclose():
@@ -636,7 +645,7 @@ def test_normalize_is_idempotent(a, b, d):
         return
     assert x.a == a and x.b ** 2 * x.d == b * b * d and x.b * b > 0
     assert x.d >= 2 and all(x.d % (p * p) for p in range(2, isqrt(x.d) + 1))
-    assert QuadSurd(*x) == x and type(QuadSurd(*x)) is QuadSurd
+    assert QuadSurd(x.a, x.b, x.d) == x and type(QuadSurd(x.a, x.b, x.d)) is QuadSurd
 
 
 @given(d=radicands, data=st.data())
@@ -662,7 +671,8 @@ def test_arithmetic_results_are_canonical(d, data):
         z = op(x, y)
         # the arithmetic builds its results past the constructor, which
         # would leave a canonical value unchanged
-        assert type(z)._make(z) == z and type(z[0]) is Fraction
+        assert type(z)._make(z) == z and {type(v) for v in z} == {int}
+        assert z.D > 0 and math.gcd(z.A, z.B, z.D) == 1
 
 
 @given(d=radicands, data=st.data())
@@ -774,7 +784,9 @@ def field_operands(draw, d):
 
 
 def reference_record(a, b, d):
-    return tuple.__new__(Rational, (a,)) if b == 0 else tuple.__new__(QuadSurd, (a, b, d))
+    if b == 0:
+        return tuple.__new__(Rational, (a.numerator, 0, a.denominator, 0))
+    return record(a, b, d)
 
 
 def reference_parts(x):
@@ -826,8 +838,9 @@ FRACTION_OPERATORS = [
 
 def test_exact_kernels_run_no_fraction_operator(monkeypatch):
     # a Fraction operator costs 1-3 us of dispatch and gcd, and its
-    # constructor about 1 us; the kernels compute on the parts' numerators
-    # and denominators instead, and build each part past the constructor
+    # constructor about 1 us; the kernels compute on the records' ints
+    # instead, and import no fractions module: with it refused, they answer
+    # as before
     texts = ["3/7", "-2", "0", "1/2-3/5*sqrt(7)", "-sqrt(7)", "2+sqrt(28)",
              "sqrt(9)", f"{10 ** 50}/3+7/{10 ** 49}*sqrt(7)", f"sqrt({P * P * R})",
              f"-1/3*sqrt({R})"]
@@ -852,6 +865,7 @@ def test_exact_kernels_run_no_fraction_operator(monkeypatch):
 
     for name in FRACTION_OPERATORS + ["__new__"]:
         monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setitem(sys.modules, "fractions", None)
     try:
         got = outcomes()
     finally:

@@ -6,6 +6,9 @@ listed in an __all__."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -92,3 +95,19 @@ def test_the_guard_sees_a_dead_definition(tmp_path):
                                     "def solve():\n    return qexp._kernel, Interval\n")
     assert dead_definitions(sorted(tmp_path.glob("*.py"))) == [
         ("qexp.py", 6, "_orphan"), ("qexp.py", 8, "_Unused"), ("wq.py", 4, "solve")]
+
+
+def test_importing_the_package_loads_neither_fractions_nor_decimal():
+    # the exact layer holds ints; fractions, which imports decimal, loads only
+    # where a caller reads a Fraction (.value, .a, .b, rational_bounds)
+    code = ("import sys\n"
+            "import lambert_tsallis\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+            "import lambert_tsallis.cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+            "lambert_tsallis.Rational(1, 2).value\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines() == ["[]", "[]", "['decimal', 'fractions']"]

@@ -476,8 +476,8 @@ def test_every_record_is_a_read_only_named_tuple():
     pinned = [
         (branch_domain(0.0), (-0.25, math.inf, True, False),
          "Interval(lo=-0.25, hi=inf, lo_closed=True, hi_closed=False)"),
-        (half, (Fraction(1, 2),), "Rational(value=Fraction(1, 2))"),
-        (surd2, (0, 2, 2), "QuadSurd(a=Fraction(0, 1), b=Fraction(2, 1), d=2)"),
+        (half, (1, 0, 2, 0), "Rational(A=1, B=0, D=2, d=0)"),
+        (surd2, (0, 2, 1, 2), "QuadSurd(A=0, B=2, D=1, d=2)"),
         (parse_exact("e"), (Constant.E,), "NamedTranscendental(tag=<Constant.E: 'e'>)"),
         (classify_expq(half, ZERO),
          (ArithmeticClass.RATIONAL, Rule.EXACT_VALUE,
@@ -485,7 +485,7 @@ def test_every_record_is_a_read_only_named_tuple():
          "Classification(verdict=<ArithmeticClass.RATIONAL: 'rational'>, "
          "rule=<Rule.EXACT_VALUE: 'exact_value'>, "
          "justification='exp_q(0) = 1 exactly for every deformation q.', "
-         "exact_value=Rational(value=Fraction(1, 1)))"),
+         "exact_value=Rational(A=1, B=0, D=1, d=0))"),
         (CheckResult("eq5 q=1.5", True, 0.25, 1e-10), ("eq5 q=1.5", True, 0.25, 1e-10),
          "CheckResult(name='eq5 q=1.5', passed=True, measured=0.25, threshold=1e-10)"),
         (branch_point_check(0.0), (0.0, -0.25, -0.5, 0.0, True, True, True),
@@ -505,7 +505,7 @@ def test_every_record_is_a_read_only_named_tuple():
                 setattr(record, name, 0)
     assert Classification(ArithmeticClass.UNKNOWN, Rule.GUARD_FALLTHROUGH, "").exact_value is None
     # exact numbers compare equal like tuples but do not order
-    assert ONE == (Fraction(1),)
+    assert ONE == (1, 0, 1, 0)
     for x, y in [(surd2, surd2), (surd2, parse_exact("sqrt(3)")), (half, ONE),
                  (half, surd2), (E, PI), (half, 1)]:
         for op in (operator.lt, operator.le, operator.gt, operator.ge):
