@@ -23,8 +23,9 @@ other than ints or Fractions, a radicand other than an int, a tag other
 than a Constant raise ``MalformedInputError``) and made canonical: a
 QuadSurd's parts go to _make, which checks four ints, splits the radicand
 once and reduces; _replace, copying and unpickling build through _make
-too.  ``.value`` of a Rational and ``.a`` and ``.b`` of a QuadSurd build a
-Fraction when read, and only there is ``fractions`` imported.
+too.  ``.value`` of a Rational, ``.a`` and ``.b`` of a QuadSurd and
+``rational_bounds`` build Fractions when called, and only they import
+``fractions``.
 
 Within one field Q(sqrt(d)) the four operations are closed; a Rational is a
 member of every field.  Radicands d1, d2 name one field when d1*d2 = r*r,
@@ -118,6 +119,31 @@ class _Exact:
 _NEGATIVE_RADICAND = "a negative radicand has no real square root"
 
 
+def _canonical(A: int, B: int, D: int, d: int) -> ExactNumber:
+    """The canonical (A + B*sqrt(d))/D from ints, D != 0 and d >= 0: the
+    square factor of d split out, once."""
+    if not B or not d:
+        return _build(A, 0, D, 0)
+    s, f = _square_split(d)  # B*sqrt(d) = B*s*sqrt(f)
+    if f == 1:
+        return _build(A + B * s, 0, D, 0)
+    return _build(A, B * s, D, f)
+
+
+def _build(A: int, B: int, D: int, d: int) -> ExactNumber:
+    """The canonical (A + B*sqrt(d))/D from ints, D != 0, reduced by one gcd
+    with the sign moved to the numerator (div's norm can make D negative);
+    d, canonical already, is not split."""
+    g = math.gcd(A, B, D)
+    if D < 0:
+        g = -g
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    if not B:
+        return tuple.__new__(Rational, (A, 0, D, 0))
+    return tuple.__new__(QuadSurd, (A, B, D, d))
+
+
 class _Field(_Exact):
     """Rational's and QuadSurd's base: the fields are the ints (A, B, D, d),
     and _make is their one check, which copying and unpickling go through."""
@@ -148,8 +174,6 @@ class _Field(_Exact):
 
 def _part(x) -> tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction (any numbers.Rational)."""
-    if type(x) is int:
-        return x, 1
     if isinstance(x, numbers.Rational):
         return x.numerator, x.denominator
     raise MalformedInputError(f"exact parts are ints or Fractions, got {type(x).__name__}")
@@ -161,8 +185,6 @@ class Rational(_Field, namedtuple("Rational", "A B D d")):
     __slots__ = ()
 
     def __new__(cls, num, den=1):
-        if type(num) is int and type(den) is int and den == 1:
-            return tuple.__new__(cls, (num, 0, 1, 0))
         (n1, d1), (n2, d2) = _part(num), _part(den)
         if not n2:  # str() of a numerator past the int-string digit limit raises
             small = max(abs(n1), d1) < 10 ** 40
@@ -285,31 +307,6 @@ def _field_pair(x: ExactNumber, y: ExactNumber):
         else:
             a2, b2, e2 = a2 * d1, b2 * r, e2 * d1
     return a1, b1, e1, a2, b2, e2, d1 or d2
-
-
-def _canonical(A: int, B: int, D: int, d: int) -> ExactNumber:
-    """The canonical (A + B*sqrt(d))/D from ints, D != 0 and d >= 0: the
-    square factor of d split out, once."""
-    if not B or not d:
-        return _build(A, 0, D, 0)
-    s, f = _square_split(d)  # B*sqrt(d) = B*s*sqrt(f)
-    if f == 1:
-        return _build(A + B * s, 0, D, 0)
-    return _build(A, B * s, D, f)
-
-
-def _build(A: int, B: int, D: int, d: int) -> ExactNumber:
-    """The canonical (A + B*sqrt(d))/D from ints, D != 0, reduced by one gcd
-    with the sign moved to the numerator (div's norm can make D negative);
-    d, canonical already, is not split."""
-    g = math.gcd(A, B, D)
-    if D < 0:
-        g = -g
-    if g != 1:
-        A, B, D = A // g, B // g, D // g
-    if not B:
-        return tuple.__new__(Rational, (A, 0, D, 0))
-    return tuple.__new__(QuadSurd, (A, B, D, d))
 
 
 def add(x: ExactNumber, y: ExactNumber) -> ExactNumber:
