@@ -187,8 +187,10 @@ class Rational(_Field, namedtuple("Rational", "A B D d")):
     def __new__(cls, num, den=1):
         (n1, d1), (n2, d2) = _part(num), _part(den)
         if not n2:  # str() of a numerator past the int-string digit limit raises
-            small = max(abs(n1), d1) < 10 ** 40
-            shown = f"{num}/0" if small else "with a numerator of over 40 digits"
+            if max(abs(n1), d1) >= 10 ** 40:
+                shown = "with a numerator of over 40 digits"
+            else:  # a Fraction numerator prints its own slash: (3/2)/0, not 3/2/0
+                shown = f"{num}/0" if isinstance(num, int) else f"({num})/0"
             raise MalformedInputError(f"zero denominator in rational {shown}")
         return _build(n1 * d2, 0, d1 * n2, 0)
 

@@ -30,10 +30,10 @@ qexp._ln_exp_q, the one owner of ln exp_q, its cutoff and its overflow
 branch.  _root, the solver's one loop, starts inside an analytic bracket,
 which _bracket builds by tightening the fixed ends of _ends (0 or z, w_b,
 the wall, z/(1+z) and the double range).  On a table, a row after one that
-the degree-5 extrapolant through the last six roots started and finished at
-its first evaluation starts from that extrapolant again, inside the fixed
-ends alone: on a 10^4-step grid that is nearly every row, and they skip
-_bracket's tails and analytic start.  Where |z| is so small on the upper
+the degree-5 extrapolant through the last six roots started and kept (see
+_solve) starts from that extrapolant again, inside the fixed ends alone: on
+a 10^4-step grid that is nearly every row, and they skip _bracket's tails
+and analytic start.  Where |z| is so small on the upper
 branch below 0 that z/(1+z) is within an ulp of W, that end is the start.
 The loop falls back to bisection over the ordered doubles, arithmetic on a
 narrow bracket and geometric across decades, whenever a step leaves the
@@ -428,27 +428,40 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
 
     A point starts _root from the degree-5 extrapolant through the last six
     roots, 6 w1 - 15 w2 + 20 w3 - 15 w4 + 6 w5 - w6, when the extrapolant
-    started the previous point and that point stopped at its first evaluation.
-    Its error is O(step^6 W^(6)), and its rounding (the coefficients sum to 63
-    in magnitude) stays far below tol; a lower degree misses more often, a
-    higher one gains nothing.  The point is then bounded by _ends alone: a
-    comparison or a division per end, and no _bracket, whose tails and analytic
-    start cost about as much as the evaluation itself.  Every other point calls
-    _bracket and starts from its analytic start or from the extrapolant,
-    whichever landed nearer the root on the last point that computed both; the
-    extrapolant only from strictly inside the bracket, and one outside the
-    fixed ends goes to _bracket too.  On a 10^4-step table nearly every row
-    skips _bracket; where the analytic start is all but exact, as at q = 2 on
-    [-0.999, 1], it keeps winning and about half the rows call it.  The
-    extrapolant needs six roots and one point to compare on, so the first seven
-    points of a run take the analytic start, as wq does.
+    started the previous point and that point kept it.  Its error is
+    O(step^6 W^(6)), and its rounding (the coefficients sum to 63 in
+    magnitude, so up to about 32 ulp of W) stays far below tol; a lower degree
+    misses more often, a higher one gains nothing.  The point is then bounded
+    by _ends alone: a comparison or a division per end, and no _bracket, whose
+    tails and analytic start cost about as much as the evaluation itself.
+    Every other point calls _bracket and starts from its analytic start or from
+    the extrapolant, whichever landed nearer the root on the last point that
+    computed both; the extrapolant only from strictly inside the bracket, and
+    one outside the fixed ends goes to _bracket too.
+
+    A point keeps the extrapolant when it stopped at its first evaluation.
+    After more evaluations it keeps it only where the analytic start cannot be
+    the better one: the last point that computed both found the start more
+    than 64 times as far from the root as the extrapolant plus 64 ulp (won_at
+    holds w (1 + (1-q) w) at that root, nan otherwise), and w (1 + (1-q) w)
+    is still within a factor 8 of won_at.  That product tracks |W| where W is
+    small and W^2 where it is large, and the distance to the wall next to it:
+    the scales on which the analytic starts' accuracy changes.  Next to the
+    q = 3 wall h' is about 2 500, so a row there takes a second evaluation
+    however good its start; the start is some 10^9 ulp off there and is not
+    re-checked.  Where it is all but exact, as at q = 2 on [-0.999, 1], it
+    keeps winning, and about half the rows of a 10^4-step table call
+    _bracket; on the benchmark's other 10^4-step tables 0.1-0.2% do, and
+    1.1-2.4% of 1000-step ones.  The extrapolant needs six roots and one point to compare
+    on, so the first seven points of a run take the analytic start, as wq
+    does.
 
     Every point other than z = 0 and z_b is then one _root call from that
     start and those ends, so each evaluates its start once; on a 10^4-step
     table about 96% of the rows stop at that first evaluation."""
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
-    w1 = w2 = w3 = w4 = w5 = w6 = math.nan  # the last six roots, newest first
-    extrap = math.nan
+    # the last six roots, newest first, and won_at (see above)
+    w1 = w2 = w3 = w4 = w5 = w6 = won_at = math.nan
     extrap_nearer = from_extrap = False
     for z in zs:
         if z == 0.0:  # the lower branch's domain excludes 0
@@ -457,11 +470,10 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
             # both branches meet here, where h has a double root
             result = (w_b, 0.0, 0)
         else:
-            # six roots so far (w6 is nan before); the first six points skip the sum
-            if w6 == w6:
-                extrap = 6.0 * w1 - 15.0 * w2 + 20.0 * w3 - 15.0 * w4 + 6.0 * w5 - w6
-            # from_extrap: the extrapolant started the last point and stopped at
-            # its first evaluation, so it starts this one too, inside the fixed ends
+            # nan before six roots are known, which fails lo < extrap < hi
+            extrap = 6.0 * w1 - 15.0 * w2 + 20.0 * w3 - 15.0 * w4 + 6.0 * w5 - w6
+            # from_extrap: the extrapolant started the last point and that point
+            # kept it, so it starts this one too, inside the fixed ends
             if from_extrap:
                 lo, hi = _ends(q, z, branch, w_b)
                 from_extrap = lo < extrap < hi
@@ -472,9 +484,13 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 inside = lo < extrap < hi  # False while extrap is nan
                 from_extrap = inside and extrap_nearer
                 result = _root(q, z, branch, lo, hi, extrap if from_extrap else start, tol)
-                extrap_nearer = inside and abs(extrap - result[0]) < abs(start - result[0])
-        from_extrap = from_extrap and result[2] == 1
+                w, miss = result[0], abs(extrap - result[0])
+                extrap_nearer = inside and miss < abs(start - w)
+                far = 64.0 * (miss + 64.0 * math.ulp(w)) < abs(start - w)
+                won_at = w + (1.0 - q) * w * w if far else math.nan
         w1, w2, w3, w4, w5, w6 = result[0], w1, w2, w3, w4, w5
+        from_extrap = from_extrap and (result[2] == 1 or abs(won_at)
+                                       < 8.0 * abs(w1 + (1.0 - q) * w1 * w1) < 64.0 * abs(won_at))
         yield result
 
 
