@@ -33,8 +33,8 @@ the wall, z/(1+z) and the double range).  On a table, a row after one that
 the degree-5 extrapolant through the last six roots started and kept (see
 _solve) starts from that extrapolant again, inside the fixed ends alone: on
 a 10^4-step grid that is nearly every row, and they skip _bracket's tails
-and analytic start.  Where |z| is so small on the upper
-branch below 0 that z/(1+z) is within an ulp of W, that end is the start.
+and analytic start.  Where |z| is so small on the upper branch below 0 that
+z/(1+z) is within an ulp of W, that end is the start.
 The loop falls back to bisection over the ordered doubles, arithmetic on a
 narrow bracket and geometric across decades, whenever a step leaves the
 bracket or |h| fails to halve in two evaluations, and only bisects after its
@@ -440,21 +440,21 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     one outside the fixed ends goes to _bracket too.
 
     A point keeps the extrapolant when it stopped at its first evaluation.
-    After more evaluations it keeps it only where the analytic start cannot be
-    the better one: the last point that computed both found the start more
-    than 64 times as far from the root as the extrapolant plus 64 ulp (won_at
-    holds w (1 + (1-q) w) at that root, nan otherwise), and w (1 + (1-q) w)
-    is still within a factor 8 of won_at.  That product tracks |W| where W is
-    small and W^2 where it is large, and the distance to the wall next to it:
-    the scales on which the analytic starts' accuracy changes.  Next to the
-    q = 3 wall h' is about 2 500, so a row there takes a second evaluation
-    however good its start; the start is some 10^9 ulp off there and is not
-    re-checked.  Where it is all but exact, as at q = 2 on [-0.999, 1], it
-    keeps winning, and about half the rows of a 10^4-step table call
-    _bracket; on the benchmark's other 10^4-step tables 0.1-0.2% do, and
-    1.1-2.4% of 1000-step ones.  The extrapolant needs six roots and one point to compare
-    on, so the first seven points of a run take the analytic start, as wq
-    does.
+    After more evaluations it keeps it only where the analytic start cannot
+    have caught up: the last point that computed both found the start farther
+    from the root than 64 (d + 64 ulp), d being the extrapolant's distance
+    (won_at holds w (1 + (1-q) w) at that root, nan otherwise), and
+    w (1 + (1-q) w) is still within a factor 8 of won_at.  That product
+    tracks |W| where W is small and W^2 where it is large, and the distance
+    to the wall next to it: the scales on which the analytic starts' accuracy
+    changes.  Next to the q = 3 wall h' is about 2 500, so a row there takes a
+    second evaluation however good its start; the start is some 10^9 ulp off
+    there and is not re-checked.  Where it is all but exact, as at q = 2 on
+    [-0.999, 1], it keeps winning, and about half the rows of a 10^4-step
+    table call _bracket; on the benchmark's other 10^4-step tables 0.1-0.2%
+    do, and 1.1-2.4% of 1000-step ones.  The extrapolant needs six roots and
+    one point to compare on, so the first seven points of a run take the
+    analytic start, as wq does.
 
     Every point other than z = 0 and z_b is then one _root call from that
     start and those ends, so each evaluates its start once; on a 10^4-step
@@ -489,6 +489,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 far = 64.0 * (miss + 64.0 * math.ulp(w)) < abs(start - w)
                 won_at = w + (1.0 - q) * w * w if far else math.nan
         w1, w2, w3, w4, w5, w6 = result[0], w1, w2, w3, w4, w5
+        # after more than one evaluation, only where the start cannot have caught up
         from_extrap = from_extrap and (result[2] == 1 or abs(won_at)
                                        < 8.0 * abs(w1 + (1.0 - q) * w1 * w1) < 64.0 * abs(won_at))
         yield result

@@ -1016,6 +1016,39 @@ def test_table_continuation_rows_skip_the_bracket(monkeypatch, capsys, q, z_from
         _assert_near_wq(q, z, branch, v)
 
 
+def test_table_next_to_the_q3_wall_skips_the_bracket(monkeypatch, capsys):
+    # next to the wall h' is about 2 500, so a row takes a second evaluation
+    # from any start; the analytic start is some 10^9 ulp off there and never
+    # wins, so those rows keep the extrapolant instead of re-checking it
+    # (1 284 _bracket calls when each such row was followed by one)
+    brackets = _counted(monkeypatch, "_bracket")
+    evaluations = _counted(monkeypatch, "_log_residual")
+    rows = _wq_table(capsys, 3.0, -20.0, 25.0, "upper", steps=10_000)
+    assert len(rows) == 10_000
+    assert brackets[0] <= 16, brackets[0]
+    # 11 289 here; the slack covers another libm
+    assert evaluations[0] <= 11_400, evaluations[0]
+
+
+@pytest.mark.parametrize("q, z_from, z_to, branch, steps, most", [
+    (8.0, -20.0, 25.0, "upper", 10_000, 10_800),  # the wall tail, from z ~ 1.8
+    (10.0, -0.999, 1.0, "upper", 10_000, 12_700),  # the wall tail, from z ~ 0.86
+    (2.8335, -1e6, 1e6, "upper", 1000, 1090),  # the power tail below z ~ -2e5
+    (1.99, -0.9545484566618334, -0.0009545484566618334, "lower", 10_000, 11_000),
+])
+def test_table_rechecks_a_start_that_becomes_all_but_exact(
+        monkeypatch, capsys, q, z_from, z_to, branch, steps, most):
+    # on these tables the analytic start becomes all but exact partway, after
+    # the extrapolant has won every comparison: rows the extrapolant needs two
+    # or three evaluations for must still compare it with the start there.
+    # Keeping the extrapolant through them took 12 955, 12 887, 1115 and
+    # 15 678 evaluations, against 10 564, 12 501, 1068 and 10 718
+    evaluations = _counted(monkeypatch, "_log_residual")
+    rows = _wq_table(capsys, q, z_from, z_to, branch, steps=steps)
+    assert len(rows) > steps // 2
+    assert evaluations[0] <= most, evaluations[0]
+
+
 def test_table_rows_evaluate_their_start_once(monkeypatch, capsys):
     # a table's residual evaluations are the sum of its rows' iterations: no
     # row evaluates its start twice.  No row of this table closes a bracket on

@@ -44,6 +44,19 @@ def test_rational_zero_denominator():
         Rational(1, 0)
 
 
+@pytest.mark.parametrize("num, shown", [
+    (Fraction(3, 2), "(3/2)/0"),
+    (Fraction(-3, 4), "(-3/4)/0"),
+    (1, "1/0"),
+    (-7, "-7/0"),
+])
+def test_rational_zero_denominator_names_the_numerator_once(num, shown):
+    # a Fraction numerator prints its own slash, so it goes in parentheses
+    with pytest.raises(MalformedInputError) as refusal:
+        Rational(num, 0)
+    assert str(refusal.value) == f"zero denominator in rational {shown}"
+
+
 def test_rational_zero_denominator_with_a_numerator_too_long_to_print():
     # Fraction's ZeroDivisionError printed the numerator, which str() refuses
     # past the interpreter's int-string digit limit
