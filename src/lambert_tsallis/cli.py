@@ -19,29 +19,71 @@ plain: lines for humans, values to 10 significant digits (verify's
 measurements and thresholds as %.3e).  table prints the json and csv rules
 through one %.17g row template per table, each distinct residual's text
 formatted once per table.
+
+What loads when: importing cli loads argparse and the numeric layer
+(`qexp`, `wq`).  The exact layer (`exact`, `classify`) loads at the first
+`classify` command and `verify` at the first `verify` command, through the
+module `__getattr__` (PEP 562), which binds that submodule's names here;
+`json` loads with the first JSON document and `csv` with the first csv
+`_emit`.  So `eval`, `branch-point` and `table` load neither layer, and
+`table`, whose rows are formatted by hand, loads no `csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
+import importlib
 import math
 import re
 import sys
 
-from .classify import (classify_expq, classify_lnq_derivative, classify_tower,
-                       classify_wq)
 from .errors import ConfigurationError, LambertTsallisError, MalformedInputError
-from .exact import parse_exact, render_exact
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
-from .verify import (run_all, run_branch_suite, run_derivative_suite,
-                     run_eq5_suite, run_residual_suite, run_scan_suite)
 from .wq import (DEFAULT_TOL, Branch, _check_settings, _solve, branch_domain, branch_point,
                  dwq_dz, wq)
 
 __all__ = ["main", "entry", "render_json"]
+
+# the names cli binds from each lazy submodule; verify binds _SUITES too,
+# its suite functions by --suite name
+_LAYERS = {
+    "exact": ("parse_exact", "render_exact"),
+    "classify": ("classify_expq", "classify_lnq_derivative", "classify_tower",
+                 "classify_wq"),
+    "verify": ("run_all", "run_scan_suite"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+_LAYER_OF["_SUITES"] = "verify"
+
+
+def _bound(name: str) -> object:
+    """The object bound here at name.  A lazy name's first read imports its
+    submodule and binds all of that submodule's names here; a name already
+    bound keeps its object.  The commands read their lazy names through
+    this when they run, so an object bound in a name's place (bench/spans.py
+    wraps them here) is the one they call."""
+    namespace = globals()
+    if name not in namespace:
+        layer = _LAYER_OF.get(name)
+        if layer is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        module = importlib.import_module(f".{layer}", __package__)
+        for key in _LAYERS[layer]:
+            namespace.setdefault(key, getattr(module, key))
+        if layer == "verify":
+            namespace.setdefault("_SUITES", {
+                "residual": module.run_residual_suite,
+                "derivative": module.run_derivative_suite,
+                "eq5": module.run_eq5_suite,
+                "branch": module.run_branch_suite,
+                "all": module.run_all,
+            })
+    return namespace[name]
+
+
+# PEP 562 hook, which the interpreter calls for a name not bound here
+__getattr__ = _bound
 
 
 def _json_float(x: float) -> str:
@@ -54,6 +96,7 @@ def _json_float(x: float) -> str:
 def render_json(doc: object) -> str:
     """JSON with deterministic float formatting (17 significant digits,
     infinities as strings)."""
+    import json  # loaded with the first document, not with cli
     if doc is None:
         return "null"
     if doc is True:
@@ -162,6 +205,7 @@ def _emit(fmt: str, doc: dict[str, object], records: list[dict[str, object]],
     if fmt == "json":
         print(render_json(doc))
     elif fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_cell(record[c]) for c in columns] for record in records)
@@ -205,19 +249,23 @@ def _cmd_branch_point(args: argparse.Namespace) -> int:
     return 0
 
 
+# each classify subject's function and operand flags
+_CLASSIFIERS = {
+    "wq": ("classify_wq", ["q", "z"]),
+    "expq": ("classify_expq", ["q", "z"]),
+    "lnq-deriv": ("classify_lnq_derivative", ["q", "z0"]),
+    "tower": ("classify_tower", ["r"]),
+}
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    # built per call, so the module's names stay the binding site bench/spans.py wraps
-    classifier, names = {
-        "wq": (classify_wq, ["q", "z"]),
-        "expq": (classify_expq, ["q", "z"]),
-        "lnq-deriv": (classify_lnq_derivative, ["q", "z0"]),
-        "tower": (classify_tower, ["r"]),
-    }[args.subject]
+    classifier, names = _CLASSIFIERS[args.subject]
     for name in names:
         if getattr(args, name) is None:
             raise ConfigurationError(f"classify {args.subject} requires --{name}")
+    parse_exact, render_exact = _bound("parse_exact"), _bound("render_exact")
     operands = {name: parse_exact(getattr(args, name)) for name in names}
-    result = classifier(*operands.values())
+    result = _bound(classifier)(*operands.values())
     inputs = {name: render_exact(x) for name, x in operands.items()}
     record = result.to_record()
     plain = [f"{name} = {value}" for name, value in inputs.items()]
@@ -330,23 +378,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_SUITES = {
-    "residual": run_residual_suite,
-    "derivative": run_derivative_suite,
-    "eq5": run_eq5_suite,
-    "branch": run_branch_suite,
-    "all": run_all,
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     scan = {"degree_max": args.degree_max, "coeff_max": args.coeff_max, "eps": args.eps}
     if args.suite == "scan":
-        checks = run_scan_suite(**scan)
-    elif args.suite == "all":
-        checks = _SUITES["all"](**scan)
+        checks = _bound("run_scan_suite")(**scan)
     else:
-        checks = _SUITES[args.suite]()
+        suite = _bound("_SUITES")[args.suite]
+        checks = suite(**scan) if args.suite == "all" else suite()
     ok = all(c.passed for c in checks)
     records = [{"name": c.name, "passed": c.passed, "measured": c.measured,
                 "threshold": c.threshold} for c in checks]
