@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=float, required=True)
     p_eval.add_argument("--z", type=float, required=True)
     p_eval.add_argument("--branch", choices=["upper", "lower"], default="upper")
-    p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_eval.add_argument("--format", choices=["plain", "json", "csv"],
                         default="plain")
 
@@ -179,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--z-to", type=float, required=True, dest="z_to")
     p_tab.add_argument("--steps", type=int, required=True)
     p_tab.add_argument("--branch", choices=["upper", "lower"], default="upper")
-    p_tab.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_ver = sub.add_parser("verify", help="run numerical cross-check suites")
@@ -225,13 +223,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         branch = Branch(args.branch)
         doc["branch"] = branch.value
         if args.subject == "wq":
-            res = wq(args.q, args.z, branch, args.tol)
+            res = wq(args.q, args.z, branch)
             value = res.w
             doc.update(residual=res.residual, iterations=res.iterations)
             plain.append(f"residual={res.residual:.10g} iterations={res.iterations}")
         else:  # dwq
-            value = dwq_dz(args.q, args.z, branch, args.tol)
-        doc["meta"] = {"tol": args.tol}
+            value = dwq_dz(args.q, args.z, branch)
+        doc["meta"] = {"tol": DEFAULT_TOL}
     doc["value"] = value
     _emit(args.format, doc, [doc],
           [key for key in ("value", "residual", "iterations") if key in doc],
@@ -299,8 +297,9 @@ _NON_FINITE = re.compile(r": (-?inf|nan)\b")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    """Checks the table once, in the order a per-row call of the public
-    functions would, then evaluates the rows with the unchecked kernels:
+    """Checks --steps, then the rest once, in the order a per-row call of
+    the public functions would, the ends' order after their finiteness; then
+    evaluates the rows with the unchecked kernels:
     _exp_q per row, or one wq._solve over the kept grid, which may start a
     row from the roots before it.  Each wq row meets wq's stopping rule,
     but from the eighth row on may differ from a per-point wq in the last
@@ -309,13 +308,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     nan has those tokens quoted in place."""
     if args.steps < 2:
         raise ConfigurationError(f"--steps must be >= 2, got {args.steps}")
+    q = _require_finite("q", args.q)
+    # every grid point is finite once both ends are; a nan end has no order
+    _require_finite("z", args.z_from)
+    _require_finite("z", args.z_to)
     if not (args.z_from < args.z_to):
         raise ConfigurationError(
             f"--z-from must be less than --z-to, got {args.z_from} and {args.z_to}")
-    q = _require_finite("q", args.q)
-    # every grid point is finite once both ends are
-    _require_finite("z", args.z_from)
-    _require_finite("z", args.z_to)
     n = args.steps - 1
     step = (args.z_to - args.z_from) / n
     # z_from + i*step rises with i, so its last point bounds the grid.  It is
@@ -337,7 +336,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print(f"warning: {clipped} of {len(grid)} grid points fall outside "
                   f"the {branch.value} branch domain {dom} and were dropped",
                   file=sys.stderr)
-        _check_settings(q, branch, args.tol)
+        _check_settings(q, branch)
         if not kept:
             print("error: no grid points inside the branch domain", file=sys.stderr)
             return 1
@@ -353,7 +352,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         template = ",".join(fields)  # csv.writer would quote none of these fields
     if args.subject == "wq":
         text = _ResidualText()
-        solved = _solve(q, kept, branch, branch_point(q), args.tol)
+        solved = _solve(q, kept, branch, branch_point(q))
         lines = [template % (z, w, text[residual])
                  for z, (w, residual, _) in zip(kept, solved)]
     else:
@@ -364,7 +363,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                   "q": args.q, "branch": branch.value,
                                   "clipped": clipped}
         if args.subject == "wq":
-            doc["meta"] = {"tol": args.tol}
+            doc["meta"] = {"tol": DEFAULT_TOL}
         body = ", ".join(lines)
         # neither a key nor the %.17g text of a finite double has an n, so the
         # body has one exactly when a value is inf or nan, which JSON quotes

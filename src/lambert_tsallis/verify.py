@@ -80,8 +80,8 @@ class ScanReport(namedtuple(
 
 
 def residual_defining_eq(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
-    """|w exp_q(w) - z| at wq's w for this q, z, branch, solved at wq's
-    default tol."""
+    """|w exp_q(w) - z| at wq's w for this q, z, branch, solved to wq's
+    fixed stopping constant DEFAULT_TOL."""
     w = wq(q, z, branch).w
     return abs(w * exp_q(q, w) - z)
 
@@ -104,7 +104,7 @@ def check_derivative_fd(q: float, z: float, branch: Branch = Branch.UPPER) -> fl
 
 def eq5_residual(q: float) -> float:
     """Residual of the polynomial identity x^(q-1) - (1-q) x - 1 = 0 at
-    x = W_q(1) from wq at its default tol (x > 0 always)."""
+    x = W_q(1) from wq, solved to its fixed DEFAULT_TOL (x > 0 always)."""
     x = wq(q, 1.0).w
     power = math.exp((q - 1.0) * math.log(x))
     return abs(power - (1.0 - q) * x - 1.0)

@@ -38,13 +38,14 @@ z/(1+z) is within an ulp of W, that end is the start.
 The loop falls back to bisection over the ordered doubles, arithmetic on a
 narrow bracket and geometric across decades, whenever a step leaves the
 bracket or |h| fails to halve in two evaluations, and only bisects after its
-first 136 evaluations.  It stops when |h| <= tol or a step is under 4 ulp of
-w, and returns the point after that step.  64 halvings close any bracket, so
-within 200 evaluations it closes on adjacent doubles at the latest and
-returns the better end, or raises the one ConvergenceError when an end is
-the wall or the end of the double range: no double approximates the root
-there.  The closure reuses |h| at an end the loop evaluated, so it evaluates
-at most the one analytic end, and none at the end of the double range.
+first 136 evaluations.  It stops when |h| <= DEFAULT_TOL, the one fixed
+stopping constant, or a step is under 4 ulp of w, and returns the point
+after that step.  64 halvings close any bracket, so within 200 evaluations
+it closes on adjacent doubles at the latest and returns the better end, or
+raises the one ConvergenceError when an end is the wall or the end of the
+double range: no double approximates the root there.  The closure reuses
+|h| at an end the loop evaluated, so it evaluates at most the one analytic
+end, and none at the end of the double range.
 
 dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) (Corless et al.,
 Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W from the defining
@@ -63,11 +64,11 @@ cancels, and for |q| <= 2, where 1 + c reaches q at the branch point and the
 two forms tie.
 
 Inputs are checked once per public call.  _check_settings holds the checks
-that need no z (the branch, tol, lower-branch existence, in that order), and
-the CLI's table calls it once.  _check_request, which wq and dwq_dz call,
-checks that q and z are finite, calls _check_settings and then tests the
-domain, computing the branch point only there: z >= 0 on the upper branch
-lies in every upper domain and skips both.  _domain is the only case
+that need no z (the branch, then lower-branch existence), and the CLI's
+table calls it once.  _check_request, which wq and dwq_dz call, checks
+that q and z are finite, calls _check_settings and then tests the domain,
+computing the branch point only there: z >= 0 on the upper branch lies in
+every upper domain and skips both.  _domain is the only case
 analysis of the branch domains and always sees the true branch point: z is
 compared with its (lo, lo_closed, hi), and branch_domain and a DomainError's
 message wrap that in an Interval.  Likewise _ends alone says which fixed
@@ -84,15 +85,13 @@ they unpack, index and compare equal like tuples.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .errors import (ConfigurationError, ConvergenceError, DerivativeSingularError,
-                     DomainError, NoBranchPointError)
+from .errors import ConvergenceError, DerivativeSingularError, DomainError, NoBranchPointError
 # Interval is re-exported; exp_q is unused here, but bench/spans.py wraps it at this name
 from .qexp import Interval, _exp_q, _ln_exp_q, _require_finite, _safe_exp, exp_q  # noqa: F401
 
@@ -109,6 +108,7 @@ __all__ = [
     "wq_closed_form",
 ]
 
+# the solver's one stopping constant: _root stops once |h| is at most this
 DEFAULT_TOL = 1e-12
 # _root's first 136 evaluations may be Newton points, and it only bisects after
 # them: the ordered doubles span under 2^64 places, so 64 halvings close any
@@ -354,19 +354,18 @@ def _from_ordinal(n: int) -> float:
     return x if n >= 0 else -x
 
 
-def wq(q: float, z: float, branch: Branch = Branch.UPPER,
-       tol: float = DEFAULT_TOL) -> SolveResult:
+def wq(q: float, z: float, branch: Branch = Branch.UPPER) -> SolveResult:
     """Solve w * exp_q(q, w) = z on the requested branch.
 
-    tol bounds the relative residual |h| = |log(f(w)/z)|; a Newton step
-    under 4 ulp of w also ends the iteration, where conditioning puts tol
-    out of reach.  SolveResult.residual is |h| at the last point evaluated,
-    before the final Newton step.  Raises DomainError outside the branch
-    domain, NoBranchPointError for a lower-branch request at q >= 2, and
-    ConvergenceError (with the best iterate) only when no double
-    approximates the root.
+    The iteration stops once the relative residual |h| = |log(f(w)/z)| is at
+    most DEFAULT_TOL (1e-12), or on a Newton step under 4 ulp of w, where
+    conditioning puts that bound out of reach.  SolveResult.residual is |h|
+    at the last point evaluated, before the final Newton step.  Raises
+    DomainError outside the branch domain, NoBranchPointError for a
+    lower-branch request at q >= 2, and ConvergenceError (with the best
+    iterate) only when no double approximates the root.
     """
-    q, z, branch, bp = _check_request(q, z, branch, tol)
+    q, z, branch, bp = _check_request(q, z, branch)
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
     # as a one-point _solve run: its shortcuts, then _bracket's start
     if z == 0.0:  # the lower branch's domain excludes 0
@@ -375,29 +374,23 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER,
         w, residual, iterations = w_b, 0.0, 0
     else:
         lo, hi, start = _bracket(q, z, branch, z_b, w_b)
-        w, residual, iterations = _root(q, z, branch, lo, hi, start, tol)
+        w, residual, iterations = _root(q, z, branch, lo, hi, start)
     # tuple.__new__ builds the record in C; SolveResult(...) runs a Python __new__
     return tuple.__new__(SolveResult, (w, branch, residual, iterations))
 
 
-def _check_settings(q: float, branch: Branch | str, tol: float) -> Branch:
-    """wq's checks that need no z, in order: the branch, tol (a real number,
-    not a bool) and the lower branch's existence, for a finite q.  Returns
-    the branch as a Branch."""
+def _check_settings(q: float, branch: Branch | str) -> Branch:
+    """wq's checks that need no z, in order: the branch and the lower
+    branch's existence, for a finite q.  Returns the branch as a Branch."""
     branch = _as_branch(branch)
-    # a float tol skips the numbers ABC test, about 0.2 us
-    if not ((tol.__class__ is float
-             or (isinstance(tol, numbers.Real) and tol.__class__ is not bool))
-            and 0.0 < tol < math.inf):
-        raise ConfigurationError(f"tol must be a positive finite real, got {tol!r}")
     if branch is _LOWER and q >= 2.0:
         raise NoBranchPointError(
             "no lower branch for q = %g: the branch point exists only for q < 2", q)
     return branch
 
 
-def _check_request(q: float, z: float, branch: Branch | str,
-                   tol: float) -> tuple[float, float, Branch, BranchPoint | None]:
+def _check_request(q: float, z: float,
+                   branch: Branch | str) -> tuple[float, float, Branch, BranchPoint | None]:
     """wq's checks, in order: q and z finite, _check_settings, the branch
     domain.  Returns (q, z, branch, bp) as floats, a Branch and
     branch_point(q), except that bp is None for z >= 0 on the upper branch:
@@ -405,7 +398,7 @@ def _check_request(q: float, z: float, branch: Branch | str,
     _bracket and _ends read z_b or w_b there."""
     q = _require_finite("q", q)
     z = _require_finite("z", z)
-    branch = _check_settings(q, branch, tol)
+    branch = _check_settings(q, branch)
     if z >= 0.0 and branch is _UPPER:
         return q, z, branch, None
     bp = _branch_point(q)
@@ -416,10 +409,10 @@ def _check_request(q: float, z: float, branch: Branch | str,
     return q, z, branch, bp
 
 
-def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None,
-           tol: float) -> Iterator[tuple[float, float, int]]:
+def _solve(q: float, zs: Iterable[float], branch: Branch,
+           bp: BranchPoint | None) -> Iterator[tuple[float, float, int]]:
     """The CLI table's driver of _root, unchecked: every z in zs lies in the
-    branch's domain, bp is branch_point(q), and tol passed _check_settings.
+    branch's domain and bp is branch_point(q).
     Solves the points in order and yields a (w, residual, iterations) tuple
     per point, about a tenth of a SolveResult's cost.  A generator, so that a
     table frees each row at once: 10^4 live rows would pass into the garbage
@@ -430,10 +423,11 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
     roots, 6 w1 - 15 w2 + 20 w3 - 15 w4 + 6 w5 - w6, when the extrapolant
     started the previous point and that point kept it.  Its error is
     O(step^6 W^(6)), and its rounding (the coefficients sum to 63 in
-    magnitude, so up to about 32 ulp of W) stays far below tol; a lower degree
-    misses more often, a higher one gains nothing.  The point is then bounded
-    by _ends alone: a comparison or a division per end, and no _bracket, whose
-    tails and analytic start cost about as much as the evaluation itself.
+    magnitude, so up to about 32 ulp of W) stays far below DEFAULT_TOL; a
+    lower degree misses more often, a higher one gains nothing.  The point
+    is then bounded by _ends alone: a comparison or a division per end, and
+    no _bracket, whose tails and analytic start cost about as much as the
+    evaluation itself.
     Every other point calls _bracket and starts from its analytic start or from
     the extrapolant, whichever landed nearer the root on the last point that
     computed both; the extrapolant only from strictly inside the bracket, and
@@ -478,12 +472,12 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
                 lo, hi = _ends(q, z, branch, w_b)
                 from_extrap = lo < extrap < hi
             if from_extrap:
-                result = _root(q, z, branch, lo, hi, extrap, tol)
+                result = _root(q, z, branch, lo, hi, extrap)
             else:
                 lo, hi, start = _bracket(q, z, branch, z_b, w_b)
                 inside = lo < extrap < hi  # False while extrap is nan
                 from_extrap = inside and extrap_nearer
-                result = _root(q, z, branch, lo, hi, extrap if from_extrap else start, tol)
+                result = _root(q, z, branch, lo, hi, extrap if from_extrap else start)
                 w, miss = result[0], abs(extrap - result[0])
                 extrap_nearer = inside and miss < abs(start - w)
                 far = 64.0 * (miss + 64.0 * math.ulp(w)) < abs(start - w)
@@ -495,11 +489,11 @@ def _solve(q: float, zs: Iterable[float], branch: Branch, bp: BranchPoint | None
         yield result
 
 
-def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
-          tol: float) -> tuple[float, float, int]:
+def _root(q: float, z: float, branch: Branch, lo: float, hi: float,
+          w: float) -> tuple[float, float, int]:
     """The solver's one loop, unchecked: z lies in branch's domain and is
-    neither 0 nor z_b, tol passed _check_settings, lo < W < hi brackets its
-    root and the loop starts at w in [lo, hi].  Newton on h, and bisection
+    neither 0 nor z_b, lo < W < hi brackets its root and the loop starts at
+    w in [lo, hi].  Newton on h until |h| <= DEFAULT_TOL, and bisection
     over the ordered doubles as the fallback and after _NEWTON_EVALUATIONS
     evaluations (see the module notes).  Returns (w, residual, iterations), or raises
     ConvergenceError with the best iterate; iterations leaves out the
@@ -526,7 +520,7 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
             # 1/w in h' overflowed, |w| < 1/DBL_MAX: h/h' is h w to first order
             newton = w - h * w
         step_inside = lo < newton < hi
-        if ((ah <= tol or abs(w - newton) <= 4.0 * math.ulp(w))
+        if ((ah <= DEFAULT_TOL or abs(w - newton) <= 4.0 * math.ulp(w))
                 and (step_inside or newton == w)):
             return newton, ah, iters
         halved = ah <= 0.5 * back2
@@ -554,11 +548,10 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float, w: float,
             q, z, branch.value, best_w, best_w=best_w, residual=best_h, iterations=iters)
 
 
-def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
-           tol: float = DEFAULT_TOL) -> float:
+def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
     """Derivative of the branch at z, 1/f'(W) (see the module notes): 1 at
     z = 0, divergent (vertical tangent) at the branch point."""
-    q, z, branch, bp = _check_request(q, z, branch, tol)
+    q, z, branch, bp = _check_request(q, z, branch)
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
     if z == z_b:
         raise DerivativeSingularError(
@@ -566,7 +559,7 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER,
     if z == 0.0:
         return 1.0
     lo, hi, start = _bracket(q, z, branch, z_b, w_b)
-    w = _root(q, z, branch, lo, hi, start, tol)[0]
+    w = _root(q, z, branch, lo, hi, start)[0]
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
         raise DerivativeSingularError("dW/dz diverges at w = %r (q = %g)", w, q)
