@@ -106,9 +106,12 @@ def test_exit_two_on_reversed_range(capsys):
         2, "", "error: --z-from must be less than --z-to, got 2.0 and 1.0\n")
 
 
-def test_exit_two_on_bad_tol():
-    p = run_cli("eval", "wq", "--q", "1", "--z", "1", "--tol", "-1")
-    assert p.returncode == 2
+@pytest.mark.parametrize("ends", [["--z-from", "nan", "--z-to", "1"],
+                                  ["--z-from", "0", "--z-to", "nan"]])
+def test_table_nan_end_is_refused_as_not_finite(capsys, ends):
+    # a nan end has no order: this read "--z-from must be less than --z-to"
+    assert run_main(capsys, "table", "wq", "--q", "1", *ends, "--steps", "3") == (
+        2, "", "error: z must be a finite real, got nan\n")
 
 
 def test_exit_one_on_empty_table_intersection():
@@ -231,11 +234,10 @@ def test_table_expq_csv_has_no_residual_column():
 
 def test_table_wq_json_carries_meta():
     doc = json.loads(run_cli("table", "wq", "--q", "1", "--z-from", "0",
-                             "--z-to", "2", "--steps", "3", "--tol", "1e-10",
-                             "--format", "json").stdout)
-    assert doc["meta"] == {"tol": 1e-10}
-    assert all(abs(r["residual"]) <= 1e-10 * max(1.0, r["z"])
-               for r in doc["rows"])
+                             "--z-to", "2", "--steps", "3", "--format", "json").stdout)
+    # the solver's fixed stopping constant, which every row here meets
+    assert doc["meta"] == {"tol": DEFAULT_TOL} == {"tol": 1e-12}
+    assert len(doc["rows"]) == 3 and all(r["residual"] <= DEFAULT_TOL for r in doc["rows"])
 
 
 def test_table_clips_and_warns():
@@ -321,10 +323,12 @@ def test_classify_refuses_a_missing_operand_flag(capsys, subject, flags, missing
     ["eval", "wq", "--q", "1", "--z", "1"],
     ["table", "wq", "--q", "1", "--z-from", "0", "--z-to", "1", "--steps", "3"],
 ])
-def test_tol_is_the_only_solver_flag(capsys, argv):
-    # every solve ends by construction, so there is no iteration budget
-    assert main([*argv, "--max-iter", "200"]) == 2
-    assert "unrecognized arguments: --max-iter 200" in capsys.readouterr().err
+def test_the_solver_takes_no_flags(capsys, argv):
+    # every solve ends by construction and stops at the fixed DEFAULT_TOL,
+    # so there is neither an iteration budget nor a tolerance to set
+    for flag in (["--tol", "1e-9"], ["--max-iter", "200"]):
+        assert main([*argv, *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_the_parser_is_built_once_and_carries_nothing_between_calls(capsys):
@@ -774,42 +778,14 @@ def test_table_residuals_render_as_format_and_render_json(monkeypatch, capsys, f
 
 # ----------------------------------------------- table error precedence
 
-TABLE_WQ = ["table", "wq", "--q", "1", "--steps", "9"]
-
-
-def test_table_bad_tol_with_points_kept_exits_two(capsys):
-    code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "-1", "--z-to", "1",
-                              "--tol", "0")
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [
-        "warning: 3 of 9 grid points fall outside the upper branch domain "
-        "[-0.367879, inf) and were dropped",
-        "error: tol must be a positive finite real, got 0.0"]
-
-
-def test_table_bad_tol_with_every_point_clipped_exits_two(capsys):
-    # wq checks tol before the domain, so an empty grid does too
-    code, out, err = run_main(capsys, *TABLE_WQ, "--z-from", "1", "--z-to", "2",
-                              "--branch", "lower", "--tol", "0")
-    assert (code, out) == (2, "")
-    assert err.endswith("error: tol must be a positive finite real, got 0.0\n")
-
-
 @pytest.mark.parametrize("q, flags", [
-    ("1", ["--tol", "-1"]),
-    ("1", ["--tol", "nan"]),
     ("2.5", ["--branch", "lower"]),
     ("1", []),
-    # two faults: the one wq checks first wins
-    ("1", ["--tol", "-1", "--branch", "lower"]),
-    ("2.5", ["--branch", "lower", "--tol", "-1"]),
-    ("2.5", ["--branch", "lower", "--tol", "inf"]),
-    ("2.5", ["--branch", "lower", "--tol", "0"]),
-])
+], ids=["no-lower-branch", "outside-the-domain"])
 def test_table_with_every_point_clipped_reports_wq_checks_first(capsys, q, flags):
     # every grid point lies outside the domain: below z_b = -1/e at q = 1, and
-    # there is no lower branch at q = 2.5.  A bad configuration or a missing
-    # branch reads as a per-point wq reads, in wq's order; a valid one keeps
+    # there is no lower branch at q = 2.5.  A missing branch reads as a
+    # per-point wq reads; a request wq would only refuse on its domain keeps
     # the table's message
     code, out, err = run_main(capsys, "table", "wq", "--q", q, "--z-from=-5", "--z-to=-4",
                               "--steps", "3", *flags)
@@ -833,12 +809,9 @@ def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 
 
-def test_dwq_at_the_branch_point_reports_a_bad_configuration_first(capsys):
+def test_dwq_at_the_branch_point_reports_a_bad_configuration_first():
     # the request checks run before the z_b singularity check
     z_b = branch_point(1.0).z_b
-    for flag in (["--tol", "0"], ["--tol", "nan"]):
-        code, out, err = run_main(capsys, "eval", "dwq", "--q", "1", "--z", repr(z_b), *flag)
-        assert (code, out) == (2, "") and err.startswith("error: "), flag
     with pytest.raises(ValueError, match="is not a valid Branch"):
         dwq_dz(1.0, z_b, "sideways")
 
@@ -967,7 +940,8 @@ def test_table_rows_by_continuation_are_accurate(capsys, q, z_from, z_to, branch
     for i, (z, v, residual) in enumerate(rows):
         point = _assert_near_wq(q, z, branch, v)
         # a step under 4 ulp also stops the loop, where conditioning puts
-        # tol out of reach: at q = 0 next to the wall, wq's residual is 1.3e-10
+        # DEFAULT_TOL out of reach: at q = 0 next to the wall, wq's residual
+        # is 1.3e-10
         assert residual <= max(DEFAULT_TOL, point.residual), (q, z, residual)
         if i < 7:  # the extrapolant needs six roots and a row to compare on
             assert (repr(v), repr(residual)) == (repr(point.w), repr(point.residual)), (q, z)

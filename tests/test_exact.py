@@ -200,6 +200,17 @@ def test_malformed_parts_raise_at_construction(build):
         build()
 
 
+@pytest.mark.parametrize("rebuild, text", [
+    (lambda: Rational(1, 2)._replace(D=0), "zero denominator in an exact number's fields"),
+    (lambda: QuadSurd._make((1, 2, 3)), "an exact number's fields are the four ints A, B, D, d"),
+], ids=["zero-D", "three-fields"])
+def test_rebuilding_from_bad_fields_is_malformed(rebuild, text):
+    # _make checks the fields of every rebuild, not only the constructor's
+    with pytest.raises(MalformedInputError) as e:
+        rebuild()
+    assert str(e.value) == text
+
+
 def test_sign_of_an_int_past_the_digit_limit_is_malformed():
     # the message names the type: repr(10**5000) raises ValueError
     with pytest.raises(MalformedInputError, match="^not an exact number: got int$"):

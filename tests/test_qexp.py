@@ -93,6 +93,9 @@ def test_ln_q_overflows_to_a_signed_infinity():
     # z^(1-q) - 1 overflows: +inf for q < 1, and q > 1 at z -> 0+ gives -inf
     assert ln_q(-1.0, 1e300) == math.inf
     assert ln_q(3.0, 1e-300) == -math.inf
+    # where the half power z^((1-q)/2) overflows too, the quotient does
+    assert ln_q(-1000.0, 1e300) == math.inf
+    assert ln_q(1000.0, 1e-300) == -math.inf
     # where 1 - q is not a double too: no correction for its rounding turns
     # the infinity into nan
     for q, z, inf in [(-1.0, 1e300, math.inf), (3.0, 1e-300, -math.inf)]:

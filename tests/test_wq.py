@@ -15,7 +15,6 @@ import pickle
 import random
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,8 +23,7 @@ from hypothesis import strategies as st
 
 from lambert_tsallis.classify import Classification, Rule, classify_expq, classify_wq
 from lambert_tsallis.cli import main
-from lambert_tsallis.errors import (ConfigurationError, ConvergenceError,
-                                    DerivativeSingularError, DomainError,
+from lambert_tsallis.errors import (ConvergenceError, DerivativeSingularError, DomainError,
                                     LambertTsallisError, MalformedInputError,
                                     NoBranchPointError)
 from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
@@ -128,7 +126,8 @@ def test_huge_z_on_upper_branch():
 
 def test_unrepresentable_root_raises_honestly():
     # at q = 3, z = 1e8 the root is within one ulp of the wall w = 1/2 and
-    # no double gives a residual anywhere near tol; the solver must say so
+    # no double gives a residual anywhere near DEFAULT_TOL; the solver must
+    # say so
     with pytest.raises(ConvergenceError) as exc:
         wq(3.0, 1e8)
     assert exc.value.best_w < 0.5
@@ -363,7 +362,7 @@ def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
     dom = branch_domain(q, branch)
     for z in zs:
         try:
-            accepted = _check_request(q, z, branch, DEFAULT_TOL)[2] is branch
+            accepted = _check_request(q, z, branch)[2] is branch
         except DomainError:
             accepted = False
         assert accepted == dom.contains(z), z
@@ -371,7 +370,7 @@ def test_domain_check_agrees_with_the_interval(q, branch, z_out, message):
         assert dom.contains(-big) and dom.contains(big)
     else:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            _check_request(q, z_out, branch, DEFAULT_TOL)
+            _check_request(q, z_out, branch)
 
 
 def test_interval_str_and_contains():
@@ -401,41 +400,14 @@ def test_lower_branch_domain_error_right_of_zero():
         wq(1.0, 0.0, Branch.LOWER)
 
 
-def test_bad_solver_configuration():
-    with pytest.raises(ConfigurationError):
-        wq(1.0, 1.0, Branch.UPPER, tol=0.0)
-    with pytest.raises(ConfigurationError):
-        wq(1.0, 1.0, Branch.UPPER, tol=-1e-9)
-
-
 @pytest.mark.parametrize("call", [wq, dwq_dz])
-def test_tol_is_the_only_solver_setting(call):
-    # the solve ends by construction, so there is no iteration budget to set
-    assert list(inspect.signature(call).parameters) == ["q", "z", "branch", "tol"]
-    with pytest.raises(TypeError):
-        call(1.0, 1.0, max_iter=200)
-
-
-@pytest.mark.parametrize("call", [wq, dwq_dz])
-@pytest.mark.parametrize("setting, text", [
-    ({"tol": "1e-9"}, "tol must be a positive finite real, got '1e-9'"),
-    ({"tol": None}, "tol must be a positive finite real, got None"),
-    ({"tol": True}, "tol must be a positive finite real, got True"),
-    ({"tol": 1j}, "tol must be a positive finite real, got 1j"),
-    ({"tol": Decimal("1e-9")}, "tol must be a positive finite real, got Decimal('1E-9')"),
-])
-def test_solver_settings_of_the_wrong_type_are_refused(call, setting, text):
-    # these raised the builtin TypeError
-    with pytest.raises(ConfigurationError) as e:
-        call(1.0, 1.0, **setting)
-    assert str(e.value) == text
-
-
-def test_solver_settings_of_other_number_types_are_taken():
-    assert wq(1.0, 1.0, tol=Fraction(1, 10**12)) == wq(1.0, 1.0)
-    assert wq(1.0, 1.0, tol=1).iterations == 1
-    # compared exactly, not through float(): this raised the builtin OverflowError
-    assert wq(1.0, 1.0, tol=10**400).iterations == 1
+def test_the_solver_takes_no_settings(call):
+    # the solve ends by construction and stops at the fixed DEFAULT_TOL, so
+    # there is neither an iteration budget nor a tolerance to set
+    assert list(inspect.signature(call).parameters) == ["q", "z", "branch"]
+    for setting in ({"tol": 1e-9}, {"max_iter": 200}):
+        with pytest.raises(TypeError):
+            call(1.0, 1.0, **setting)
 
 
 @pytest.mark.parametrize("q, z", [(0.0, -0.1875), (0.5, -0.1), (1.0, -0.2), (1.5, -0.05)])
@@ -765,6 +737,8 @@ def test_closed_form_q0():
     low = wq_closed_form(0.0, -0.1875, Branch.LOWER)
     assert low == pytest.approx(-0.75, abs=1e-15)
     assert wq_closed_form(0.0, 0.5, Branch.LOWER) is None
+    # below z = -1/4 the discriminant 1 + 4z is negative: no real root
+    assert wq_closed_form(0.0, -1.0) is None
 
 
 def test_closed_form_absent_otherwise():
@@ -848,19 +822,14 @@ def test_q_continuity_at_classical_point():
 # ------------------------------------------------------------------ drivers
 
 def _agreement_draws():
-    """Seeded (q, z, branch, tol) requests inside the branch domain, with the
+    """Seeded (q, z, branch) requests inside the branch domain, with the
     shortcuts, the q < 2 upper branch at z >= 0 and wall refusals among
     them."""
     rng = random.Random("driver-agreement")
     z_b = branch_point(1.0).z_b
-    yield from [(2.5, 1e200, "upper", DEFAULT_TOL),
-                (3.0, 1e300, "upper", DEFAULT_TOL),
-                (-1e200, -5e-201, "lower", DEFAULT_TOL),
-                (1.0, 0.0, "upper", DEFAULT_TOL),
-                (1.0, -0.0, "upper", DEFAULT_TOL),
-                (1.0, z_b, "upper", DEFAULT_TOL),
-                (1.0, z_b, "lower", DEFAULT_TOL),
-                (0.5, 2.0, "upper", DEFAULT_TOL)]
+    yield from [(2.5, 1e200, "upper"), (3.0, 1e300, "upper"), (-1e200, -5e-201, "lower"),
+                (1.0, 0.0, "upper"), (1.0, -0.0, "upper"), (1.0, z_b, "upper"),
+                (1.0, z_b, "lower"), (0.5, 2.0, "upper")]
     for _ in range(1500):
         q = rng.choice([rng.uniform(-3.0, 4.0), rng.uniform(0.0, 3.0),
                         rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
@@ -878,9 +847,8 @@ def _agreement_draws():
             z = -(10.0 ** rng.uniform(-310.0, 300.0))
         else:
             z = 10.0 ** rng.uniform(-310.0, 300.0)
-        tol = DEFAULT_TOL if rng.random() < 0.7 else 10.0 ** -rng.uniform(1.0, 16.0)
         if branch_domain(q, branch).contains(z):  # z_b times 1e-300 may underflow to -0.0
-            yield q, z, branch, tol
+            yield q, z, branch
 
 
 def _outcome(call):
@@ -921,23 +889,23 @@ def _one_point_agreement(monkeypatch, most_evaluations):
     monkeypatch.setattr(solver, "_root", recorded)
     monkeypatch.setattr(solver, "_log_residual", counted)
     lazy, outcomes = 0, []
-    for q, z, branch, tol in _agreement_draws():
-        q, z, branch, bp = _check_request(q, z, branch, tol)
+    for q, z, branch in _agreement_draws():
+        q, z, branch, bp = _check_request(q, z, branch)
         lazy += bp is None and q < 2.0
-        ran = _outcome(lambda: next(_solve(q, (z,), branch, bp, tol)))
-        eager = _outcome(lambda: next(_solve(q, (z,), branch, branch_point(q), tol)))
-        scalar = _outcome(lambda: _unbranched(wq(q, z, branch, tol)))
-        assert ran == eager == scalar, (q, z, branch, tol)
+        ran = _outcome(lambda: next(_solve(q, (z,), branch, bp)))
+        eager = _outcome(lambda: next(_solve(q, (z,), branch, branch_point(q))))
+        scalar = _outcome(lambda: _unbranched(wq(q, z, branch)))
+        assert ran == eager == scalar, (q, z, branch)
         last[0] = None
         try:
-            dwq_dz(q, z, branch, tol)
+            dwq_dz(q, z, branch)
         except (ConvergenceError, DerivativeSingularError):
             pass
         if last[0] is None:  # dwq_dz's own shortcuts: 1 at 0, and it diverges at z_b
             assert z == 0.0 or z == branch_point(q).z_b
         else:
             outcomes.append(last[0])
-            assert last[0] == ran, (q, z, branch, tol)
+            assert last[0] == ran, (q, z, branch)
     assert lazy > 100 and len(outcomes) > 1000, (lazy, len(outcomes))
     return outcomes, most[0]
 
@@ -967,11 +935,11 @@ def test_bisection_alone_ends_every_solve_within_67_evaluations(monkeypatch):
 
 @pytest.mark.parametrize("steps", [1000, 10_000])
 def test_solve_rows_past_the_wall_stop_on_the_step_floor(steps):
-    # past the wall 2/3 at q = 2.5 conditioning puts tol out of reach, and a
-    # row stops on the 4-ulp step floor with |h| above tol
+    # past the wall 2/3 at q = 2.5 conditioning puts DEFAULT_TOL out of reach,
+    # and a row stops on the 4-ulp step floor with |h| above it
     step = 2e6 / (steps - 1)
     zs = [-1e6 + i * step for i in range(steps)]
-    floor = [r for r in _solve(2.5, zs, Branch.UPPER, None, DEFAULT_TOL) if r[1] > DEFAULT_TOL]
+    floor = [r for r in _solve(2.5, zs, Branch.UPPER, None) if r[1] > DEFAULT_TOL]
     assert len(floor) > steps // 4, len(floor)
 
 
@@ -981,7 +949,6 @@ CHECK_ORDER_FAULTS = [
     {"q": math.nan},
     {"z": math.inf},
     {"branch": "sideways"},
-    {"tol": 0.0},
     {"q": 2.5, "branch": "lower"},  # no lower branch at q >= 2
     {"z": -5.0},  # below z_b = -1/e
 ]
@@ -995,7 +962,7 @@ def _fault_text(call, request):
 
 @pytest.mark.parametrize("call", [wq, dwq_dz])
 def test_the_earlier_of_two_request_faults_wins(call):
-    base = {"q": 1.0, "z": 1.0, "branch": "upper", "tol": DEFAULT_TOL}
+    base = {"q": 1.0, "z": 1.0, "branch": "upper"}
     pairs = 0
     for i, first in enumerate(CHECK_ORDER_FAULTS):
         alone = _fault_text(call, {**base, **first})
@@ -1004,7 +971,7 @@ def test_the_earlier_of_two_request_faults_wins(call):
                 continue  # the two faults set the same argument
             pairs += 1
             assert _fault_text(call, {**base, **first, **later}) == alone, (first, later)
-    assert pairs == 12
+    assert pairs == 7
 
 
 def test_domain_sees_only_the_true_branch_point(monkeypatch, capsys):
