@@ -47,6 +47,37 @@ double range: no double approximates the root there.  The closure reuses
 |h| at an end the loop evaluated, so it evaluates at most the one analytic
 end, and none at the end of the double range.
 
+Next to the wall w = 1/(q-1), on the upper branch for q > 1 past it and on
+the lower branch for q < 1, 1 + (1-q) w cancels in h, but the root is
+explicit: the bracket b = 1 + (1-q) W solves b = g (1-b)^(q-1), with
+g = (z (q-1))^(1-q) the power _wall_tail computes for _bracket.  Where
+max(g, |q-1| g) < 2^-20, _wall_root takes one fixed-point step,
+b = g exp((q-1) log1p(-g)), whose relative error is ((q-1) g)^2 < 2^-40, and
+W = wall + (wall_lo - wall b) with the wall as a double-double: Dekker's
+product gives 1 - (q-1) wall exactly, and Knuth's two-sum folds in the
+rounding of q - 1 where it is not a double (q < 1/2 or q >= 2^53).  No
+bracket, Newton step or evaluation is made, the answer reports iterations 0
+and, as its residual, ((q-1) g)^2, the relative residual of b's equation
+after the step.  Where w may lie at or past the wall, the sign of
+1 + (1-q) w decides the last ulp exactly: where q - 1 is a double only the
+wall's own double may, and the sign of the exact wall_lo decides it;
+elsewhere, where b < 2^-50, q's and w's ints do.  A w past the wall gives
+way to the innermost double inside it.  Where the rounded root is an
+exact-double wall, the convention is today's: for q > 1 no double inside the
+domain approximates the root and wq raises the ConvergenceError _root
+raises, with its text, best_w (the innermost double), residual and
+iterations 1, after one evaluation of h; for q < 1 it answers the innermost
+double, which is faithful.  An answer outside _ends' fixed ends falls
+through to _root: at or past w_b, below about q = -1e15, where w_b lies ulps
+from the wall, and past _ends' wall 1/(q-1), whose double may lie inside the
+wall where q - 1 is not a double.  Outside the
+regime wq makes the one _root call it always made, and its test costs a
+comparison of the g _bracket returns.  _solve routes a table row the same
+way, so such a row is wq's answer bit for bit: only rows past _wall_reach, a
+bound computed once per table, compute their power to test it.  dwq_dz
+keeps _root at the wall, where its value underflows or its oracle is wrong
+(ROADMAP items 1a and 21c).
+
 dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) (Corless et al.,
 Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W from the defining
 relation, as the bracket 1 + (1-q) W cancels next to the wall.  It divides in
@@ -110,6 +141,13 @@ __all__ = [
 
 # the solver's one stopping constant: _root stops once |h| is at most this
 DEFAULT_TOL = 1e-12
+# _wall_root answers where max(g, |q-1| g) is below _WALL_G; where q - 1 is
+# not a double, it decides the last ulp on ints where b is below _WALL_ULP
+_WALL_G = 2.0 ** -20
+_WALL_ULP = 2.0 ** -50
+# the one refusal's text, for _root and _wall_root
+_NO_DOUBLE = ("no double approximates the root for q = %g, z = %r (%s branch): it lies "
+              "next to the wall or beyond the double range; best w = %r")
 # _root's first 136 evaluations may be Newton points, and it only bisects after
 # them: the ordered doubles span under 2^64 places, so 64 halvings close any
 # bracket and a solve ends within 200 evaluations, far above the 36 the
@@ -138,7 +176,10 @@ class BranchPoint(namedtuple("BranchPoint", "z_b w_b")):
 class SolveResult(namedtuple("SolveResult", "w branch residual iterations")):
     """The root w on branch, the relative residual |h| at the last point
     evaluated and the number of the loop's evaluations; the end checks of a
-    bracket closed on adjacent doubles are not counted.  A named tuple:
+    bracket closed on adjacent doubles are not counted.  Next to the wall,
+    where the root is in closed form (see the module notes), iterations is
+    0 and residual is ((q-1) g)^2, the relative residual of the bracket's
+    equation b = g (1-b)^(q-1) after its one step.  A named tuple:
     read-only fields; unpacks, indexes and compares as (w, branch, residual,
     iterations)."""
 
@@ -237,15 +278,93 @@ def _power_tail(q: float, z: float) -> float:
     return math.copysign(m, z)
 
 
-def _wall_tail(q: float, z: float) -> float:
-    """The w with |wall| exp_q(w) = |z| next to the wall 1/(q-1), kept at
-    least one double inside it.  Between 0 and the wall |f(w)| < |wall|
-    exp_q(w), so this bounds W on the wall's side: from below on the upper
-    branch for q > 1 and on the lower branch for q < 1."""
+def _wall_tail(q: float, z: float) -> tuple[float, float]:
+    """(w, g): the w with |wall| exp_q(w) = |z| next to the wall 1/(q-1),
+    kept at least one double inside it, and the power g = (z (q-1))^(1-q)
+    that gives it as wall (1 - g).  Between 0 and the wall |f(w)| < |wall|
+    exp_q(w), so w bounds W on the wall's side: from below on the upper
+    branch for q > 1 and on the lower branch for q < 1.  z/wall > 0 on both."""
     wall = 1.0 / (q - 1.0)
-    w = wall * (1.0 - (z / wall) ** (1.0 - q))
+    g = (z / wall) ** (1.0 - q)
+    w = wall * (1.0 - g)
     inner = math.nextafter(wall, 0.0)
-    return min(w, inner) if wall > 0.0 else max(w, inner)
+    return (min(w, inner) if wall > 0.0 else max(w, inner)), g
+
+
+def _wall_reach(q: float, branch: Branch) -> float:
+    """A z that no root in _wall_root's regime lies below or at: a table row
+    at a z past it tests its own power, and no other row can be in the
+    regime.  The bound asks g < 2^-10 / max(1, |q-1|), 2^10 times the
+    regime's, which covers the rounding of g and of this bound while
+    |q-1| < 2^50; past that every z on the wall's side is tested.  inf
+    where the branch has no wall."""
+    if q == 1.0 or (branch is _UPPER) != (q > 1.0):
+        return math.inf
+    p, wall = abs(q - 1.0), 1.0 / (q - 1.0)
+    if p >= 2.0 ** 50:
+        return wall if q > 1.0 else -math.inf
+    # g = (z/wall)^(1-q) is below a bound c exactly where z > wall c^(1/(1-q))
+    return wall * _safe_exp(math.log(2.0 ** -10 / max(1.0, p)) / (1.0 - q))
+
+
+def _wall_root(q: float, z: float, g: float, w_b: float) -> tuple[float, float, int] | None:
+    """The root next to the wall in closed form, as (w, residual, 0), on the
+    upper branch for q > 1 past the wall and on the lower branch for q < 1,
+    where g is _wall_tail's power: None where max(g, |q-1| g) >= 2^-20, or
+    where w lies outside _ends' fixed ends (see the module notes).  Raises
+    the ConvergenceError _root raises where the rounded root is an
+    exact-double wall for q > 1."""
+    p = q - 1.0
+    if not (g < _WALL_G and abs(p) * g < _WALL_G):
+        return None
+    # e = (q-1) - p by Knuth's two-sum: 0 for 1/2 <= q < 2^53
+    s = p - q
+    e = (q - (p - s)) + (-1.0 - s)
+    end = 1.0 / p  # _ends' wall
+    if abs(p) < 2.0 ** 500:
+        # the wall 1/(q-1) as wall + wall_lo, with r = 1 - p wall exact by
+        # Dekker's product with Veltkamp's split
+        wall = end
+        c = 134217729.0 * p
+        ph = c - (c - p)
+        pl = p - ph
+        c = 134217729.0 * wall
+        wh = c - (c - wall)
+        wl = wall - wh
+        prod = p * wall
+        r = (1.0 - prod) - (((ph * wh - prod) + ph * wl + pl * wh) + pl * wl)
+        wall_lo = (r - e * wall) / p
+    else:
+        # b < 2^-520 is far below an ulp: w is the double nearest the wall
+        n, d = q.as_integer_ratio()
+        wall, wall_lo = d / (n - d), 0.0
+    # b = 1 + (1-q) W solves b = g (1-b)^(q-1), and one step from g leaves a
+    # relative error of ((q-1) g)^2 < 2^-40
+    b = g * math.exp(p * math.log1p(-g))
+    w = wall + (wall_lo - wall * b)
+    if w == wall or (e and b < _WALL_ULP):
+        # w may lie at or past the wall: side has the sign of 1 + (1-q) w.
+        # Where e = 0, w other than the wall's double lies inside, and at it
+        # the sign is (q-1) wall_lo's, exact with r; elsewhere, q's and w's
+        # ints give it, times d k > 0
+        if e:
+            n, d = q.as_integer_ratio()
+            m, k = w.as_integer_ratio()
+            side = d * k + (d - n) * m
+        else:
+            side = p * wall_lo
+        if side <= 0:
+            w = math.nextafter(w, 0.0)  # the innermost double
+            if side == 0 and q > 1.0:  # the rounded root is the wall itself
+                raise ConvergenceError(_NO_DOUBLE, q, z, "upper", w, best_w=w, iterations=1,
+                                       residual=abs(_log_residual(q, z, w)[0]))
+    # _ends' wall end is not the wall where q - 1 is not a double, and below
+    # about q = -1e15 w_b lies ulps from the wall
+    if not (w <= end if q > 1.0 else end <= w < w_b):
+        return None
+    # the relative residual b / (g (1-b)^(q-1)) - 1 of that step, to
+    # relative order max(g, |q-1| g)
+    return w, (p * g) ** 2, 0
 
 
 def _ends(q: float, z: float, branch: Branch, w_b: float) -> tuple[float, float]:
@@ -268,7 +387,8 @@ def _ends(q: float, z: float, branch: Branch, w_b: float) -> tuple[float, float]
 
 
 def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
-    """Analytic bracket lo < W < hi of the root and a start in [lo, hi].
+    """Analytic bracket lo < W < hi of the root, a start in [lo, hi] and
+    _wall_tail's power g where the bracket used the wall tail, inf elsewhere.
 
     Starts from _ends (same requirements on z) and tightens them; f is never
     evaluated.  For q >= 1, exp_q(w) >= e^w gives W < log|z| where
@@ -285,45 +405,46 @@ def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
         log_end = max(1.0, math.log(z))
         if q > 1.0:
             if hi < z:  # z is past the wall, which is hi
-                lo = _wall_tail(q, z)
-                return lo, min(hi, log_end), lo
+                lo, g = _wall_tail(q, z)
+                return lo, min(hi, log_end), lo, g
             # z / (1 + (q-1) z) is the root at q = 2 and stays inside the wall
             hi = min(hi, log_end)
-            return lo, hi, min(hi, z / (1.0 + (q - 1.0) * z))
+            return lo, hi, min(hi, z / (1.0 + (q - 1.0) * z)), math.inf
         # the tail is within 25% of W once (1-q) W > 4; nearer q = 1, W ~ log z
         if q != 1.0 and z > 1.0:
             hi = min(hi, _power_tail(q, z))
-        return lo, hi, hi if (1.0 - q) * hi > 4.0 else min(hi, log_end)
+        return lo, hi, hi if (1.0 - q) * hi > 4.0 else min(hi, log_end), math.inf
+    g = math.inf
     if branch is _UPPER:
         if q >= 2.0:
             if q > 2.0:
                 hi = min(hi, _power_tail(q, z))
-            return lo, hi, hi
+            return lo, hi, hi, g
         # W = z/(1+z) (1 - (2-q) z^2/2 + ...), and while |(1-q) z| <= 3/4 the
         # later terms add at most twice the second-order one: once (2-q) z^2 <=
         # 2^-54 the end hi = z/(1+z) is within an ulp of W.  Below about
         # q = -1e16 the quadratic model would start at or next to w_b there,
         # up to 300 decades from the root
         if (1.0 - q) * z >= -0.75 and (2.0 - q) * z * z <= 2.0 ** -54:
-            return lo, hi, hi
+            return lo, hi, hi, g
     elif q < 1.0:
-        wall, lo = lo, _wall_tail(q, z)
+        wall, (lo, g) = lo, _wall_tail(q, z)
         if lo - wall < 0.25 * (hi - wall):
             # the tail puts W in the quarter of the bracket next to the wall,
             # where it is the better model and the branch-point quadratic fails
-            return lo, hi, lo
+            return lo, hi, lo, g
     else:
         lo = 2.0 * math.log(-z) if q == 1.0 else _power_tail(q, z)
         hi = min(hi, math.log(-z))
         if (q - 1.0) * (2.0 - q) * lo < -4.0:
             # the tail's relative error is about 1/((q-1)(2-q)|W|): under 25%
-            return lo, hi, lo
+            return lo, hi, lo, g
     try:
         d = math.sqrt(2.0 * math.log(z_b / z) / (2.0 - q) ** 3)
     except OverflowError:  # q < -5.6e102: d is under an ulp of w_b, about 1/|q|
         d = 0.0
     guess = w_b + d if branch is _UPPER else w_b - d
-    return lo, hi, min(hi, max(lo, guess))
+    return lo, hi, min(hi, max(lo, guess)), g
 
 
 def _log_residual(q: float, z: float, w: float) -> tuple[float, float]:
@@ -360,7 +481,9 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER) -> SolveResult:
     The iteration stops once the relative residual |h| = |log(f(w)/z)| is at
     most DEFAULT_TOL (1e-12), or on a Newton step under 4 ulp of w, where
     conditioning puts that bound out of reach.  SolveResult.residual is |h|
-    at the last point evaluated, before the final Newton step.  Raises
+    at the last point evaluated, before the final Newton step.  Next to the
+    wall the root is in closed form, with no iteration (see the module
+    notes and SolveResult).  Raises
     DomainError outside the branch domain, NoBranchPointError for a
     lower-branch request at q >= 2, and ConvergenceError (with the best
     iterate) only when no double approximates the root.
@@ -373,8 +496,12 @@ def wq(q: float, z: float, branch: Branch = Branch.UPPER) -> SolveResult:
     elif z == z_b:  # both branches meet here, where h has a double root
         w, residual, iterations = w_b, 0.0, 0
     else:
-        lo, hi, start = _bracket(q, z, branch, z_b, w_b)
-        w, residual, iterations = _root(q, z, branch, lo, hi, start)
+        lo, hi, start, g = _bracket(q, z, branch, z_b, w_b)
+        # outside the wall kernel's regime g is at least _WALL_G, often inf
+        if g < _WALL_G and (found := _wall_root(q, z, g, w_b)):
+            w, residual, iterations = found
+        else:
+            w, residual, iterations = _root(q, z, branch, lo, hi, start)
     # tuple.__new__ builds the record in C; SolveResult(...) runs a Python __new__
     return tuple.__new__(SolveResult, (w, branch, residual, iterations))
 
@@ -454,6 +581,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch,
     start and those ends, so each evaluates its start once; on a 10^4-step
     table about 96% of the rows stop at that first evaluation."""
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
+    reach = _wall_reach(q, branch)
     # the last six roots, newest first, and won_at (see above)
     w1 = w2 = w3 = w4 = w5 = w6 = won_at = math.nan
     extrap_nearer = from_extrap = False
@@ -463,6 +591,8 @@ def _solve(q: float, zs: Iterable[float], branch: Branch,
         elif z == z_b:
             # both branches meet here, where h has a double root
             result = (w_b, 0.0, 0)
+        elif z > reach and (found := _wall_root(q, z, _wall_tail(q, z)[1], w_b)):
+            result = found
         else:
             # nan before six roots are known, which fails lo < extrap < hi
             extrap = 6.0 * w1 - 15.0 * w2 + 20.0 * w3 - 15.0 * w4 + 6.0 * w5 - w6
@@ -474,7 +604,7 @@ def _solve(q: float, zs: Iterable[float], branch: Branch,
             if from_extrap:
                 result = _root(q, z, branch, lo, hi, extrap)
             else:
-                lo, hi, start = _bracket(q, z, branch, z_b, w_b)
+                lo, hi, start, _ = _bracket(q, z, branch, z_b, w_b)
                 inside = lo < extrap < hi  # False while extrap is nan
                 from_extrap = inside and extrap_nearer
                 result = _root(q, z, branch, lo, hi, extrap if from_extrap else start)
@@ -542,10 +672,8 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float,
                 h_hi = abs(_log_residual(q, z, hi)[0])
             if not math.isinf(h_lo + h_hi):
                 return (lo if h_lo <= h_hi else hi), min(h_lo, h_hi), iters
-        raise ConvergenceError(
-            "no double approximates the root for q = %g, z = %r (%s branch): it lies "
-            "next to the wall or beyond the double range; best w = %r",
-            q, z, branch.value, best_w, best_w=best_w, residual=best_h, iterations=iters)
+        raise ConvergenceError(_NO_DOUBLE, q, z, branch.value, best_w, best_w=best_w,
+                               residual=best_h, iterations=iters)
 
 
 def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
@@ -558,7 +686,7 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
             "dW/dz diverges at the branch point z_b = %r for q = %g", z_b, q)
     if z == 0.0:
         return 1.0
-    lo, hi, start = _bracket(q, z, branch, z_b, w_b)
+    lo, hi, start, _ = _bracket(q, z, branch, z_b, w_b)
     w = _root(q, z, branch, lo, hi, start)[0]
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
@@ -601,6 +729,13 @@ def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float |
     q = 0: the defining equation is the quadratic w (1 + w) = z, giving
            (-1 + sqrt(1+4z))/2 upper and (-1 - sqrt(1+4z))/2 lower; the
            lower form is real on this branch only for z in [-1/4, 0).
+    q = 3/2: w = 2 (1 - s) with z s^2 + 2 s - 2 = 0, s = exp_q(w)^(-1/2),
+           free of cancellation as 2z / (1 + z + sqrt(1+2z)) on the upper
+           branch, z >= -1/2, and 2 (1 + z + sqrt(1+2z)) / z on the lower
+           branch, z in [-1/2, 0).
+    q = 3: w^2 = z^2 (1 - 2w) with w of z's sign, as z / (sqrt(z^2+1) + z)
+           for z > 0 and z (sqrt(z^2+1) + |z|) for z <= 0 (single branch),
+           with sqrt(z^2+1) as hypot(z, 1), which does not overflow.
     Used as an independent oracle against the iterative solver.
     """
     q = _require_finite("q", q)
@@ -620,4 +755,16 @@ def wq_closed_form(q: float, z: float, branch: Branch = Branch.UPPER) -> float |
         if z < 0.0:
             return 0.5 * (-1.0 - root)
         return None
+    if q == 1.5:
+        if z < -0.5 or (branch is _LOWER and z >= 0.0):
+            return None
+        # past z = 2^1021, 1 + 2z would overflow; the 1 is below its ulp there
+        root = math.sqrt(1.0 + 2.0 * z) if z < 2.0 ** 1021 else math.sqrt(2.0) * math.sqrt(z)
+        s = 1.0 + z + root
+        return z / (0.5 * s) if branch is _UPPER else 2.0 * s / z
+    if q == 3.0:
+        if branch is _LOWER:
+            return None
+        h = math.hypot(z, 1.0)
+        return z / (h + z) if z > 0.0 else z * (h - z)
     return None
