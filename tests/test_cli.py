@@ -800,11 +800,12 @@ def test_table_with_every_point_clipped_reports_wq_checks_first(capsys, q, flags
 
 
 def test_table_non_convergence_exits_one_with_the_solver_text(capsys):
-    # past the wall 2/3 at q = 2.5 the root is within an ulp of it: no double
-    # approximates it, and the first row ends the table
+    # past the exact-double wall 1/2 at q = 3 the root's nearest double is
+    # the wall itself: no double inside it approximates the root, and the
+    # first row ends the table
     with pytest.raises(ConvergenceError) as exc:
-        wq(2.5, 1e200)
-    code, out, err = run_main(capsys, "table", "wq", "--q", "2.5", "--steps", "9",
+        wq(3.0, 1e200)
+    code, out, err = run_main(capsys, "table", "wq", "--q", "3", "--steps", "9",
                               "--z-from", "1e200", "--z-to", "2e200")
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 

@@ -81,4 +81,4 @@ def test_readme_library_sketch():
         shown = comment.split(": ")[0]
         assert shown in (repr(value), str(value)), (code, comment, value)
         checked += 1
-    assert checked == 9
+    assert checked == 11

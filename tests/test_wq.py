@@ -167,6 +167,116 @@ def test_root_next_to_the_wall_matches_q3_closed_form():
     assert abs(wq(3.0, 1e3).w - ref) <= 4.0 * math.ulp(ref)
 
 
+# ------------------------------------------------------------ the wall kernel
+
+def test_wall_kernel_answers_the_double_inside_an_inexact_wall():
+    # the double 0.6666666666666666 lies below the wall 2/3 at q = 2.5 and is
+    # the root's nearest double: in w, (1-q) w rounds to -1 there, and wq
+    # refused it.  In closed form it is an answer of no evaluation
+    assert wq(2.5, 1e200) == (0.6666666666666666, Branch.UPPER, 0.0, 0)
+    # at q = 3 the wall 1/2 is a double: the root's nearest double is the
+    # wall itself, and wq still refuses with one evaluation (it made two)
+    solver = importlib.import_module("lambert_tsallis.wq")
+    calls = [0]
+    original = solver._log_residual
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_log_residual", counted)
+        with pytest.raises(ConvergenceError):
+            wq(3.0, 1e8)
+    assert calls[0] == 1
+
+
+def test_wall_kernel_explains_the_residual_next_to_the_q0_wall():
+    # g = 2.5e-7 is below 2^-20: the lower branch's root is b - 1 with
+    # b = g (1 + g + ...), and the residual is ((q-1) g)^2 = 6.25e-14, that of
+    # b's own equation.  The w-form solve stopped on its step floor with
+    # |h| = 1.6e-10 and nothing to say why
+    res = wq(0.0, -2.5e-7, "lower")
+    ref = wq_closed_form(0.0, -2.5e-7, "lower")
+    assert abs(res.w - ref) <= math.ulp(ref)
+    assert (res.residual, res.iterations) == (6.25e-14, 0)
+    assert res.residual <= DEFAULT_TOL
+
+
+def _wall_reference(q, z):
+    """W at the wall to 60 digits: b = g (1-b)^(q-1) iterated from g."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        qm, zm = mpmath.mpf(q), mpmath.mpf(z)
+        g = (zm * (qm - 1)) ** (1 - qm)
+        b = g
+        for _ in range(8):  # each step multiplies the error by (q-1) g < 2^-20
+            b = g * (1 - b) ** (qm - 1)
+        return (1 - b) / (qm - 1)
+
+
+@pytest.mark.parametrize("q", [2.5, math.sqrt(2.0), 2.75])
+def test_wall_kernel_against_mpmath_at_inexact_walls(q):
+    # none of these walls 1/(q-1) is a double, so every root next to one has
+    # a double inside the domain to answer with.  z is log-uniform from where
+    # g = (z (q-1))^(1-q) falls below 2^-21 up to 1e300
+    rng = random.Random(f"wall-mpmath:{q!r}")
+    z_min = 2.0 ** (21.0 / (q - 1.0)) / (q - 1.0)
+    for _ in range(60):
+        z = 10.0 ** rng.uniform(math.log10(z_min), 300.0)
+        res = wq(q, z)
+        ref = _wall_reference(q, z)
+        assert res.iterations == 0 and res.residual <= 2.0 ** -40, (q, z, res)
+        assert abs(res.w - ref) <= math.ulp(float(ref)), (q, z, res.w, float(ref))
+
+
+def test_wall_reach_is_a_bound_only_on_the_walls_side():
+    solver = importlib.import_module("lambert_tsallis.wq")
+    for q, branch in [(1.0, "upper"), (1.0, "lower"), (0.5, "upper"), (1.5, "lower")]:
+        assert solver._wall_reach(q, Branch(branch)) == math.inf
+    # past |q-1| = 2^50 every z on the wall's side is tested
+    assert solver._wall_reach(1e20, Branch.UPPER) == 1.0 / (1e20 - 1.0)
+    assert solver._wall_reach(-1e20, Branch.LOWER) == -math.inf
+    # otherwise the bound lies past the wall, and g = 2^-10 there at q = 2
+    assert solver._wall_reach(2.0, Branch.UPPER) == pytest.approx(2.0 ** 10)
+
+
+@pytest.mark.parametrize("q, branch, decades", [
+    (2.5, "upper", 300.0), (3.0, "upper", 9.0), (1.5, "upper", 33.0), (1e20, "upper", 300.0),
+    (1e200, "upper", 300.0), (0.0, "lower", 300.0), (0.3, "lower", 300.0),
+    (-2.0, "lower", 300.0)])
+def test_table_rows_in_the_wall_kernel_equal_wq(q, branch, decades):
+    # _solve tests a row for the kernel only past _wall_reach: no row in the
+    # kernel's regime lies before it, and each such row is wq's answer, or
+    # its refusal, which ends the table; at q = 3 and 3/2 the roots' nearest
+    # double is the exact-double wall from about z = 1e8 and 1e32.  At
+    # q = 1e20 and 1e200 q - 1 is not a double, every row past the wall is
+    # tested, and 1e200 takes the wall from q's ints
+    solver = importlib.import_module("lambert_tsallis.wq")
+    bp, wall = branch_point(q), 1.0 / (q - 1.0)
+    reach = solver._wall_reach(q, Branch(branch))
+    rng = random.Random(f"wall-table:{q!r}")  # z on the wall's side, through the regime's edge
+    if branch == "upper":
+        zs = sorted(wall * 10.0 ** rng.uniform(0.0, decades) for _ in range(400))
+    else:
+        zs = sorted(-abs(wall) * 10.0 ** -rng.uniform(0.0, 300.0) for _ in range(400))
+        zs = [z for z in zs if z > bp.z_b]
+    rows, kernel = _solve(q, zs, Branch(branch), bp), 0
+    for z in zs:
+        try:
+            res = wq(q, z, branch)
+        except ConvergenceError as e:
+            with pytest.raises(ConvergenceError) as row:
+                next(rows)
+            assert (str(row.value), row.value.best_w) == (str(e), e.best_w)
+            break
+        row = next(rows)
+        if res.iterations == 0:
+            kernel += 1
+            assert z > reach and row == (res.w, res.residual, 0), (q, z, reach, row, res)
+    assert kernel > 50, kernel
+
+
 # ------------------------------------------------------- branch point, domain
 
 def test_branch_point_classical():
@@ -517,6 +627,11 @@ REFUSALS = [
 @pytest.mark.parametrize("call", [wq, dwq_dz])
 @pytest.mark.parametrize("args, text, best_w, residual, iterations", REFUSALS)
 def test_refusal_text_and_values_are_pinned(call, args, text, best_w, residual, iterations):
+    if call is wq and args == (2.5, 1e200):
+        # the double 2/3 lies inside the wall and is the rounded root: wq
+        # answers it in closed form, and dwq_dz refuses until ROADMAP item 1a
+        assert wq(*args) == (0.6666666666666666, Branch.UPPER, 0.0, 0)
+        return
     with pytest.raises(ConvergenceError) as e:
         call(*args)
     err = e.value
@@ -560,7 +675,8 @@ def test_errors_survive_a_pickle_round_trip(raised):
 
 def test_a_closed_bracket_reuses_the_ends_it_evaluated(monkeypatch):
     # the loop's last w is an end of the closed bracket; an end of the double
-    # range refuses without an evaluation, and iterations counts only the loop's
+    # range refuses without an evaluation, and iterations counts only the
+    # loop's.  dwq_dz reaches _root at the wall, where wq answers in closed form
     solver = importlib.import_module("lambert_tsallis.wq")
     original, calls = solver._log_residual, [0]
 
@@ -572,7 +688,7 @@ def test_a_closed_bracket_reuses_the_ends_it_evaluated(monkeypatch):
     for args, evaluations in [((2.5, -4e219), 1), ((2.5, 1e200), 2)]:
         calls[0] = 0
         with pytest.raises(ConvergenceError) as e:
-            wq(*args)
+            dwq_dz(*args)
         assert (calls[0], e.value.iterations) == (evaluations, 1), args
 
 
@@ -743,7 +859,77 @@ def test_closed_form_q0():
 
 def test_closed_form_absent_otherwise():
     assert wq_closed_form(1.0, 1.0) is None
-    assert wq_closed_form(1.5, 1.0) is None
+    assert wq_closed_form(1.25, 1.0) is None
+    # q = 3/2 has a lower branch on [-1/2, 0) only, and q = 3 no lower branch
+    assert wq_closed_form(1.5, -0.75) is None
+    assert wq_closed_form(1.5, 0.5, "lower") is None
+    assert wq_closed_form(3.0, -1.0, "lower") is None
+
+
+@pytest.mark.parametrize("q, z, branch, w", [
+    (1.5, 1.0, "upper", W15_AT_ONE),
+    (1.5, -0.5, "upper", -2.0),  # z_b and w_b
+    (1.5, -0.5, "lower", -2.0),
+    (1.5, -0.375, "lower", -6.0),  # f(w) = w / (1 - w/2)^2
+    (3.0, 0.0, "upper", 0.0),
+    (3.0, 0.75, "upper", 0.375),  # f(w) = w / sqrt(1 - 2w)
+    (3.0, -0.75, "upper", -1.5),
+    (1.5, 1e308, "upper", 2.0),  # past z = 2^1021, where 1 + 2z overflows
+])
+def test_closed_form_q3_2_and_q3_pinned(q, z, branch, w):
+    assert wq_closed_form(q, z, branch) == pytest.approx(w, rel=4e-16)
+
+
+def _closed_form_draws(q, branch, sign, lo, hi):
+    """(z, wq's answer or None where it refuses, the closed form) for 300
+    seeded z of the given sign with |z| log-uniform in [lo, hi]."""
+    rng = random.Random(f"closed-form:{q}:{branch}:{sign}")
+    for _ in range(300):
+        z = sign * 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        try:
+            w = wq(q, z, branch).w
+        except ConvergenceError:
+            w = None
+        yield z, w, wq_closed_form(q, z, branch)
+
+
+@pytest.mark.parametrize("q, branch, sign, lo, hi", [
+    (1.5, "upper", 1.0, 1e-300, 1e300),
+    (1.5, "upper", -1.0, 1e-300, 0.5),
+    (3.0, "upper", 1.0, 1e-300, 1e300),
+    (3.0, "upper", -1.0, 1e-300, 0.1),
+])
+def test_wq_agrees_with_the_q3_2_and_q3_closed_forms(q, branch, sign, lo, hi):
+    # the closed forms round three or four times and are up to 1.6 ulp from
+    # 60-digit mpmath, wq up to 1.03: so the two are within 1 ulp of each
+    # other on nearly every draw and within 2 on all.  Where wq refuses, the
+    # root's nearest double is the exact-double wall, and so is the closed form
+    wall = 1.0 / (q - 1.0)
+    answered = apart = refused = 0
+    for z, w, closed in _closed_form_draws(q, branch, sign, lo, hi):
+        if w is None:
+            assert closed == wall, (q, z)
+            refused += 1
+            continue
+        answered += 1
+        apart += abs(w - closed) > math.ulp(closed)
+        assert abs(w - closed) <= 2.0 * math.ulp(closed), (q, z, w, closed)
+    assert apart <= answered // 100 and answered > 150, (apart, answered)
+    assert refused == 0 or sign > 0
+
+
+@pytest.mark.parametrize("q, branch, sign, lo, hi, most", [
+    (1.5, "lower", -1.0, 1e-300, 0.5, 2600.0),
+    (3.0, "upper", -1.0, 0.1, 1e150, 6000.0),
+])
+def test_power_tails_against_the_q3_2_and_q3_closed_forms(q, branch, sign, lo, hi, most):
+    # the power tails, ROADMAP item 21b: on the q = 3/2 lower branch and for
+    # q = 3 below z = -0.1 the w-form's log residual cancels, and wq is up to
+    # 2 415 and 5 113 ulp from the closed forms, which are within 1.6 ulp of
+    # mpmath.  The bounds pin that loss; the slice that mends it lowers them
+    worst = max(abs(w - closed) / math.ulp(closed)
+                for z, w, closed in _closed_form_draws(q, branch, sign, lo, hi))
+    assert worst <= most, worst
 
 
 # --------------------------------------------------------------- properties
@@ -787,7 +973,7 @@ def test_bracket_lies_inside_the_fixed_ends(q, exponent, sign, branch, gap):
         return
     z_b, w_b = (math.nan, math.nan) if bp is None else bp
     lo, hi = _ends(q, z, branch, w_b)
-    b_lo, b_hi, start = _bracket(q, z, branch, z_b, w_b)
+    b_lo, b_hi, start, _ = _bracket(q, z, branch, z_b, w_b)
     assert lo <= b_lo <= start <= b_hi <= hi
     # f is monotone on the branch, so z lies between f at the two ends.  An
     # end at the wall or at the end of the double range stands for f's limit
@@ -869,11 +1055,19 @@ def _one_point_agreement(monkeypatch, most_evaluations):
     the branch point _check_request leaves out at z >= 0 on the upper
     branch and with it, by wq and by dwq_dz's _root call: all must agree bit
     for bit, and no _root call may make more than most_evaluations
-    _log_residual calls.  Returns the outcomes of dwq_dz's _root calls and
-    the most calls any _root call made."""
+    _log_residual calls.  Where the wall kernel answers, dwq_dz's _root call
+    keeps its own answer; where it refuses, _root refuses alike.  Returns
+    the outcomes of dwq_dz's _root calls and the most calls any _root call
+    made."""
     solver = importlib.import_module("lambert_tsallis.wq")
     original_root, last = solver._root, [None]
     original_h, calls, most = solver._log_residual, [0], [0]
+    original_wall, answered = solver._wall_root, [False]
+
+    def walled(*args):
+        found = original_wall(*args)
+        answered[0] = answered[0] or found is not None
+        return found
 
     def recorded(*args):
         before = calls[0]
@@ -888,10 +1082,12 @@ def _one_point_agreement(monkeypatch, most_evaluations):
 
     monkeypatch.setattr(solver, "_root", recorded)
     monkeypatch.setattr(solver, "_log_residual", counted)
-    lazy, outcomes = 0, []
+    monkeypatch.setattr(solver, "_wall_root", walled)
+    lazy, closed, outcomes = 0, 0, []
     for q, z, branch in _agreement_draws():
         q, z, branch, bp = _check_request(q, z, branch)
         lazy += bp is None and q < 2.0
+        answered[0] = False
         ran = _outcome(lambda: next(_solve(q, (z,), branch, bp)))
         eager = _outcome(lambda: next(_solve(q, (z,), branch, branch_point(q))))
         scalar = _outcome(lambda: _unbranched(wq(q, z, branch)))
@@ -905,8 +1101,9 @@ def _one_point_agreement(monkeypatch, most_evaluations):
             assert z == 0.0 or z == branch_point(q).z_b
         else:
             outcomes.append(last[0])
-            assert last[0] == ran, (q, z, branch)
-    assert lazy > 100 and len(outcomes) > 1000, (lazy, len(outcomes))
+            closed += answered[0]
+            assert answered[0] or last[0] == ran, (q, z, branch)
+    assert lazy > 100 and closed > 100 and len(outcomes) > 1000, (lazy, closed, len(outcomes))
     return outcomes, most[0]
 
 
@@ -936,9 +1133,10 @@ def test_bisection_alone_ends_every_solve_within_67_evaluations(monkeypatch):
 @pytest.mark.parametrize("steps", [1000, 10_000])
 def test_solve_rows_past_the_wall_stop_on_the_step_floor(steps):
     # past the wall 2/3 at q = 2.5 conditioning puts DEFAULT_TOL out of reach,
-    # and a row stops on the 4-ulp step floor with |h| above it
-    step = 2e6 / (steps - 1)
-    zs = [-1e6 + i * step for i in range(steps)]
+    # and a row stops on the 4-ulp step floor with |h| above it.  Up to
+    # z = 5e3, g = (1.5 z)^-1.5 stays above 2^-20, out of the wall kernel's reach
+    step = 1e4 / (steps - 1)
+    zs = [-5e3 + i * step for i in range(steps)]
     floor = [r for r in _solve(2.5, zs, Branch.UPPER, None) if r[1] > DEFAULT_TOL]
     assert len(floor) > steps // 4, len(floor)
 
