@@ -141,10 +141,8 @@ __all__ = [
 
 # the solver's one stopping constant: _root stops once |h| is at most this
 DEFAULT_TOL = 1e-12
-# _wall_root answers where max(g, |q-1| g) is below _WALL_G; where q - 1 is
-# not a double, it decides the last ulp on ints where b is below _WALL_ULP
+# _wall_root answers where max(g, |q-1| g) is below _WALL_G
 _WALL_G = 2.0 ** -20
-_WALL_ULP = 2.0 ** -50
 # the one refusal's text, for _root and _wall_root
 _NO_DOUBLE = ("no double approximates the root for q = %g, z = %r (%s branch): it lies "
               "next to the wall or beyond the double range; best w = %r")
@@ -311,56 +309,33 @@ def _wall_root(q: float, z: float, g: float, w_b: float) -> tuple[float, float, 
     """The root next to the wall in closed form, as (w, residual, 0), on the
     upper branch for q > 1 past the wall and on the lower branch for q < 1,
     where g is _wall_tail's power: None where max(g, |q-1| g) >= 2^-20, or
-    where w lies outside _ends' fixed ends (see the module notes).  Raises
+    where q < 1 and w is not below w_b (see the module notes).  Raises
     the ConvergenceError _root raises where the rounded root is an
     exact-double wall for q > 1."""
     p = q - 1.0
     if not (g < _WALL_G and abs(p) * g < _WALL_G):
         return None
-    # e = (q-1) - p by Knuth's two-sum: 0 for 1/2 <= q < 2^53
-    s = p - q
-    e = (q - (p - s)) + (-1.0 - s)
-    end = 1.0 / p  # _ends' wall
-    if abs(p) < 2.0 ** 500:
-        # the wall 1/(q-1) as wall + wall_lo, with r = 1 - p wall exact by
-        # Dekker's product with Veltkamp's split
-        wall = end
-        c = 134217729.0 * p
-        ph = c - (c - p)
-        pl = p - ph
-        c = 134217729.0 * wall
-        wh = c - (c - wall)
-        wl = wall - wh
-        prod = p * wall
-        r = (1.0 - prod) - (((ph * wh - prod) + ph * wl + pl * wh) + pl * wl)
-        wall_lo = (r - e * wall) / p
-    else:
-        # b < 2^-520 is far below an ulp: w is the double nearest the wall
-        n, d = q.as_integer_ratio()
-        wall, wall_lo = d / (n - d), 0.0
     # b = 1 + (1-q) W solves b = g (1-b)^(q-1), and one step from g leaves a
     # relative error of ((q-1) g)^2 < 2^-40
     b = g * math.exp(p * math.log1p(-g))
-    w = wall + (wall_lo - wall * b)
-    if w == wall or (e and b < _WALL_ULP):
-        # w may lie at or past the wall: side has the sign of 1 + (1-q) w.
-        # Where e = 0, w other than the wall's double lies inside, and at it
-        # the sign is (q-1) wall_lo's, exact with r; elsewhere, q's and w's
-        # ints give it, times d k > 0
-        if e:
-            n, d = q.as_integer_ratio()
-            m, k = w.as_integer_ratio()
-            side = d * k + (d - n) * m
-        else:
-            side = p * wall_lo
+    # with q = n/d and b = m/k, W = wall (1 - b) = d (k - m) / ((n - d) k),
+    # which the int division rounds correctly
+    n, d = q.as_integer_ratio()
+    m, k = b.as_integer_ratio()
+    w = d * (k - m) / ((n - d) * k)
+    if b < 2.0 ** -51:
+        # half an ulp of w is below 2^-51 |wall|, as |wall| > 2^-1024, so
+        # only here can w lie at or past the wall: side has the sign of
+        # 1 + (1-q) w, times d k > 0
+        m, k = w.as_integer_ratio()
+        side = d * k + (d - n) * m
         if side <= 0:
             w = math.nextafter(w, 0.0)  # the innermost double
             if side == 0 and q > 1.0:  # the rounded root is the wall itself
                 raise ConvergenceError(_NO_DOUBLE, q, z, "upper", w, best_w=w, iterations=1,
                                        residual=abs(_log_residual(q, z, w)[0]))
-    # _ends' wall end is not the wall where q - 1 is not a double, and below
-    # about q = -1e15 w_b lies ulps from the wall
-    if not (w <= end if q > 1.0 else end <= w < w_b):
+    # below about q = -1e15 w_b lies ulps from the wall
+    if q < 1.0 and not w < w_b:
         return None
     # the relative residual b / (g (1-b)^(q-1)) - 1 of that step, to
     # relative order max(g, |q-1| g)
