@@ -52,31 +52,28 @@ the lower branch for q < 1, 1 + (1-q) w cancels in h, but the root is
 explicit: the bracket b = 1 + (1-q) W solves b = g (1-b)^(q-1), with
 g = (z (q-1))^(1-q) the power _wall_tail computes for _bracket.  Where
 max(g, |q-1| g) < 2^-20, _wall_root takes one fixed-point step,
-b = g exp((q-1) log1p(-g)), whose relative error is ((q-1) g)^2 < 2^-40, and
-W = wall + (wall_lo - wall b) with the wall as a double-double: Dekker's
-product gives 1 - (q-1) wall exactly, and Knuth's two-sum folds in the
-rounding of q - 1 where it is not a double (q < 1/2 or q >= 2^53).  No
-bracket, Newton step or evaluation is made, the answer reports iterations 0
-and, as its residual, ((q-1) g)^2, the relative residual of b's equation
-after the step.  Where w may lie at or past the wall, the sign of
-1 + (1-q) w decides the last ulp exactly: where q - 1 is a double only the
-wall's own double may, and the sign of the exact wall_lo decides it;
-elsewhere, where b < 2^-50, q's and w's ints do.  A w past the wall gives
-way to the innermost double inside it.  Where the rounded root is an
-exact-double wall, the convention is today's: for q > 1 no double inside the
-domain approximates the root and wq raises the ConvergenceError _root
-raises, with its text, best_w (the innermost double), residual and
+b = g exp((q-1) log1p(-g)), whose relative error is ((q-1) g)^2 < 2^-40.
+With q = n/d and b = m/k as integer ratios, W = wall (1 - b) is the one
+int quotient d (k - m) / ((n - d) k), which Python rounds correctly, so no
+rounding of q - 1 or of the wall enters it.  No bracket, Newton step or
+evaluation is made, the answer reports iterations 0 and, as its residual,
+((q-1) g)^2, the relative residual of b's equation after the step.  Only
+where b < 2^-51 can w lie at or past the wall, and there the sign of
+1 + (1-q) w, taken from q's and w's ints, decides the last ulp: a w past
+the wall gives way to the innermost double inside it.  Where the rounded
+root is an exact-double wall, the convention is today's: for q > 1 no double
+inside the domain approximates the root and wq raises the ConvergenceError
+_root raises, with its text, best_w (the innermost double), residual and
 iterations 1, after one evaluation of h; for q < 1 it answers the innermost
-double, which is faithful.  An answer outside _ends' fixed ends falls
-through to _root: at or past w_b, below about q = -1e15, where w_b lies ulps
-from the wall, and past _ends' wall 1/(q-1), whose double may lie inside the
-wall where q - 1 is not a double.  Outside the
-regime wq makes the one _root call it always made, and its test costs a
-comparison of the g _bracket returns.  _solve routes a table row the same
-way, so such a row is wq's answer bit for bit: only rows past _wall_reach, a
-bound computed once per table, compute their power to test it.  dwq_dz
-keeps _root at the wall, where its value underflows or its oracle is wrong
-(ROADMAP items 1a and 21c).
+double, which is faithful.  An answer may lie outside _ends' fixed ends,
+past its rounded wall 1/(q-1), but for q < 1 one at or past w_b falls
+through to _root: below about q = -1e15 w_b lies ulps from the wall.
+Outside the regime wq makes the one _root call it always made, and its test
+costs a comparison of the g _bracket returns.  _solve routes a table row the
+same way, so such a row is wq's answer bit for bit: only rows past
+_wall_reach, a bound computed once per table, compute their power to test
+it.  dwq_dz keeps _root at the wall, where its value underflows or its
+oracle is wrong (ROADMAP items 1a and 21c).
 
 dwq_dz evaluates dW/dz = 1/f'(W) = (W/z)^q / (1 + (2-q) W) (Corless et al.,
 Adv. Comput. Math. 5 (1996), sec. 4), taking exp_q(W) = z/W from the defining
@@ -309,9 +306,10 @@ def _wall_root(q: float, z: float, g: float, w_b: float) -> tuple[float, float, 
     """The root next to the wall in closed form, as (w, residual, 0), on the
     upper branch for q > 1 past the wall and on the lower branch for q < 1,
     where g is _wall_tail's power: None where max(g, |q-1| g) >= 2^-20, or
-    where q < 1 and w is not below w_b (see the module notes).  Raises
-    the ConvergenceError _root raises where the rounded root is an
-    exact-double wall for q > 1."""
+    where q < 1 and w is not below w_b.  w is wall (1 - b), rounded once
+    from q's and b's ints (see the module notes).  Raises the
+    ConvergenceError _root raises where the rounded root is an exact-double
+    wall for q > 1."""
     p = q - 1.0
     if not (g < _WALL_G and abs(p) * g < _WALL_G):
         return None

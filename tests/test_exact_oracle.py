@@ -34,9 +34,11 @@ FAMILY = {
     2.0: ("upper", 160, 40),
     1.5: ("upper", 174, 26),
     1.25: ("upper", 166, 34),
+    1.125: ("upper", 170, 30),
     0.0: ("lower", 162, 38),
     0.5: ("lower", 170, 30),
     0.75: ("lower", 170, 30),
+    0.875: ("lower", 169, 31),
     -1.0: ("lower", 177, 23),
 }
 DRAWS = 200

@@ -9,6 +9,7 @@ arithmetic for the rest.
 
 import importlib
 import inspect
+import json
 import math
 import operator
 import pickle
@@ -230,6 +231,54 @@ def test_wall_kernel_against_mpmath_at_inexact_walls(q):
         assert abs(res.w - ref) <= math.ulp(float(ref)), (q, z, res.w, float(ref))
 
 
+@pytest.mark.parametrize("q, z, w", [
+    (-3.3060214076567163, -2.9195406016833574e-174, -0.232232937398281),
+    (0.47503597813159276, -2.0352104364939772e-52, -1.9048924466116461)])
+def test_wall_kernel_answers_past_the_rounded_wall(capsys, q, z, w):
+    # q - 1 is not a double, and _ends' wall 1/(q-1) lies inside the true
+    # wall and inside the root's nearest double, which _root, bracketed by
+    # _ends, misses by 2.15 and 2.25 ulp.  The closed form answers it
+    res = wq(q, z, "lower")
+    assert (res.w, res.iterations) == (w, 0)
+    assert 1.0 / (q - 1.0) > w
+    # a table row at that z is the same answer
+    assert main(["table", "wq", "--q", repr(q), f"--z-from={z!r}", f"--z-to={z / 2.0!r}",
+                 "--steps", "2", "--branch", "lower", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert (row["z"], row["value"], row["residual"]) == (z, w, res.residual)
+
+
+def _inside(q, w):
+    """1 + (1-q) w > 0, decided exactly from q's and w's ints."""
+    (n, d), (m, k) = q.as_integer_ratio(), w.as_integer_ratio()
+    return d * k + (d - n) * m > 0
+
+
+def test_wall_kernel_answers_the_innermost_doubles_exactly():
+    # q in [-5, 1/2), where q - 1 is not a double, such that _ends' wall
+    # 1/(q-1) lies at least one double inside the true wall.  The root is
+    # put at the innermost double or one or two further inside, with z from
+    # the exact bracket b = 1 + (1-q) w; the root's condition number there is
+    # about |q-1| b < 2^-40, so the rounding of z cannot move the answer
+    rng = random.Random("wall-innermost")
+    hits = 0
+    while hits < 200:
+        q = rng.uniform(-5.0, 0.5)
+        n, d = q.as_integer_ratio()
+        inner = d / (n - d)  # the true wall, rounded
+        if not _inside(q, inner):
+            inner = math.nextafter(inner, 0.0)
+        if not inner < 1.0 / (q - 1.0):
+            continue
+        hits += 1
+        w = inner
+        for _ in range(rng.randrange(3)):
+            w = math.nextafter(w, 0.0)
+        b = 1 + (1 - Fraction(q)) * Fraction(w)
+        z = w * float(b) ** (1.0 / (1.0 - q))
+        assert wq(q, z, "lower").w == w, (q, z, w)
+
+
 def test_wall_reach_is_a_bound_only_on_the_walls_side():
     solver = importlib.import_module("lambert_tsallis.wq")
     for q, branch in [(1.0, "upper"), (1.0, "lower"), (0.5, "upper"), (1.5, "lower")]:
@@ -250,8 +299,8 @@ def test_table_rows_in_the_wall_kernel_equal_wq(q, branch, decades):
     # kernel's regime lies before it, and each such row is wq's answer, or
     # its refusal, which ends the table; at q = 3 and 3/2 the roots' nearest
     # double is the exact-double wall from about z = 1e8 and 1e32.  At
-    # q = 1e20 and 1e200 q - 1 is not a double, every row past the wall is
-    # tested, and 1e200 takes the wall from q's ints
+    # q = 1e20 and 1e200 q - 1 is not a double, and every row past the wall
+    # is tested
     solver = importlib.import_module("lambert_tsallis.wq")
     bp, wall = branch_point(q), 1.0 / (q - 1.0)
     reach = solver._wall_reach(q, Branch(branch))
