@@ -62,7 +62,7 @@ class ConvergenceError(LambertTsallisError, RuntimeError):
 
     def __init__(self, message: str, *values, best_w: float | None = None,
                  residual: float | None = None, iterations: int | None = None):
-        super().__init__(message, *values)
+        # BaseException.__new__ has already kept message and values in args
         self.best_w = best_w
         self.residual = residual
         self.iterations = iterations

@@ -35,6 +35,22 @@ _solve) starts from that extrapolant again, inside the fixed ends alone: on
 a 10^4-step grid that is nearly every row, and they skip _bracket's tails
 and analytic start.  Where |z| is so small on the upper branch below 0 that
 z/(1+z) is within an ulp of W, that end is the start.
+
+Near the classical point, where |1-q| < 2^-30 and |log|z|| >= 3 (z > e^3 on
+the upper branch, z > -e^-3 on the lower), _bracket starts inside _ends'
+fixed ends from the classical W's asymptotic series (Corless et al., Adv.
+Comput. Math. 5 (1996), eq. 4.19), l1 - l2 + l2/l1 + ... to its l1^-4 term,
+with l1 = log|z| and l2 = log|l1|.  One Newton step on the classical equation
+w + log|w| = l1, whose residual the series gives without cancellation,
+squares the series' relative error of at most 2.3e-4, and the first-order
+term of ln exp_q(w) = w - (1-q) w^2/2 + ... moves the start by
+(1-q) s^3 / (2 (1+s)).  |h| is then at most DEFAULT_TOL at the start nearly
+everywhere, and the solve ends at its first evaluation.  The regime lies
+clear of the tails and the wall (ROADMAP item 21): every root a double z has
+there is under 760 in size, and the wall is past 2^30.  |log|z|| >= 3 keeps
+it out of the band next to z_b, where the branch-point quadratic starts
+(item 22), and the upper branch below 0 keeps its starts.
+
 The loop falls back to bisection over the ordered doubles, arithmetic on a
 narrow bracket and geometric across decades, whenever a step leaves the
 bracket or |h| fails to halve in two evaluations, and only bisects after its
@@ -43,9 +59,14 @@ stopping constant, or a step is under 4 ulp of w, and returns the point
 after that step.  64 halvings close any bracket, so within 200 evaluations
 it closes on adjacent doubles at the latest and returns the better end, or
 raises the one ConvergenceError when an end is the wall or the end of the
-double range: no double approximates the root there.  The closure reuses
-|h| at an end the loop evaluated, so it evaluates at most the one analytic
-end, and none at the end of the double range.
+double range: no double approximates the root there.  _apart, one
+nextafter, says whether a double lies between the ends, and the ends'
+ordinals are packed only to bisect, so a bracket that starts closed, as at
+the end of the double range, packs none.  The closure reuses |h| at an end
+the loop evaluated, so it evaluates at most the one analytic end, and none
+at the end of the double range.  The refusal's text names q by %g where
+that reads back as q and by repr elsewhere (_Q), so that it reproduces the
+call, as do the texts of the other errors wq and dwq_dz raise.
 
 Next to the wall w = 1/(q-1), on the upper branch for q > 1 past it and on
 the lower branch for q < 1, 1 + (1-q) w cancels in h, but the root is
@@ -140,14 +161,29 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 # _wall_root answers where max(g, |q-1| g) is below _WALL_G
 _WALL_G = 2.0 ** -20
+# _bracket starts from the series of the classical W where |1-q| is below this
+_NEAR_ONE = 2.0 ** -30
 # the one refusal's text, for _root and _wall_root
-_NO_DOUBLE = ("no double approximates the root for q = %g, z = %r (%s branch): it lies "
+_NO_DOUBLE = ("no double approximates the root for q = %s, z = %r (%s branch): it lies "
               "next to the wall or beyond the double range; best w = %r")
 # _root's first 136 evaluations may be Newton points, and it only bisects after
 # them: the ordered doubles span under 2^64 places, so 64 halvings close any
 # bracket and a solve ends within 200 evaluations, far above the 36 the
 # costliest of 88 890 random solves took
 _NEWTON_EVALUATIONS = 136
+
+
+class _Q(float):
+    """q as an error text names it: %g where that reads back as q, as for
+    every q of few digits, and repr elsewhere, so that the text reproduces
+    the call.  A float, so the error's args keep q's value; the text is
+    built only when it is read."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        short = "%g" % self
+        return short if float(short) == self else float.__repr__(self)
 
 
 class Branch(Enum):
@@ -330,7 +366,7 @@ def _wall_root(q: float, z: float, g: float, w_b: float) -> tuple[float, float, 
         if side <= 0:
             w = math.nextafter(w, 0.0)  # the innermost double
             if side == 0 and q > 1.0:  # the rounded root is the wall itself
-                raise ConvergenceError(_NO_DOUBLE, q, z, "upper", w, best_w=w, iterations=1,
+                raise ConvergenceError(_NO_DOUBLE, _Q(q), z, "upper", w, best_w=w, iterations=1,
                                        residual=abs(_log_residual(q, z, w)[0]))
     # below about q = -1e15 w_b lies ulps from the wall
     if q < 1.0 and not w < w_b:
@@ -364,14 +400,37 @@ def _bracket(q: float, z: float, branch: Branch, z_b: float, w_b: float):
     _wall_tail's power g where the bracket used the wall tail, inf elsewhere.
 
     Starts from _ends (same requirements on z) and tightens them; f is never
-    evaluated.  For q >= 1, exp_q(w) >= e^w gives W < log|z| where
-    |W| >= 1, and s e^(-s) < e^(-s/2) gives W > 2 log|z| on the classical
-    lower branch; the tails bound the far ends.  Near z_b the start is the
-    root of h's quadratic model h(w_b) = log(z_b/z), h''(w_b) = -(2-q)^3,
-    except on the upper branch where |z| is small enough that the end
-    z/(1+z) is within an ulp of W, which is then the start.
+    evaluated.  Near the classical point, |1-q| < 2^-30, with |log|z|| >= 3
+    on the upper branch above 0 or on the lower branch, the start is the
+    classical W's series, polished by one Newton step on the classical
+    equation and moved by the first-order q term, inside _ends' ends (see
+    the module notes); one outside them falls through to the rules below,
+    as does every other request.  For q >= 1, exp_q(w) >= e^w gives
+    W < log|z| where |W| >= 1, and s e^(-s) < e^(-s/2) gives W > 2 log|z|
+    on the classical lower branch; the tails bound the far ends.  Near z_b
+    the start is the root of h's quadratic model h(w_b) = log(z_b/z),
+    h''(w_b) = -(2-q)^3, except on the upper branch where |z| is small
+    enough that the end z/(1+z) is within an ulp of W, which is then the
+    start.
     """
     lo, hi = _ends(q, z, branch, w_b)
+    if abs(1.0 - q) < _NEAR_ONE and (z > 0.0 or branch is _LOWER):
+        l1 = math.log(abs(z))
+        if (l1 if z > 0.0 else -l1) >= 3.0:  # z > e^3, or z > -e^-3 on the lower branch
+            # the classical W = l1 - l2 + t, with l2 = log|l1| and t the series
+            # sum_k c_k(l2) / l1^k to k = 4, is within 2.3e-4 relative here
+            l2, r = math.log(abs(l1)), 1.0 / l1
+            t = l2 * r * (1.0 + r * (0.5 * l2 - 1.0 + r * (
+                1.0 - 1.5 * l2 + l2 * l2 / 3.0 + r * (
+                    -1.0 + l2 * (3.0 + l2 * (-11.0 / 6.0 + 0.25 * l2))))))
+            s = l1 + (t - l2)
+            # one Newton step on s + log|s| - l1, which is t + log1p((t - l2)/l1)
+            # without cancellation, squares that error
+            s -= (t + math.log1p((t - l2) * r)) * s / (1.0 + s)
+            # and the first-order term of ln exp_q(w) = w - (1-q) w^2/2 + ... moves it
+            start = s + (1.0 - q) * s * s * s / (2.0 * (1.0 + s))
+            if lo < start < hi:
+                return lo, hi, start, math.inf
     if z > 0.0:  # upper branch
         # for q >= 1, exp_q(w) >= e^w bounds W by the classical root, which
         # is below log z once z >= e and below 1 before that
@@ -448,6 +507,13 @@ def _from_ordinal(n: int) -> float:
     return x if n >= 0 else -x
 
 
+def _apart(lo: float, hi: float) -> bool:
+    """Whether a double lies strictly between lo <= hi: _ordinal(hi) -
+    _ordinal(lo) > 1, without packing either.  nextafter(-5e-324, hi) is
+    -0.0, which shares 0.0's place."""
+    return math.nextafter(lo, hi) < hi
+
+
 def wq(q: float, z: float, branch: Branch = Branch.UPPER) -> SolveResult:
     """Solve w * exp_q(q, w) = z on the requested branch.
 
@@ -485,7 +551,7 @@ def _check_settings(q: float, branch: Branch | str) -> Branch:
     branch = _as_branch(branch)
     if branch is _LOWER and q >= 2.0:
         raise NoBranchPointError(
-            "no lower branch for q = %g: the branch point exists only for q < 2", q)
+            "no lower branch for q = %s: the branch point exists only for q < 2", _Q(q))
     return branch
 
 
@@ -504,8 +570,8 @@ def _check_request(q: float, z: float,
     bp = _branch_point(q)
     lo, lo_closed, hi = _domain(q, branch, bp)
     if not ((z >= lo if lo_closed else z > lo) and z < hi):
-        raise DomainError("z = %r is outside the %s-branch domain %s for q = %g", z,
-                          branch.value, tuple.__new__(Interval, (lo, hi, lo_closed, False)), q)
+        raise DomainError("z = %r is outside the %s-branch domain %s for q = %s", z,
+                          branch.value, tuple.__new__(Interval, (lo, hi, lo_closed, False)), _Q(q))
     return q, z, branch, bp
 
 
@@ -631,9 +697,8 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float,
         if step_inside and halved and iters < _NEWTON_EVALUATIONS:
             w = newton
             continue
-        a, b = _ordinal(lo), _ordinal(hi)
-        if b - a > 1:
-            w = _from_ordinal((a + b) // 2)
+        if _apart(lo, hi):
+            w = _from_ordinal((_ordinal(lo) + _ordinal(hi)) // 2)
             continue
         # closed on adjacent doubles: the better end, unless an end is the end
         # of the double range or at the wall.  An analytic end, never
@@ -645,7 +710,8 @@ def _root(q: float, z: float, branch: Branch, lo: float, hi: float,
                 h_hi = abs(_log_residual(q, z, hi)[0])
             if not math.isinf(h_lo + h_hi):
                 return (lo if h_lo <= h_hi else hi), min(h_lo, h_hi), iters
-        raise ConvergenceError(_NO_DOUBLE, q, z, branch.value, best_w, best_w=best_w,
+        # _value_ is the value property's field, read at a sixth of its cost
+        raise ConvergenceError(_NO_DOUBLE, _Q(q), z, branch._value_, best_w, best_w=best_w,
                                residual=best_h, iterations=iters)
 
 
@@ -656,14 +722,14 @@ def dwq_dz(q: float, z: float, branch: Branch = Branch.UPPER) -> float:
     z_b, w_b = _NO_BRANCH_POINT if bp is None else bp
     if z == z_b:
         raise DerivativeSingularError(
-            "dW/dz diverges at the branch point z_b = %r for q = %g", z_b, q)
+            "dW/dz diverges at the branch point z_b = %r for q = %s", z_b, _Q(q))
     if z == 0.0:
         return 1.0
     lo, hi, start, _ = _bracket(q, z, branch, z_b, w_b)
     w = _root(q, z, branch, lo, hi, start)[0]
     den = 1.0 + (2.0 - q) * w
     if den == 0.0:
-        raise DerivativeSingularError("dW/dz diverges at w = %r (q = %g)", w, q)
+        raise DerivativeSingularError("dW/dz diverges at w = %r (q = %s)", w, _Q(q))
     ratio = w / z  # positive: w and z share a sign on every branch
     if abs(q) > 2.0:
         # the rational form, with both brackets over W where |W| > 1
