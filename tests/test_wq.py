@@ -32,9 +32,9 @@ from lambert_tsallis.exact import (E, ONE, PI, ZERO, ArithmeticClass, Constant,
 from lambert_tsallis.qexp import dlnq_dz, exp_q, ln_q
 from lambert_tsallis.verify import CheckResult, algebraicity_scan, branch_point_check
 from lambert_tsallis.wq import (DEFAULT_TOL, Branch, BranchPoint, Interval,
-                                SolveResult, _bracket, _check_request, _ends, _log_residual,
-                                _solve, branch_domain, branch_point, dwq_dz, wq,
-                                wq_closed_form)
+                                SolveResult, _apart, _bracket, _check_request, _ends,
+                                _log_residual, _ordinal, _solve, branch_domain, branch_point,
+                                dwq_dz, wq, wq_closed_form)
 
 OMEGA = 0.5671432904097838          # W(1), classical
 DW_AT_ONE = 0.3618962566348892      # W'(1) = e^{-W(1)}/(1 + W(1))
@@ -670,6 +670,14 @@ REFUSALS = [
      0.49999999999999994, 0.7454276396737605, 1),
     ((-1e200, -5e-201, "lower"), _no_double("-1e+200", "-5e-201", "lower", "-1e-200"),
      -1e-200, math.inf, 1),
+    # roots beyond the double range: one evaluation, at -DBL_MAX, closes the
+    # bracket, and the text names q in full
+    ((2.885260343996398, -7.234712979033123e262),
+     _no_double("2.885260343996398", "-7.234712979033123e+262", "upper",
+                "-1.7976931348623157e+308"), -1.7976931348623157e+308, 272.3003550247655, 1),
+    ((1.850030210226353, -1.2433546469013744e-300, "lower"),
+     _no_double("1.850030210226353", "-1.2433546469013744e-300", "lower",
+                "-1.7976931348623157e+308"), -1.7976931348623157e+308, 565.5227694994423, 1),
 ]
 
 
@@ -709,10 +717,13 @@ def test_domain_error_text_is_pinned(call, args, kind, text):
 
 @pytest.mark.parametrize("raised", [
     lambda: wq(2.5, -4e219),
+    lambda: wq(2.885260343996398, -7.234712979033123e262),  # q named in full
     lambda: wq(1.0, -5.0),
+    lambda: wq(1.0 + 1e-13, -1.0, "lower"),
     lambda: ln_q(2.0, -1.0),
     lambda: classify_wq(parse_exact("2"), parse_exact("-1")),  # text built at the raise
-], ids=["no-double", "wq-domain", "lnq-domain", "classify-domain"])
+], ids=["no-double", "no-double-full-q", "wq-domain", "wq-domain-full-q", "lnq-domain",
+        "classify-domain"])
 def test_errors_survive_a_pickle_round_trip(raised):
     with pytest.raises(LambertTsallisError) as e:
         raised()
@@ -720,6 +731,70 @@ def test_errors_survive_a_pickle_round_trip(raised):
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is type(err)
     assert (str(back), back.args, back.__dict__) == (str(err), err.args, err.__dict__)
+    if type(err) is ConvergenceError:
+        assert (back.best_w, back.residual, back.iterations) == \
+            (err.best_w, err.residual, err.iterations) != (None, None, None)
+
+
+@pytest.mark.parametrize("call, args", [
+    (wq, (1.0 + 1e-13, -1.0, "lower")),                  # DomainError
+    (wq, (2.0000000000000004, -1.0, "lower")),           # NoBranchPointError
+    (wq, (2.885260343996398, -7.234712979033123e262)),   # _root's refusal
+    (wq, (1048577.0, 1.0)),                              # _wall_root's refusal at the wall 2^-20
+    (dwq_dz, (1.0 + 1e-13, branch_point(1.0 + 1e-13).z_b)),
+    (dwq_dz, (-4364561462963528.5, -2.2911809318890687e-16, "lower")),  # 1 + (2-q) W is 0
+], ids=["domain", "no-lower-branch", "no-double", "no-double-wall", "singular-z_b",
+        "singular-w"])
+def test_error_texts_name_q_so_that_it_reads_back(call, args):
+    # %g would name these q as 1, 2, 2.88526, 1.04858e+06 and -4.36456e+15,
+    # which cannot reproduce the call; a q that %g gives exactly keeps its text
+    with pytest.raises(LambertTsallisError) as e:
+        call(*args)
+    assert float(re.search(r"q = ([^,:)\s]+)", str(e.value))[1]) == args[0], str(e.value)
+
+
+# wq and dwq_dz refusals among _beyond_range_draws, per branch
+REFUSED_BEYOND_RANGE = {"upper": 108, "lower": 74}
+
+
+def _beyond_range_draws():
+    """Seeded requests of the two kinds whose root may lie below -DBL_MAX:
+    q in (2, 4) on the upper branch with z << 0, and q in (1, 2) on the
+    lower branch with z -> 0-."""
+    rng = random.Random("beyond-the-double-range")
+    for _ in range(100):
+        yield rng.uniform(2.0, 4.0), -(10.0 ** rng.uniform(1.0, 308.0)), "upper"
+        yield rng.uniform(1.0, 2.0), -(10.0 ** -rng.uniform(1.0, 308.0)), "lower"
+
+
+def test_beyond_range_refusals_keep_their_record():
+    # each refusal evaluates h once, at the saturated end -DBL_MAX, where the
+    # bracket is closed, and names that end as best_w
+    low = -sys.float_info.max
+    refused = {"upper": 0, "lower": 0}
+    for q, z, branch in _beyond_range_draws():
+        for call in (wq, dwq_dz):
+            try:
+                call(q, z, branch)
+            except ConvergenceError as e:
+                refused[branch] += 1
+                assert (str(e), e.best_w, e.residual, e.iterations) == \
+                    (_no_double(repr(q), repr(z), branch, repr(low)), low,
+                     abs(_log_residual(q, z, low)[0]), 1), (q, z, branch)
+    assert refused == REFUSED_BEYOND_RANGE, refused
+
+
+def test_closure_test_agrees_with_the_ordinal_rule():
+    # _root bisects while a double lies strictly between its ends: at the
+    # signed zeros, the subnormals next to them, adjacent doubles across 0
+    # and the ends of the double range, as the ordered doubles count it
+    tiny, big = 5e-324, sys.float_info.max
+    points = [-big, math.nextafter(-big, 0.0), -1.0, -2.0 * tiny, -tiny, -0.0, 0.0, tiny,
+              2.0 * tiny, 1.0, math.nextafter(1.0, 2.0), math.nextafter(big, 0.0), big]
+    for lo in points:
+        for hi in points:
+            if lo <= hi:
+                assert _apart(lo, hi) == (_ordinal(hi) - _ordinal(lo) > 1), (lo, hi)
 
 
 def test_a_closed_bracket_reuses_the_ends_it_evaluated(monkeypatch):
@@ -1052,6 +1127,57 @@ def test_q_continuity_at_classical_point():
         w1 = wq(1.0, z).w
         assert abs(wq(1.0 + 1e-6, z).w - w1) <= 1e-4
         assert abs(wq(1.0 - 1e-6, z).w - w1) <= 1e-4
+
+
+NEAR_CLASSICAL_Q = (1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 2.0 ** -33, 1.0 - 2.0 ** -33)
+
+
+def _near_classical_draws():
+    """Seeded requests in _bracket's near-classical regime, 40 per q and
+    tail: log z uniform in [3, 690] on the upper branch and log(-z) in
+    [-690, -3] on the lower."""
+    rng = random.Random("near-classical")
+    for q in NEAR_CLASSICAL_Q:
+        for _ in range(40):
+            yield q, math.exp(rng.uniform(3.0, 690.0)), "upper"
+            yield q, -math.exp(-rng.uniform(3.0, 690.0)), "lower"
+
+
+def test_near_classical_solves_take_few_evaluations(monkeypatch):
+    # the start is the classical W's series, one Newton step on the
+    # classical equation and the first-order q term: |h| <= DEFAULT_TOL at
+    # it nearly everywhere.  From log|z| or the branch-point quadratic these
+    # draws take 3.6 evaluations on average, and up to 5
+    solver = importlib.import_module("lambert_tsallis.wq")
+    original, calls = solver._log_residual, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_log_residual", counted)
+    counts = []
+    for q, z, branch in _near_classical_draws():
+        calls[0] = 0
+        wq(q, z, branch)
+        counts.append(calls[0])
+    assert sum(counts) / len(counts) <= 1.1 and max(counts) <= 2, \
+        (sum(counts) / len(counts), max(counts))
+
+
+def test_near_classical_solves_against_mpmath():
+    # h's root to 50 digits, from the answer: ln exp_q(w) = log1p((1-q) w)/(1-q)
+    mpmath = pytest.importorskip("mpmath")
+    ulps = []
+    for q, z, branch in _near_classical_draws():
+        w = wq(q, z, branch).w
+        with mpmath.workdps(50):
+            zm, e = mpmath.mpf(z), 1 - mpmath.mpf(q)
+            ln_e = (lambda t: t) if e == 0 else (lambda t: mpmath.log1p(e * t) / e)
+            ref = mpmath.findroot(lambda t: mpmath.log(t / zm) + ln_e(t), mpmath.mpf(w))
+        ulps.append(float(abs(w - ref)) / math.ulp(float(ref)))
+    within = sum(u <= 1.0 for u in ulps) / len(ulps)
+    assert max(ulps) <= 2.0 and within >= 0.95, (max(ulps), within)
 
 
 # ------------------------------------------------------------------ drivers
