@@ -18,11 +18,13 @@ the `lambert-tsallis verify` CLI command.
 What loads when: `import lambert_tsallis` loads the numeric layer (`errors`,
 `qexp`, `wq`) and nothing else.  The exact layer (`exact`, then `classify`)
 and `verify` load at the first read of one of their names, or of the
-submodule itself, through the module `__getattr__` (PEP 562), which binds
-every name of that submodule here; `from lambert_tsallis import *` loads
-them all.
+submodule itself.  The module `__getattr__` (PEP 562) then imports the
+submodule that the table `_LAYER_OF` gives for that name and binds that one
+name here; `cli` binds its own lazy names through the same loader and
+table.  `from lambert_tsallis import *` loads them all.
 """
 
+import functools
 import importlib
 
 from .errors import (ConfigurationError, ConvergenceError,
@@ -76,20 +78,20 @@ _LAYERS = {
                "run_residual_suite", "run_scan_suite"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in (layer, *names)}
+_LAYER_OF["_SUITES"] = "verify"  # verify's suites by --suite name, which cli binds
 
 
-def _load(name: str) -> object:
-    """A lazy layer's name, or the layer itself: import the layer, bind its
-    names here (a name already bound keeps its object) and return name's."""
-    layer = _LAYER_OF.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _bind(namespace: dict[str, object], names: dict[str, str] | tuple[str, ...],
+          name: str) -> object:
+    """The PEP 562 hook of a module whose lazy names are names: import the
+    layer _LAYER_OF gives for name, bind that one name in namespace (a
+    layer's own name binds the layer) and return its object.  A name
+    already bound keeps its object."""
+    if name not in names:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    layer = _LAYER_OF[name]
     module = importlib.import_module(f".{layer}", __name__)
-    namespace = globals()
-    namespace.setdefault(layer, module)
-    for key in _LAYERS[layer]:
-        namespace.setdefault(key, getattr(module, key))
-    return namespace[name]
+    return namespace.setdefault(name, module if name == layer else getattr(module, name))
 
 
 def _names() -> list[str]:
@@ -98,4 +100,4 @@ def _names() -> list[str]:
 
 # PEP 562 hooks, which the interpreter calls for a name not bound here and
 # for dir(); no module calls them by name
-__getattr__, __dir__ = _load, _names
+__getattr__, __dir__ = functools.partial(_bind, globals(), _LAYER_OF), _names

@@ -22,8 +22,9 @@ formatted once per table.
 
 What loads when: importing cli loads argparse and the numeric layer
 (`qexp`, `wq`).  The exact layer (`exact`, `classify`) loads at the first
-`classify` command and `verify` at the first `verify` command, through the
-module `__getattr__` (PEP 562), which binds that submodule's names here;
+`classify` command and `verify` at the first `verify` command: the
+package's loader, this module's `__getattr__` (PEP 562), binds each lazy
+name here at its first read, from the submodule the package's table gives;
 `json` loads with the first JSON document and `csv` with the first csv
 `_emit`.  So `eval`, `branch-point` and `table` load neither layer, and
 `table`, whose rows are formatted by hand, loads no `csv`.
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import math
 import re
 import sys
 
+from . import _bind
 from .errors import ConfigurationError, LambertTsallisError, MalformedInputError
 from .qexp import _exp_q, _require_finite, dlnq_dz, exp_q, ln_q
 from .wq import (DEFAULT_TOL, Branch, _check_settings, _solve, branch_domain, branch_point,
@@ -45,42 +46,12 @@ from .wq import (DEFAULT_TOL, Branch, _check_settings, _solve, branch_domain, br
 
 __all__ = ["main", "entry", "render_json"]
 
-# the names cli binds from each lazy submodule; verify binds _SUITES too,
-# its suite functions by --suite name
-_LAYERS = {
-    "exact": ("parse_exact", "render_exact"),
-    "classify": ("classify_expq", "classify_lnq_derivative", "classify_tower",
-                 "classify_wq"),
-    "verify": ("run_all", "run_scan_suite"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
-_LAYER_OF["_SUITES"] = "verify"
-
-
-def _bound(name: str) -> object:
-    """The object bound here at name.  A lazy name's first read imports its
-    submodule and binds all of that submodule's names here; a name already
-    bound keeps its object.  The commands read their lazy names through
-    this when they run, so an object bound in a name's place (bench/spans.py
-    wraps them here) is the one they call."""
-    namespace = globals()
-    if name not in namespace:
-        layer = _LAYER_OF.get(name)
-        if layer is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        module = importlib.import_module(f".{layer}", __package__)
-        for key in _LAYERS[layer]:
-            namespace.setdefault(key, getattr(module, key))
-        if layer == "verify":
-            namespace.setdefault("_SUITES", {
-                "residual": module.run_residual_suite,
-                "derivative": module.run_derivative_suite,
-                "eq5": module.run_eq5_suite,
-                "branch": module.run_branch_suite,
-                "all": module.run_all,
-            })
-    return namespace[name]
-
+# the names cli binds from the lazy layers, each at its first read: a
+# command reads them through _bound when it runs, so an object bound in a
+# name's place (bench/spans.py wraps them here) is the one it calls
+_LAZY = ("parse_exact", "render_exact", "classify_expq", "classify_lnq_derivative",
+         "classify_tower", "classify_wq", "run_all", "run_scan_suite", "_SUITES")
+_bound = functools.partial(_bind, globals(), _LAZY)
 
 # PEP 562 hook, which the interpreter calls for a name not bound here
 __getattr__ = _bound

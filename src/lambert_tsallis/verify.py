@@ -428,3 +428,14 @@ def run_all(degree_max: int = 3, coeff_max: int = 30,
     """Every suite; the scan's no-hit bounds as in run_scan_suite."""
     return (run_residual_suite() + run_derivative_suite() + run_eq5_suite()
             + run_branch_suite() + run_scan_suite(degree_max, coeff_max, eps))
+
+
+# the suite functions by `verify --suite` name; the scan, whose bounds are
+# options, is called by its own name
+_SUITES = {
+    "residual": run_residual_suite,
+    "derivative": run_derivative_suite,
+    "eq5": run_eq5_suite,
+    "branch": run_branch_suite,
+    "all": run_all,
+}
