@@ -151,3 +151,29 @@ def test_the_tracer_installs_and_uninstalls_from_a_cold_import():
     assert result == [True, [0, 0], True, {
         "cli.main": 2, "exact.parse_exact": 2, "exact.render_exact": 3,
         "classify.classify_wq": 1, "verify.eq5": 1, "verify.eq5_residual": 4, "wq.wq": 4}]
+
+
+def test_the_package_table_is_the_one_table():
+    # the lazy names of __all__ are the names of _LAYERS, each listed once;
+    # cli's lazy names are package lazy names, or verify's _SUITES
+    lazy, layered, cli_lazy = fresh(
+        "import json\n"
+        "import lambert_tsallis as lt\n"
+        "import lambert_tsallis.cli as cli\n"
+        "lazy = [n for n in lt.__all__ if n not in vars(lt)]\n"
+        "layered = [n for names in lt._LAYERS.values() for n in names]\n"
+        "print(json.dumps([lazy, layered, list(cli._LAZY)]))")
+    assert len(layered) == len(set(layered)) and sorted(layered) == sorted(lazy)
+    assert set(cli_lazy) - set(layered) == {"_SUITES"}
+
+
+def test_cli_dispatches_verifys_own_suite_table():
+    import argparse
+
+    import lambert_tsallis.cli as cli
+    import lambert_tsallis.verify as verify
+    assert cli._SUITES is verify._SUITES
+    commands, = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    suite, = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert sorted(suite.choices) == sorted([*verify._SUITES, "scan"])

@@ -303,6 +303,18 @@ def test_suite_composition():
     assert len(run_derivative_suite()) == len(RESIDUAL_Q_GRID) + n_lower
 
 
+def test_the_q2_lower_refusal_check_fails_when_wq_answers(monkeypatch):
+    # a planted fault: wq answers the lower branch at q = 2, which has none
+    def answering(q, z, branch=Branch.UPPER):
+        if (q, z, Branch(branch)) == (2.0, -0.5, Branch.LOWER):
+            return wq(q, z)
+        return wq(q, z, branch)
+
+    monkeypatch.setattr(verify, "wq", answering)
+    check, = [c for c in run_branch_suite() if c.name == "lower-refused q=2"]
+    assert (check.passed, check.measured) == (False, 1.0)
+
+
 def test_scan_suite_flags_are_honored():
     checks = run_scan_suite(degree_max=2, coeff_max=10, eps=1e-6)
     names = [c.name for c in checks]
